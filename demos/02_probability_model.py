@@ -14,10 +14,10 @@ from gnolr import (
     category_distribution,
     cumulative_prob,
     gnolr_total_loss,
-    neural_olr_loss,
     nested_kernel,
     task_score,
 )
+from gnolr.losses import olr_shared_batch
 from gnolr.tensor import l2_normalize
 
 rng = np.random.default_rng(7)
@@ -41,11 +41,13 @@ print("category probabilities:", [round(p, 4) for p in dist.probs], "sum:", sum(
 # The unified preference score ranks items across all feedback levels.
 print("unified score P(k > 2):", round(task_score(2, kernels, hyper), 4))
 
-# Losses: the nested subtask sum vs the plain single-term ordinal NLL.
-for k in (1, 2, 3):
-    nested = gnolr_total_loss(k, kernels, hyper)
-    shared = neural_olr_loss(k, kernels[0], hyper)
-    print(f"label k={k}: nested loss {nested:.4f} | shared-encoder loss {shared:.4f}")
+# Losses: the nested subtask sum vs the plain single-term ordinal NLL,
+# which scores every level with one shared kernel (batched: one row per label).
+labels = np.array([1, 2, 3])
+shared, _ = olr_shared_batch(labels, np.full(3, kernels[0]), hyper)
+for k, shared_k in zip(labels, shared):
+    nested = gnolr_total_loss(int(k), kernels, hyper)
+    print(f"label k={k}: nested loss {nested:.4f} | shared-encoder loss {shared_k:.4f}")
 
 # Raising the similarity at every level always helps a fully engaged pair.
 better = [min(k + 0.3, 1.0) for k in kernels]

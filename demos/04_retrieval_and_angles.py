@@ -63,7 +63,7 @@ for uid in range(3):
         if bundle.test.user_index[row] == uid and bundle.test.labels[row] > 1
     }
     hits = [item for item in top if item in liked]
-    recall = recall_at_k(user_vectors[uid], index, 5, liked) if liked else float("nan")
+    recall = recall_at_k(top, 5, liked) if liked else float("nan")
     print(f"{bundle.users[uid]}: top-5 {top} | hits {hits} | recall@5 {recall:.3f}")
 
 # --- Angular distribution --------------------------------------------------

@@ -9,12 +9,10 @@ top-K retrieval for every feedback target at once.
 from .data import (
     DataConfig,
     DatasetBundle,
-    RawInteraction,
     apply_bins,
     binarize_ratings,
     build_bundle,
     build_lists,
-    chronological_split,
     fit_bins,
     load_bundle,
     make_batches,
@@ -26,7 +24,6 @@ from .encoders import (
     NestedTwinEncoder,
     Tower,
     TowerConfig,
-    embed_features,
     nested_kernel,
     read_embeddings,
     write_embeddings,
@@ -46,17 +43,13 @@ from .losses import (
     GnolrHyper,
     bce_loss,
     category_distribution,
-    combined_loss,
     cumulative_prob,
     gnolr_total_loss,
-    listnet_loss,
-    neural_olr_loss,
     subtask_loss,
     task_score,
 )
 from .metrics import (
     RetrievalIndex,
-    ScoredSample,
     angle_histogram,
     auc,
     gauc,
@@ -68,7 +61,6 @@ from .tensor import (
     AdamConfig,
     Parameter,
     adam_step,
-    cosine_kernel,
     finite_diff_check,
     l2_normalize,
     leaky_relu,

@@ -109,7 +109,7 @@ class RunConfig:
             raise ConfigError(f"missing required config key [{section}] {key}")
         return value
 
-    def get_int(self, section: str, key: str, default: int) -> int:
+    def get_int(self, section: str, key: str, default: int | None) -> int | None:
         raw = self.get(section, key)
         if raw is None:
             return default
@@ -126,6 +126,17 @@ class RunConfig:
             return float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+
+    def get_list(self, section: str, key: str, default: str, cast=float) -> tuple:
+        """Comma-separated values parsed with ``cast`` (int or float)."""
+        raw = self.get(section, key) or default
+        try:
+            return tuple(cast(v) for v in _split_list(raw))
+        except ValueError:
+            noun = "integers" if cast is int else "numbers"
+            raise ConfigError(
+                f"[{section}] {key}: expected comma-separated {noun}, got {raw!r}"
+            ) from None
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         raw = self.get(section, key)
@@ -155,29 +166,17 @@ def _data_config(cfg: RunConfig) -> DataConfig:
     )
 
 
+# Composite kinds: gnolr + "-" or "_" + a suffix is shorthand for kind gnolr plus a flag.
+_ALIAS_FLAGS = {"l": {"listwise": True}, "v0": {"variant": "v0"}, "v1": {"variant": "v1"}}
 _KIND_ALIASES = {
-    # Composite names accepted as shorthand for kind + flag.
-    "gnolr_l": ("gnolr", {"listwise": True}),
-    "gnolr-l": ("gnolr", {"listwise": True}),
-    "gnolr-v0": ("gnolr", {"variant": "v0"}),
-    "gnolr_v0": ("gnolr", {"variant": "v0"}),
-    "gnolr-v1": ("gnolr", {"variant": "v1"}),
-    "gnolr_v1": ("gnolr", {"variant": "v1"}),
+    f"gnolr{sep}{suffix}": ("gnolr", flags)
+    for sep in "-_"
+    for suffix, flags in _ALIAS_FLAGS.items()
 }
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    thresholds_raw = cfg.get("model", "thresholds", "auto") or "auto"
-    if thresholds_raw.strip().lower() == "auto":
-        thresholds = None
-    else:
-        try:
-            thresholds = tuple(float(v) for v in _split_list(thresholds_raw))
-        except ValueError:
-            raise ConfigError(f"[model] thresholds: expected floats, got {thresholds_raw!r}") from None
-    hidden_raw = cfg.get("model", "hidden_sizes", "128,64,32") or "128,64,32"
-    weights_raw = cfg.get("model", "positive_weights", "") or ""
-    patience_raw = cfg.get("train", "patience")
+    auto = (cfg.get("model", "thresholds") or "auto").strip().lower() == "auto"
     kind = (cfg.get("model", "kind", "gnolr") or "gnolr").strip().lower()
     implied: dict = {}
     if kind in _KIND_ALIASES:
@@ -187,14 +186,14 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         variant=implied.get("variant", cfg.get("model", "variant", "nested") or "nested"),
         listwise=implied.get("listwise", cfg.get_bool("model", "listwise", False)),
         listnet_use_log=cfg.get_bool("model", "listnet_use_log", True),
-        thresholds=thresholds,
+        thresholds=None if auto else cfg.get_list("model", "thresholds", ""),
         thresholds_population=cfg.get("model", "thresholds_population", "train") or "train",
         gamma=cfg.get_float("model", "gamma", 1.0),
         clip_floor=cfg.get_float("model", "clip_floor", 1e-6),
         embedding_dim=cfg.get_int("model", "embedding_dim", 16),
-        hidden_sizes=tuple(int(v) for v in _split_list(hidden_raw)),
+        hidden_sizes=cfg.get_list("model", "hidden_sizes", "128,64,32", int),
         activation_slope=cfg.get_float("model", "activation_slope", 0.01),
-        positive_weights=tuple(float(v) for v in _split_list(weights_raw)),
+        positive_weights=cfg.get_list("model", "positive_weights", ""),
         bce_raw_cosine=cfg.get_bool("model", "bce_raw_cosine", False),
         bce_target_level=cfg.get_int("model", "bce_target_level", 1),
         learning_rate=cfg.get_float("train", "learning_rate", 0.05),
@@ -202,7 +201,7 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         batch_size=cfg.get_int("train", "batch_size", 1024),
         list_batch_size=cfg.get_int("train", "list_batch_size", 32),
         seed=cfg.get_int("train", "seed", 0),
-        patience=int(patience_raw) if patience_raw is not None else None,
+        patience=cfg.get_int("train", "patience", None),
     )
 
 
@@ -286,7 +285,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     bundle = _load_bundle(cfg)
     checkpoint = _load_checkpoint(cfg)
     model = checkpoint.build_model()
-    recall_ks = tuple(int(v) for v in _split_list(cfg.get("eval", "recall_ks", "") or ""))
+    recall_ks = cfg.get_list("eval", "recall_ks", "", int)
     gauc_mode = cfg.get("eval", "gauc", "pairs") or "pairs"
     if gauc_mode not in ("pairs", "uniform", "off"):
         raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {gauc_mode!r}")
@@ -378,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gnolr",
         description="Multi-feedback ordinal twin-tower training, evaluation, and retrieval",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap worker parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("prepare", "thresholds", "train", "eval", "retrieve", "angles"):
         cmd = sub.add_parser(name)

@@ -17,7 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,18 +27,6 @@ from .feedback import FeedbackSchema, map_to_ordinal_array
 USER_KEY_JOIN = "\x1f"
 BUNDLE_MAGIC = b"GNB1"
 BUNDLE_VERSION = 1
-
-
-@dataclass(frozen=True)
-class RawInteraction:
-    """One logged impression with its feedback flags and named features."""
-
-    user_id: str
-    item_id: str
-    timestamp: int
-    user_features: dict
-    item_features: dict
-    feedback: dict
 
 
 @dataclass(frozen=True)
@@ -105,21 +93,6 @@ def split_indices(
     validation = order[n_keep:n_train_block]
     test = order[n_train_block:]
     return train, validation, test
-
-
-def chronological_split(
-    interactions: Sequence[RawInteraction],
-    train_fraction: float = 0.7,
-    validation_fraction_of_train: float = 0.1,
-) -> tuple[list[RawInteraction], list[RawInteraction], list[RawInteraction]]:
-    """Record-level wrapper over ``split_indices``."""
-    for i, row in enumerate(interactions):
-        if row.timestamp is None:
-            raise IngestionError(f"interaction {i} has no timestamp")
-    ts = np.asarray([row.timestamp for row in interactions], dtype=np.int64)
-    tr, va, te = split_indices(ts, train_fraction, validation_fraction_of_train)
-    rows = list(interactions)
-    return [rows[i] for i in tr], [rows[i] for i in va], [rows[i] for i in te]
 
 
 def fit_bins(values: np.ndarray, n_bins: int = 50) -> np.ndarray:

@@ -103,18 +103,6 @@ class EmbeddingTableSet:
             np.add.at(self.tables[name].grad, self._safe_ids(name, ids[:, j]), seg)
 
 
-def embed_features(
-    feature_ids: Sequence[tuple[str, int]], tables: EmbeddingTableSet
-) -> np.ndarray:
-    """Single-sample lookup: list of (feature, id) -> concatenated vector."""
-    given = {name: idx for name, idx in feature_ids}
-    unknown = set(given) - set(tables.feature_names)
-    if unknown:
-        raise ArgumentError(f"unknown features: {sorted(unknown)}")
-    ids = np.array([[given.get(name, 0) for name in tables.feature_names]])
-    return tables.lookup(ids)[0]
-
-
 class Tower:
     """MLP with LeakyReLU between layers, none after the last, then l2-norm."""
 

@@ -21,10 +21,6 @@ class DimensionError(GnolrError):
     """Matrix or vector shapes do not line up."""
 
 
-class KernelError(GnolrError):
-    """Similarity kernel received a degenerate (zero-norm) input."""
-
-
 class OptimizerError(GnolrError):
     """Optimizer update cannot proceed (e.g. non-finite gradient)."""
 
@@ -39,7 +35,3 @@ class UndefinedMetricError(GnolrError):
 
 class ConfigError(GnolrError):
     """Run configuration is invalid (unknown key, missing path, bad value)."""
-
-
-class DivergenceError(GnolrError):
-    """Training produced a non-finite loss."""

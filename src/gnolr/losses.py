@@ -136,18 +136,6 @@ def gnolr_total_loss(label_k: int, kernels: Sequence[float], hyper: GnolrHyper) 
     return sum(subtask_loss(t, label_k, kernels, hyper) for t in range(1, hyper.num_levels + 1))
 
 
-def neural_olr_loss(label_k: int, single_kernel: float, hyper: GnolrHyper) -> float:
-    """Plain ordinal NLL with one shared kernel at every level.
-
-    Uses the same c * gamma scaling as the nested model so the two are
-    directly comparable.
-    """
-    losses, _ = olr_shared_batch(
-        np.asarray([label_k]), np.asarray([single_kernel], dtype=np.float64), hyper
-    )
-    return float(losses[0])
-
-
 def bce_loss(logit: float, label: int, positive_weight: float = 1.0):
     """Weighted binary cross-entropy in log-sum-exp form (no overflow)."""
     if positive_weight < 1:
@@ -158,40 +146,6 @@ def bce_loss(logit: float, label: int, positive_weight: float = 1.0):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def listnet_loss(
-    lists: Sequence[tuple[np.ndarray, np.ndarray]],
-    hyper: GnolrHyper,
-    use_log: bool = True,
-) -> float:
-    """Softmax listwise loss over per-list items, averaged across lists.
-
-    Each list is (kernels, is_positive) with kernels of shape (n_items, T);
-    an item's logit is gamma * T * K_T, the unified score's logit.  With
-    ``use_log`` (default) each positive contributes -log softmax at its
-    position; the unlogged variant scores -softmax directly.  Lists without
-    positives contribute 0.
-    """
-    if not lists:
-        raise ArgumentError("need at least one list")
-    total = 0.0
-    for kernels, is_positive in lists:
-        karr = np.asarray(kernels, dtype=np.float64)
-        if karr.ndim != 2 or karr.shape[1] != hyper.num_levels:
-            raise ArgumentError(f"list kernels must be (n, {hyper.num_levels}), got {karr.shape}")
-        if karr.shape[0] == 0:
-            raise ArgumentError("lists must contain at least one item")
-        pos = np.asarray(is_positive, dtype=bool)
-        logits = hyper.gamma * hyper.num_levels * karr[:, -1]
-        loss, _ = listnet_list_batch(logits, pos, use_log=use_log)
-        total += loss
-    return total / len(lists)
-
-
-def combined_loss(pointwise: float, listwise: float) -> float:
-    """Unweighted sum of the ordinal loss and the listwise loss."""
-    return pointwise + listwise
 
 
 # ---------------------------------------------------------------------------

@@ -12,28 +12,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, UndefinedMetricError
-
-
-@dataclass(frozen=True)
-class ScoredSample:
-    score: float
-    label: int
-    user_id: str
-    list_id: str | None = None
-
-
-def collate(samples: Iterable[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unpack ScoredSample records into (scores, labels, user_ids) arrays."""
-    rows = list(samples)
-    scores = np.asarray([s.score for s in rows], dtype=np.float64)
-    labels = np.asarray([s.label for s in rows], dtype=np.int64)
-    users = np.asarray([s.user_id for s in rows])
-    return scores, labels, users
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -138,14 +121,17 @@ def topk_retrieve(user_embedding: np.ndarray, index: RetrievalIndex, k: int) -> 
     return [str(i) for i in ids[order[: min(k, len(index))]]]
 
 
-def recall_at_k(
-    user_embedding: np.ndarray, index: RetrievalIndex, k: int, positives: set[str]
-) -> float:
-    """|top-K intersect positives| / |positives|."""
+def recall_at_k(ranked: Sequence[str], k: int, positives: set[str]) -> float:
+    """|top-K intersect positives| / |positives| for an already ranked id list.
+
+    ``ranked`` must reach depth K or hold the whole catalog, as a
+    ``topk_retrieve`` call at any depth >= K does.
+    """
+    if k < 0:
+        raise ArgumentError(f"K must be >= 0, got {k}")
     if not positives:
         raise UndefinedMetricError("recall is undefined for an empty positive set")
-    top = topk_retrieve(user_embedding, index, k)
-    return len(set(top) & positives) / len(positives)
+    return len(set(ranked[:k]) & positives) / len(positives)
 
 
 def angle_histogram(

@@ -233,12 +233,6 @@ class GnolrModel(_TwinBase):
         cs = np.cumsum(dots, axis=1)
         return 1.0 - stable_sigmoid(a[None, :] - self.hyper.gamma * cs)
 
-    def task_scores(self, user_ids, item_ids, level: int) -> np.ndarray:
-        """P(k > level) from the level-prefix similarity sum."""
-        if not 1 <= level <= self.cfg.num_levels:
-            raise ArgumentError(f"level {level} outside 1..{self.cfg.num_levels}")
-        return self.task_scores_all(user_ids, item_ids)[:, level - 1]
-
 
 class NeuralOlrModel(_TwinBase):
     """One shared tower pair under the plain ordinal likelihood."""
@@ -263,11 +257,6 @@ class NeuralOlrModel(_TwinBase):
         a = self.hyper.thresholds.as_array()
         c = np.arange(1, self.cfg.num_levels + 1, dtype=np.float64)
         return 1.0 - stable_sigmoid(a[None, :] - c[None, :] * self.hyper.gamma * kernel[:, None])
-
-    def task_scores(self, user_ids, item_ids, level: int) -> np.ndarray:
-        if not 1 <= level <= self.cfg.num_levels:
-            raise ArgumentError(f"level {level} outside 1..{self.cfg.num_levels}")
-        return self.task_scores_all(user_ids, item_ids)[:, level - 1]
 
 
 class _CalibratedHead:
@@ -328,11 +317,9 @@ class BceModel(_TwinBase):
         return float(losses.mean())
 
     def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
+        """P(target bit) in a single column, shape (B, 1), whatever T is."""
         dots = self._dots(user_ids, item_ids)[:, 0]
         return stable_sigmoid(self.head.forward(dots))[:, None]
-
-    def task_scores(self, user_ids, item_ids, level: int | None = None) -> np.ndarray:
-        return self.task_scores_all(user_ids, item_ids)[:, 0]
 
 
 class NsbModel(_TwinBase):
@@ -383,11 +370,6 @@ class NsbModel(_TwinBase):
             for t in range(self.cfg.num_levels)
         ]
         return np.stack(cols, axis=1)
-
-    def task_scores(self, user_ids, item_ids, level: int) -> np.ndarray:
-        if not 1 <= level <= self.cfg.num_levels:
-            raise ArgumentError(f"level {level} outside 1..{self.cfg.num_levels}")
-        return self.task_scores_all(user_ids, item_ids)[:, level - 1]
 
     def task_user_embeddings(self, feature_rows: np.ndarray, level: int) -> np.ndarray:
         x = self.tables_user.lookup(feature_rows)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, KernelError, OptimizerError
+from .errors import DimensionError, OptimizerError
 
 NORM_EPS = 1e-12
 
@@ -113,23 +113,6 @@ def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Par
     return param
 
 
-def matmul_forward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def matmul_backward(
-    upstream: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    if upstream.shape != (a.shape[0], b.shape[1]):
-        raise DimensionError(
-            f"upstream shape {upstream.shape} does not match product shape "
-            f"({a.shape[0]}, {b.shape[1]})"
-        )
-    return upstream @ b.T, a.T @ upstream
-
-
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
     if not 0.0 < slope < 1.0:
         raise DimensionError(f"leaky slope must lie in (0, 1), got {slope}")
@@ -189,39 +172,6 @@ def l2_normalize_backward(upstream: np.ndarray, v: np.ndarray) -> np.ndarray:
     proj = np.sum(upstream * y, axis=-1, keepdims=True)
     grad = (upstream - y * proj) / safe
     return np.where(norms < NORM_EPS, 0.0, grad)
-
-
-def cosine_kernel(a: np.ndarray, b: np.ndarray):
-    """Cosine similarity a.b / (||a|| ||b||), row-wise for 2-D inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(f"cosine kernel shapes differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    if np.any(na < NORM_EPS) or np.any(nb < NORM_EPS):
-        raise KernelError("cosine kernel received a zero-norm input")
-    out = np.sum(a * b, axis=-1) / (na * nb)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def cosine_kernel_backward(
-    upstream, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
-    nb = np.linalg.norm(b, axis=-1, keepdims=True)
-    if np.any(na < NORM_EPS) or np.any(nb < NORM_EPS):
-        raise KernelError("cosine kernel received a zero-norm input")
-    k = np.sum(a * b, axis=-1, keepdims=True) / (na * nb)
-    up = np.asarray(upstream, dtype=np.float64)
-    up = up.reshape(k.shape)
-    grad_a = up * (b / (na * nb) - k * a / (na * na))
-    grad_b = up * (a / (na * nb) - k * b / (nb * nb))
-    return grad_a, grad_b
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .data import DatasetBundle, Split, make_batches
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
-from .metrics import RetrievalIndex, auc, gauc, recall_at_k
+from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve
 from .models import Batch, ModelConfig, NsbModel, make_model
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
@@ -188,13 +188,22 @@ def _optimizer_step(model, adam: AdamConfig) -> None:
             adam_step(param, adam)
 
 
-def _scores_in_chunks(model, user_features, item_features, level: int) -> np.ndarray:
-    n = user_features.shape[0]
-    out = np.empty(n)
-    for start in range(0, n, _SCORE_CHUNK):
-        end = min(start + _SCORE_CHUNK, n)
-        out[start:end] = model.task_scores(user_features[start:end], item_features[start:end], level)
-    return out
+def _split_scores(model, split: Split) -> np.ndarray:
+    """Every level's task scores, one ``task_scores_all`` pass per chunk of rows."""
+    return np.concatenate(
+        [
+            model.task_scores_all(
+                split.user_features[start : start + _SCORE_CHUNK],
+                split.item_features[start : start + _SCORE_CHUNK],
+            )
+            for start in range(0, split.num_samples, _SCORE_CHUNK)
+        ]
+    )
+
+
+def _level_column(scores: np.ndarray, level: int) -> np.ndarray:
+    """The level's score column; a single-column model (BCE) answers every level."""
+    return scores[:, min(level, scores.shape[1]) - 1]
 
 
 def _validation_auc(model, split: Split, num_levels: int) -> tuple[float, int]:
@@ -203,8 +212,7 @@ def _validation_auc(model, split: Split, num_levels: int) -> tuple[float, int]:
         labels = split.bits[:, level - 1]
         if labels.min() == labels.max():
             continue
-        scores = _scores_in_chunks(model, split.user_features, split.item_features, level)
-        return auc(scores, labels), level
+        return auc(_level_column(_split_scores(model, split), level), labels), level
     raise UndefinedMetricError("no validation target has both classes")
 
 
@@ -326,8 +334,11 @@ def retrieval_recalls(
     """Mean Recall@K over split users; positives are samples with k > level.
 
     The candidate pool is the full item universe; users without positives
-    at the level are skipped.
+    at the level are skipped.  Each user is ranked once, to depth max(ks),
+    and every level and K reads a prefix of that one ranking.
     """
+    if not ks or min(ks) < 0:
+        raise ArgumentError(f"recall needs one or more K >= 0, got {tuple(ks)}")
     split = bundle.split(split_name)
     levels = [level] if level is not None else list(range(1, bundle.num_feedbacks + 1))
     if index is None:
@@ -339,6 +350,8 @@ def retrieval_recalls(
                 for start in range(0, len(bundle.users), _SCORE_CHUNK)
             ]
         )
+    depth = max(ks)
+    rankings: dict[int, list[str]] = {}
     out: dict[str, float] = {}
     for lvl in levels:
         per_user: dict[int, set[str]] = {}
@@ -347,9 +360,12 @@ def retrieval_recalls(
             per_user.setdefault(int(split.user_index[row]), set()).add(
                 bundle.items[int(split.item_index[row])]
             )
+        for uid in per_user:
+            if uid not in rankings:
+                rankings[uid] = topk_retrieve(user_vectors[uid], index, depth)
         for k in ks:
             recalls = [
-                recall_at_k(user_vectors[uid], index, k, positives)
+                recall_at_k(rankings[uid], k, positives)
                 for uid, positives in sorted(per_user.items())
             ]
             if recalls:
@@ -372,11 +388,12 @@ def evaluate(
         levels = [model.cfg.bce_target_level]
     else:
         levels = list(range(1, bundle.num_feedbacks + 1))
+    all_scores = _split_scores(model, split)
     for level in levels:
         labels = split.bits[:, level - 1]
         if labels.min() == labels.max():
             continue
-        scores = _scores_in_chunks(model, split.user_features, split.item_features, level)
+        scores = _level_column(all_scores, level)
         metrics[f"auc_t{level}"] = auc(scores, labels)
         if with_gauc and split.lists.num_lists > 0:
             try:

@@ -229,9 +229,20 @@ class TestConfigValidation:
         monkeypatch.setenv("GNOLR_LOG", "verbose")
         assert main(["eval", cfg]) == 2
 
-    def test_threads_flag_accepted(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("train", "train.patience=abc"),
+            ("train", "model.hidden_sizes=16,x"),
+            ("train", "model.positive_weights=heavy"),
+            ("eval", "eval.recall_ks=5,ten"),
+        ],
+    )
+    def test_malformed_number_list_exits_two(self, workspace, capsys, command, override):
         tmp_path, cfg = workspace
-        assert main(["--threads", "2", "eval", cfg]) == 0
+        assert main([command, cfg, "--set", override]) == 2
+        section, key = override.split("=")[0].split(".")
+        assert f"error: [{section}] {key}: " in capsys.readouterr().err
 
     def test_composite_kind_aliases(self, workspace, capsys):
         from gnolr.training import load_checkpoint
@@ -239,7 +250,11 @@ class TestConfigValidation:
         tmp_path, cfg = workspace
         for alias, field, expected in (
             ("gnolr_l", "listwise", True),
+            ("gnolr-l", "listwise", True),
+            ("gnolr_v0", "variant", "v0"),
             ("gnolr-v0", "variant", "v0"),
+            ("gnolr_v1", "variant", "v1"),
+            ("gnolr-v1", "variant", "v1"),
             ("GNOLR-V1", "variant", "v1"),
         ):
             assert (

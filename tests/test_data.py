@@ -5,12 +5,10 @@ import pytest
 
 from gnolr.data import (
     DataConfig,
-    RawInteraction,
     apply_bins,
     binarize_ratings,
     build_bundle,
     build_lists,
-    chronological_split,
     fit_bins,
     load_bundle,
     make_batches,
@@ -82,15 +80,6 @@ class TestChronologicalSplit:
         tr, va, te = split_indices(ts)
         assert ts[tr].max() < ts[va].min()
         assert ts[va].max() < ts[te].min()
-
-    def test_record_level_wrapper(self):
-        rows = [
-            RawInteraction(f"u{i}", f"i{i}", timestamp=100 - i, user_features={}, item_features={}, feedback={"c": 0})
-            for i in range(10)
-        ]
-        train, val, test = chronological_split(rows)
-        assert len(train) == 6 and len(val) == 1 and len(test) == 3
-        assert max(r.timestamp for r in train) < min(r.timestamp for r in test)
 
 
 class TestBinning:

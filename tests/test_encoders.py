@@ -9,7 +9,6 @@ from gnolr.encoders import (
     NestedTwinEncoder,
     Tower,
     TowerConfig,
-    embed_features,
     nested_kernel,
     read_embeddings,
     write_embeddings,
@@ -26,13 +25,13 @@ class TestEmbeddingTables:
     def test_single_feature_returns_row(self):
         rng = np.random.default_rng(0)
         tables = EmbeddingTableSet({"f1": 5}, 16, rng)
-        out = embed_features([("f1", 3)], tables)
+        out = tables.lookup(np.array([[3]]))[0]
         np.testing.assert_array_equal(out, tables.tables["f1"].value[3])
 
     def test_two_features_concatenate_in_order(self):
         rng = np.random.default_rng(1)
         tables = tables_fixture(rng)
-        out = embed_features([("f2", 2), ("f1", 1)], tables)
+        out = tables.lookup(np.array([[1, 2]]))[0]
         assert out.shape == (32,)
         np.testing.assert_array_equal(out[:16], tables.tables["f1"].value[1])
         np.testing.assert_array_equal(out[16:], tables.tables["f2"].value[2])
@@ -40,13 +39,14 @@ class TestEmbeddingTables:
     def test_oov_maps_to_row_zero(self):
         rng = np.random.default_rng(2)
         tables = tables_fixture(rng)
-        out = embed_features([("f1", 99), ("f2", 0)], tables)
-        np.testing.assert_array_equal(out[:16], tables.tables["f1"].value[0])
+        out = tables.lookup(np.array([[99, 0], [-1, 0]]))
+        np.testing.assert_array_equal(out[0, :16], tables.tables["f1"].value[0])
+        np.testing.assert_array_equal(out[1, :16], tables.tables["f1"].value[0])
 
-    def test_unknown_feature_rejected(self):
+    def test_feature_count_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(ArgumentError):
-            embed_features([("nope", 1)], tables_fixture(rng))
+        with pytest.raises(DimensionError):
+            tables_fixture(rng).lookup(np.array([[1, 2, 3]]))
 
     def test_backward_scatters_into_rows(self):
         rng = np.random.default_rng(4)

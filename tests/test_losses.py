@@ -18,13 +18,10 @@ from gnolr.losses import (
     bce_batch,
     bce_loss,
     category_distribution,
-    combined_loss,
     cumulative_prob,
     gnolr_batch,
     gnolr_total_loss,
     listnet_list_batch,
-    listnet_loss,
-    neural_olr_loss,
     olr_nested_batch,
     olr_percategory_batch,
     olr_shared_batch,
@@ -281,12 +278,11 @@ class TestTaskScore:
 
 class TestListnet:
     def test_uniform_logits_cost_log_n(self):
-        h = hyper_of(0.0, gamma=1.0)
         for n in (1, 2, 5, 17):
-            kernels = np.zeros((n, 1))
             positives = np.zeros(n, dtype=bool)
             positives[0] = True
-            assert listnet_loss([(kernels, positives)], h) == pytest.approx(math.log(n), abs=1e-12)
+            loss, _ = listnet_list_batch(np.zeros(n), positives)
+            assert loss == pytest.approx(math.log(n), abs=1e-12)
 
     def test_dominant_positive_drives_loss_to_zero(self):
         logits = np.array([40.0, 0.0, 0.0])
@@ -298,17 +294,23 @@ class TestListnet:
         assert loss == pytest.approx(0.3132616875182228, abs=1e-12)
 
     def test_zero_positive_lists_contribute_nothing(self):
-        h = hyper_of(0.0)
-        kernels = np.random.default_rng(20).uniform(-1, 1, size=(4, 1))
-        lists = [(kernels, np.zeros(4, dtype=bool)), (np.zeros((2, 1)), np.array([True, False]))]
-        assert listnet_loss(lists, h) == pytest.approx(math.log(2) / 2, abs=1e-12)
+        logits = np.random.default_rng(20).uniform(-1, 1, size=4)
+        loss, grad = listnet_list_batch(logits, np.zeros(4, dtype=bool))
+        assert loss == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(4))
+        # Averaged over lists (as the listwise model does), it only dilutes.
+        other, _ = listnet_list_batch(np.zeros(2), np.array([True, False]))
+        assert (loss + other) / 2 == pytest.approx(math.log(2) / 2, abs=1e-12)
 
     def test_logit_uses_unified_scale(self):
-        # gamma * T * K_T equals gamma times the similarity sum.
+        # gamma * T * K_T equals gamma times the similarity sum, the logit
+        # the listwise model feeds to listnet_list_batch.
         h = hyper_of(0.0, 1.0, gamma=2.5)
         dots = np.array([[0.5, -0.2], [0.1, 0.4]])
         kernels = dots_to_kernels(dots)
-        loss = listnet_loss([(kernels, np.array([True, False]))], h)
+        unified = h.gamma * h.num_levels * kernels[:, -1]
+        np.testing.assert_allclose(unified, h.gamma * dots.sum(axis=1), atol=1e-15)
+        loss, _ = listnet_list_batch(unified, np.array([True, False]))
         logits = 2.5 * dots.sum(axis=1)
         expected = -(logits[0] - np.log(np.exp(logits).sum()))
         assert loss == pytest.approx(expected, abs=1e-12)
@@ -328,11 +330,6 @@ class TestListnet:
                 lo, _ = listnet_list_batch(bumped, positives, use_log=use_log)
                 numeric = (hi - lo) / (2 * h)
                 assert grad[j] == pytest.approx(numeric, abs=1e-7)
-
-    def test_combined_loss_is_plain_sum(self):
-        assert combined_loss(0.7, 0.0) == 0.7
-        assert combined_loss(0.0, 0.4) == 0.4
-        assert combined_loss(0.5, 0.5) == 1.0
 
 
 class TestBceLoss:
@@ -367,6 +364,12 @@ class TestBceLoss:
             assert grads[j] == pytest.approx(numeric, abs=1e-7)
 
 
+def shared_loss(label_k, kernel, hyper):
+    """One-sample plain ordinal NLL through the batch path."""
+    losses, _ = olr_shared_batch(np.array([label_k]), np.array([kernel]), hyper)
+    return float(losses[0])
+
+
 class TestNeuralOlrLoss:
     def test_single_level_equals_nested(self):
         rng = np.random.default_rng(23)
@@ -374,13 +377,13 @@ class TestNeuralOlrLoss:
             h = random_hyper(rng, 1)
             kernel = float(rng.uniform(-1, 1))
             k = int(rng.integers(1, 3))
-            assert neural_olr_loss(k, kernel, h) == pytest.approx(
+            assert shared_loss(k, kernel, h) == pytest.approx(
                 gnolr_total_loss(k, [kernel], h), abs=1e-12
             )
 
     def test_interior_reference_point(self):
         h = hyper_of(0.0, 1.0)
-        assert neural_olr_loss(2, 0.0, h) == pytest.approx(1.4650840134652499, abs=1e-10)
+        assert shared_loss(2, 0.0, h) == pytest.approx(1.4650840134652499, abs=1e-10)
 
     def test_bottom_category(self):
         rng = np.random.default_rng(24)
@@ -390,7 +393,7 @@ class TestNeuralOlrLoss:
             expected = -math.log(
                 max(stable_sigmoid(h.thresholds.values[0] - h.gamma * kernel), CLIP)
             )
-            assert neural_olr_loss(1, kernel, h) == pytest.approx(expected, abs=1e-12)
+            assert shared_loss(1, kernel, h) == pytest.approx(expected, abs=1e-12)
 
     def test_shared_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(25)

@@ -5,13 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from gnolr.errors import UndefinedMetricError
+from gnolr.errors import ArgumentError, UndefinedMetricError
 from gnolr.metrics import (
     RetrievalIndex,
-    ScoredSample,
     angle_histogram,
     auc,
-    collate,
     format_report,
     gauc,
     recall_at_k,
@@ -81,13 +79,6 @@ class TestAuc:
         labels[0], labels[1] = 0, 1
         transformed = np.tanh(scores) * 10 + 3
         assert auc(scores, labels) == pytest.approx(auc(transformed, labels), abs=1e-12)
-
-    def test_collate_round_trip(self):
-        samples = [ScoredSample(0.4, 1, "u1"), ScoredSample(0.1, 0, "u2")]
-        scores, labels, users = collate(samples)
-        np.testing.assert_array_equal(scores, [0.4, 0.1])
-        np.testing.assert_array_equal(labels, [1, 0])
-        assert list(users) == ["u1", "u2"]
 
 
 class TestGauc:
@@ -171,25 +162,25 @@ class TestRecallAtK:
         rng = np.random.default_rng(6)
         vecs = rng.normal(size=(10, 3))
         index = RetrievalIndex([f"i{j}" for j in range(10)], vecs)
-        top = set(topk_retrieve(vecs[0], index, 3))
-        assert recall_at_k(vecs[0], index, 3, top) == 1.0
+        ranked = topk_retrieve(vecs[0], index, 3)
+        assert recall_at_k(ranked, 3, set(ranked)) == 1.0
 
     def test_k_smaller_than_positive_set(self):
         vecs = np.eye(4)
         index = RetrievalIndex(["a", "b", "c", "d"], vecs)
         user = vecs[0]
         positives = {"a", "b", "c", "d"}
-        assert recall_at_k(user, index, 2, positives) == 0.5
+        assert recall_at_k(topk_retrieve(user, index, 2), 2, positives) == 0.5
 
     def test_disjoint(self):
         vecs = np.eye(3)
         index = RetrievalIndex(["a", "b", "c"], vecs)
-        assert recall_at_k(vecs[0], index, 1, {"nope"}) == 0.0
+        assert recall_at_k(topk_retrieve(vecs[0], index, 1), 1, {"nope"}) == 0.0
 
     def test_empty_positives_error(self):
         index = RetrievalIndex(["a"], np.ones((1, 2)))
         with pytest.raises(UndefinedMetricError):
-            recall_at_k(np.ones(2), index, 1, set())
+            recall_at_k(topk_retrieve(np.ones(2), index, 1), 1, set())
 
     def test_monotone_in_k(self):
         rng = np.random.default_rng(7)
@@ -197,8 +188,17 @@ class TestRecallAtK:
         index = RetrievalIndex([f"i{j:02d}" for j in range(50)], vecs)
         user = rng.normal(size=4)
         positives = {f"i{j:02d}" for j in rng.choice(50, size=9, replace=False)}
-        values = [recall_at_k(user, index, k, positives) for k in range(1, 51)]
+        ranked = topk_retrieve(user, index, 50)
+        values = [recall_at_k(ranked, k, positives) for k in range(1, 51)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+        # Every prefix of the deepest ranking equals a fresh ranking at that K.
+        for k in range(0, 51):
+            fresh = topk_retrieve(user, index, k)
+            assert recall_at_k(ranked, k, positives) == recall_at_k(fresh, k, positives)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ArgumentError):
+            recall_at_k(["a", "b"], -1, {"a"})
 
 
 class TestAngleHistogram:

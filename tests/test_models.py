@@ -129,8 +129,8 @@ class TestStructure:
         rng = np.random.default_rng(12)
         uf = rng.integers(0, 10, size=(6, 2))
         itf = rng.integers(0, 12, size=(6, 2))
-        s1 = model.task_scores(uf, itf, 2)
-        s2 = model.task_scores(uf, itf, 2)
+        s1 = model.task_scores_all(uf, itf)
+        s2 = model.task_scores_all(uf, itf)
         np.testing.assert_array_equal(s1, s2)
 
     def test_wider_tower_option(self):
@@ -233,7 +233,7 @@ class TestBceModes:
         rng = np.random.default_rng(23)
         uf = rng.integers(0, 10, size=(50, 2))
         itf = rng.integers(0, 12, size=(50, 2))
-        scores = model.task_scores(uf, itf)
+        scores = model.task_scores_all(uf, itf)
         # Logits bounded to [-1, 1] keep scores inside sigmoid([-1, 1]).
         lo, hi = 1 / (1 + np.exp(1.0)), 1 / (1 + np.exp(-1.0))
         assert np.all(scores >= lo - 1e-12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gnolr.errors import DimensionError, KernelError, OptimizerError
+from gnolr.errors import DimensionError, OptimizerError
 from gnolr.tensor import (
     AdamConfig,
     DegenerateVectorWarning,
@@ -11,16 +11,12 @@ from gnolr.tensor import (
     Parameter,
     adam_step,
     adam_step_sparse,
-    cosine_kernel,
-    cosine_kernel_backward,
     finite_diff_check,
     glorot_uniform,
     l2_normalize,
     l2_normalize_backward,
     leaky_relu,
     leaky_relu_backward,
-    matmul_forward,
-    matmul_backward,
     stable_sigmoid,
     stable_softplus,
 )
@@ -40,33 +36,6 @@ def central_diff(fn, x, h=1e-5):
         flat[i] = orig
         out[i] = (hi - lo) / (2 * h)
     return grad
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(matmul_forward(np.eye(2), b), b)
-
-    def test_hand_arithmetic(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        b = np.array([[1.0], [1.0]])
-        assert np.array_equal(matmul_forward(a, b), np.array([[3.0], [7.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul_forward(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(4, 2))
-        upstream = rng.normal(size=(3, 2))
-        grad_a, grad_b = matmul_backward(upstream, a, b)
-        loss = lambda: float(np.sum(matmul_forward(a, b) * upstream))
-        num_a = central_diff(loss, a)
-        num_b = central_diff(loss, b)
-        assert np.max(np.abs(grad_a - num_a) / np.maximum(np.abs(num_a), 1e-8)) < 1e-6
-        assert np.max(np.abs(grad_b - num_b) / np.maximum(np.abs(num_b), 1e-8)) < 1e-6
 
 
 class TestLeakyRelu:
@@ -137,32 +106,6 @@ class TestL2Normalize:
         numeric = central_diff(loss, v)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-8)
         assert rel.max() < 1e-5
-
-
-class TestCosineKernel:
-    def test_identical_unit_vectors(self):
-        v = l2_normalize(np.array([1.0, 2.0, -1.0]))
-        assert cosine_kernel(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_antipodal(self):
-        assert cosine_kernel(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
-
-    def test_degenerate_raises(self):
-        with pytest.raises(KernelError):
-            cosine_kernel(np.zeros(3), np.ones(3))
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=8)
-        b = rng.normal(size=8)
-        grad_a, grad_b = cosine_kernel_backward(1.0, a, b)
-        num_a = central_diff(lambda: cosine_kernel(a, b), a)
-        num_b = central_diff(lambda: cosine_kernel(a, b), b)
-        np.testing.assert_allclose(grad_a, num_a, atol=1e-7)
-        np.testing.assert_allclose(grad_b, num_b, atol=1e-7)
 
 
 class TestAdam:

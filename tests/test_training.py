@@ -7,10 +7,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gnolr.data import make_batches
-from gnolr.errors import ConfigError
+from gnolr import metrics, training
+from gnolr.data import DataConfig, build_bundle, make_batches
+from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
-from gnolr.models import Batch, make_model
+from gnolr.metrics import auc
+from gnolr.models import Batch, ModelConfig, make_model
 from gnolr.tensor import AdamConfig
 from gnolr.training import (
     TrainConfig,
@@ -18,6 +20,7 @@ from gnolr.training import (
     evaluate,
     load_checkpoint,
     multi_run,
+    retrieval_recalls,
     save_checkpoint,
     train,
 )
@@ -177,8 +180,8 @@ class TestCheckpointRoundTrip:
 
         probe_u = bundle.test.user_features[:64]
         probe_i = bundle.test.item_features[:64]
-        a = result.checkpoint.build_model().task_scores(probe_u, probe_i, 2)
-        b = loaded.build_model().task_scores(probe_u, probe_i, 2)
+        a = result.checkpoint.build_model().task_scores_all(probe_u, probe_i)
+        b = loaded.build_model().task_scores_all(probe_u, probe_i)
         np.testing.assert_array_equal(a, b)
 
     def test_save_is_deterministic(self, bundle, tmp_path):
@@ -242,3 +245,139 @@ class TestEvaluateAndMultiRun:
         for stats in report.values():
             assert stats["n"] == 2
             assert stats["std"] >= 0.0
+
+
+def untrained_model(bundle, kind="gnolr", **kwargs):
+    cfg = ModelConfig(
+        kind=kind,
+        num_levels=bundle.num_feedbacks,
+        thresholds=(0.0, 1.0),
+        gamma=2.0,
+        embedding_dim=4,
+        hidden_sizes=(8, 4),
+        **kwargs,
+    )
+    return make_model(
+        cfg,
+        dict(zip(bundle.user_feature_names, bundle.user_vocab_sizes)),
+        dict(zip(bundle.item_feature_names, bundle.item_vocab_sizes)),
+        np.random.default_rng(0),
+    )
+
+
+def counting(original, calls: list):
+    """Pass-through wrapper that records one entry per call."""
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def count_topk_calls(monkeypatch) -> list:
+    calls: list[int] = []
+    counted = counting(metrics.topk_retrieve, calls)
+    monkeypatch.setattr(metrics, "topk_retrieve", counted)
+    monkeypatch.setattr(training, "topk_retrieve", counted, raising=False)
+    return calls
+
+
+def users_with_positives(split, level):
+    return set(split.user_index[split.labels > level].tolist())
+
+
+@pytest.fixture(scope="module")
+def tied_bundle(tmp_path_factory):
+    """Items carry no id embedding, only one of three categories, so every
+    item shares its vector with a third of the catalog: rankings tie at
+    nearly every K boundary and only the item-id rule orders them."""
+    rng = np.random.default_rng(31)
+    lines = ["user_id,item_id,timestamp,click,pay,if_category"]
+    for ts in range(900):
+        u, i = int(rng.integers(0, 12)), int(rng.integers(0, 15))
+        click = int(rng.random() < 0.5)
+        pay = int(click and rng.random() < 0.5)
+        lines.append(f"u{u},i{i:02d},{ts},{click},{pay},c{i % 3}")
+    path = tmp_path_factory.mktemp("tied") / "tied.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return build_bundle(
+        DataConfig(csv_path=str(path), feedback=("click", "pay"), embed_item_id=False)
+    )
+
+
+class TestOnePassScoringAndRanking:
+    def test_evaluate_scores_each_chunk_once(self, bundle, monkeypatch):
+        monkeypatch.setattr(training, "_SCORE_CHUNK", 64)
+        model = untrained_model(bundle)
+        uf, itf = bundle.test.user_features, bundle.test.item_features
+        scores = np.concatenate(
+            [model.task_scores_all(uf[s : s + 64], itf[s : s + 64]) for s in range(0, len(uf), 64)]
+        )
+        expected = {c: auc(scores[:, c - 1], bundle.test.bits[:, c - 1]) for c in (1, 2)}
+        calls: list[int] = []
+        monkeypatch.setattr(model, "task_scores_all", counting(model.task_scores_all, calls))
+        metrics_out = evaluate(model, bundle)
+        assert len(calls) == math.ceil(bundle.test.num_samples / 64)
+        for level in (1, 2):
+            assert metrics_out[f"auc_t{level}"] == expected[level]
+
+    def test_bce_scores_its_single_column_at_the_target_level(self, bundle):
+        model = untrained_model(bundle, kind="bce", bce_target_level=2)
+        scores = model.task_scores_all(bundle.test.user_features, bundle.test.item_features)
+        assert scores.shape[1] == 1
+        metrics_out = evaluate(model, bundle, with_gauc=False)
+        assert metrics_out == {"auc_t2": auc(scores[:, 0], bundle.test.bits[:, 1])}
+
+    def test_recall_ranks_each_user_once_in_the_unified_space(self, bundle, monkeypatch):
+        model = untrained_model(bundle)
+        calls = count_topk_calls(monkeypatch)
+        out = retrieval_recalls(model, bundle, (1, 5, 20))
+        users = users_with_positives(bundle.test, 1) | users_with_positives(bundle.test, 2)
+        assert len(calls) == len(users)
+        assert {f"recall_t{c}@{k}" for c in (1, 2) for k in (1, 5, 20)} == set(out)
+
+    def test_nsb_ranks_each_user_once_per_level_space(self, bundle, monkeypatch):
+        model = untrained_model(bundle, kind="nsb")
+        calls = count_topk_calls(monkeypatch)
+        out = evaluate(model, bundle, recall_ks=(1, 5, 20), with_gauc=False)
+        expected = sum(len(users_with_positives(bundle.test, c)) for c in (1, 2))
+        assert len(calls) == expected
+        assert "recall_t2@20" in out
+
+    def test_recalls_match_brute_force_oracle_with_boundary_ties(self, tied_bundle):
+        bundle = tied_bundle
+        model = untrained_model(bundle)
+        ks = (0, 1, 4, 7, 15, 40)
+        got = retrieval_recalls(model, bundle, ks)
+
+        user_vecs = model.user_embeddings(bundle.user_feature_table)
+        item_vecs = model.item_embeddings(bundle.item_feature_table)
+        boundary_ties = 0
+        for level in (1, 2):
+            positives: dict[int, set[str]] = {}
+            for row in np.nonzero(bundle.test.labels > level)[0]:
+                positives.setdefault(int(bundle.test.user_index[row]), set()).add(
+                    bundle.items[int(bundle.test.item_index[row])]
+                )
+            assert positives
+            for k in ks:
+                recalls = []
+                for uid, pos in positives.items():
+                    dist = ((item_vecs - user_vecs[uid]) ** 2).sum(axis=1).tolist()
+                    order = sorted(range(len(bundle.items)), key=lambda j: (dist[j], bundle.items[j]))
+                    if 0 < k < len(order) and dist[order[k - 1]] == dist[order[k]]:
+                        boundary_ties += 1
+                    top = {bundle.items[j] for j in order[:k]}
+                    recalls.append(len(top & pos) / len(pos))
+                oracle = sum(recalls) / len(recalls)
+                assert got[f"recall_t{level}@{k}"] == pytest.approx(oracle, abs=1e-12)
+        assert boundary_ties > 0
+
+    @pytest.mark.parametrize("ks", [(), (-1,), (5, -1)])
+    def test_empty_or_negative_k_rejected_before_ranking(self, bundle, monkeypatch, ks):
+        model = untrained_model(bundle)
+        calls = count_topk_calls(monkeypatch)
+        with pytest.raises(ArgumentError):
+            retrieval_recalls(model, bundle, ks)
+        assert calls == []
