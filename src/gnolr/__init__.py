@@ -55,6 +55,7 @@ from .metrics import (
     gauc,
     recall_at_k,
     topk_retrieve,
+    topk_retrieve_batch,
 )
 from .models import Batch, ModelConfig, make_model
 from .tensor import (

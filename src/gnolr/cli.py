@@ -25,7 +25,7 @@ from .metrics import (
     RetrievalIndex,
     angle_histogram,
     format_report,
-    topk_retrieve,
+    topk_retrieve_batch,
     write_angle_csv,
     write_report,
 )
@@ -315,24 +315,24 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
     _print_seed(cfg)
+    k = k_override if k_override is not None else cfg.get_int("eval", "retrieve_k", 10)
+    if k < 0:
+        raise ConfigError(f"retrieve depth K must be >= 0, got {k}")
     bundle = _load_bundle(cfg)
     checkpoint = _load_checkpoint(cfg)
     model = checkpoint.build_model()
-    k = k_override if k_override is not None else cfg.get_int("eval", "retrieve_k", 10)
     split = bundle.split(cfg.get("eval", "split", "test") or "test")
     out_path = cfg.get("eval", "retrieve_out")
     index = RetrievalIndex(
         item_ids=list(bundle.items),
         vectors=model.item_embeddings(bundle.item_feature_table),
     )
+    user_ids = np.unique(split.user_index)
+    user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
     lines: list[str] = []
-    if k > 0:
-        user_ids = np.unique(split.user_index)
-        user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
-        for row, uid in enumerate(user_ids):
-            top = topk_retrieve(user_vectors[row], index, k)
-            for rank, item in enumerate(top, start=1):
-                lines.append(f"{bundle.users[int(uid)]}\t{item}\t{rank}")
+    for uid, top in zip(user_ids.tolist(), topk_retrieve_batch(user_vectors, index, k)):
+        for rank, item in enumerate(top, start=1):
+            lines.append(f"{bundle.users[uid]}\t{item}\t{rank}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

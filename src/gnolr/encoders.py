@@ -287,8 +287,8 @@ def write_embeddings(path, entity_ids: Sequence[str], matrix: np.ndarray, num_le
     dim = matrix.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{EMBEDDING_HEADER_PREFIX} dim={dim} T={num_levels}\n")
-        for eid, row in zip(entity_ids, matrix):
-            fh.write(str(eid) + "\t" + "\t".join(f"{v:.9g}" for v in row) + "\n")
+        for eid, row in zip(entity_ids, matrix.tolist()):
+            fh.write(str(eid) + "\t" + "\t".join(map("{:.9g}".format, row)) + "\n")
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray, int]:

@@ -21,7 +21,7 @@ import numpy as np
 from .data import DatasetBundle, Split, make_batches
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
-from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve
+from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
 from .models import Batch, ModelConfig, NsbModel, make_model
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
@@ -207,8 +207,15 @@ def _level_column(scores: np.ndarray, level: int) -> np.ndarray:
 
 
 def _validation_auc(model, split: Split, num_levels: int) -> tuple[float, int]:
-    """AUC on the sparsest target; falls back to denser ones if single-class."""
-    for level in range(num_levels, 0, -1):
+    """AUC on the selection level, falling back to denser levels if it is single-class.
+
+    BCE selects on the level it trains on; the other models on the sparsest.
+    """
+    levels = list(range(num_levels, 0, -1))
+    if model.kind == "bce":
+        levels.remove(model.cfg.bce_target_level)
+        levels.insert(0, model.cfg.bce_target_level)
+    for level in levels:
         labels = split.bits[:, level - 1]
         if labels.min() == labels.max():
             continue
@@ -226,6 +233,11 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
     Divergence (a non-finite batch loss) aborts the run and keeps the last
     good checkpoint instead of raising.
     """
+    if bundle.validation.num_samples == 0:
+        raise ConfigError(
+            "the validation split is empty, so no checkpoint can be selected; "
+            "prepare the bundle with [data] validation_fraction_of_train > 0"
+        )
     model_config = _model_config(bundle, config)
     model = make_model(
         model_config,
@@ -334,8 +346,9 @@ def retrieval_recalls(
     """Mean Recall@K over split users; positives are samples with k > level.
 
     The candidate pool is the full item universe; users without positives
-    at the level are skipped.  Each user is ranked once, to depth max(ks),
-    and every level and K reads a prefix of that one ranking.
+    at the level are skipped.  One ``topk_retrieve_batch`` call ranks every
+    user to depth max(ks), and every level and K reads a prefix of that
+    user's ranking.
     """
     if not ks or min(ks) < 0:
         raise ArgumentError(f"recall needs one or more K >= 0, got {tuple(ks)}")
@@ -350,19 +363,19 @@ def retrieval_recalls(
                 for start in range(0, len(bundle.users), _SCORE_CHUNK)
             ]
         )
-    depth = max(ks)
-    rankings: dict[int, list[str]] = {}
-    out: dict[str, float] = {}
+    level_positives: dict[int, dict[int, set[str]]] = {}
     for lvl in levels:
-        per_user: dict[int, set[str]] = {}
-        mask = split.labels > lvl
-        for row in np.nonzero(mask)[0]:
+        per_user = level_positives[lvl] = {}
+        for row in np.nonzero(split.labels > lvl)[0]:
             per_user.setdefault(int(split.user_index[row]), set()).add(
                 bundle.items[int(split.item_index[row])]
             )
-        for uid in per_user:
-            if uid not in rankings:
-                rankings[uid] = topk_retrieve(user_vectors[uid], index, depth)
+    ranked_users = sorted(set().union(*level_positives.values()))
+    rankings = dict(
+        zip(ranked_users, topk_retrieve_batch(user_vectors[ranked_users], index, max(ks)))
+    )
+    out: dict[str, float] = {}
+    for lvl, per_user in level_positives.items():
         for k in ks:
             recalls = [
                 recall_at_k(rankings[uid], k, positives)

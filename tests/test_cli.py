@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gnolr.cli import main
@@ -190,6 +191,49 @@ class TestRetrieve:
         assert out_file.exists()
         assert all(len(l.split("\t")) == 3 for l in out_file.read_text().splitlines())
 
+    @pytest.mark.parametrize(
+        "args", [["--k", "-1"], ["--set", "eval.retrieve_k=-1"]], ids=["flag", "config"]
+    )
+    def test_negative_k_exits_two(self, workspace, capsys, args):
+        tmp_path, cfg = workspace
+        assert main(["retrieve", cfg, *args]) == 2
+        captured = capsys.readouterr()
+        assert "error: retrieve depth K must be >= 0, got -1" in captured.err
+        assert "\t" not in captured.out
+
+    def test_all_users_ranked_in_one_call_matching_brute_force(self, workspace, capsys, monkeypatch):
+        from gnolr import cli
+        from gnolr.data import load_bundle
+        from gnolr.training import load_checkpoint
+
+        tmp_path, cfg = workspace
+        calls = []
+        original = cli.topk_retrieve_batch
+
+        def counted(user_embeddings, index, k):
+            calls.append(len(user_embeddings))
+            return original(user_embeddings, index, k)
+
+        monkeypatch.setattr(cli, "topk_retrieve_batch", counted)
+        assert main(["retrieve", cfg, "--k", "7"]) == 0
+        got = [l.split("\t") for l in capsys.readouterr().out.splitlines() if "\t" in l]
+
+        bundle = load_bundle(tmp_path / "bundle.gnb")
+        model = load_checkpoint(tmp_path / "model.gnc").build_model()
+        user_rows = np.unique(bundle.test.user_index)
+        assert calls == [len(user_rows)]
+        user_vecs = model.user_embeddings(bundle.user_feature_table[user_rows])
+        item_vecs = model.item_embeddings(bundle.item_feature_table)
+        expected = []
+        for row, uid in enumerate(user_rows):
+            dist = ((item_vecs - user_vecs[row]) ** 2).sum(axis=1).tolist()
+            order = sorted(range(len(bundle.items)), key=lambda j: (dist[j], bundle.items[j]))
+            expected += [
+                [bundle.users[uid], bundle.items[j], str(rank)]
+                for rank, j in enumerate(order[:7], start=1)
+            ]
+        assert got == expected
+
 
 class TestAngles:
     def test_csv_written(self, workspace, capsys):
@@ -219,6 +263,19 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, csv_path)
         assert main(["eval", cfg]) == 2
         assert "bundle" in capsys.readouterr().err
+
+    def test_empty_validation_split_exits_two_before_training(self, tmp_path, capsys):
+        csv_path = write_synthetic_csv(tmp_path / "d.csv", n_rows=600, seed=9)
+        cfg = write_config(tmp_path, csv_path)
+        no_validation = ["--set", "data.validation_fraction_of_train=0"]
+        assert main(["prepare", cfg, *no_validation]) == 0
+        assert "split=validation total=0 " in capsys.readouterr().out
+        assert main(["train", cfg, *no_validation]) == 2
+        captured = capsys.readouterr()
+        assert "error: the validation split is empty" in captured.err
+        assert "validation_fraction_of_train" in captured.err
+        assert "epoch=" not in captured.out
+        assert not (tmp_path / "model.gnc").exists()
 
     def test_bad_override_format_exits_two(self, workspace):
         tmp_path, cfg = workspace

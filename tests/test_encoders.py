@@ -260,3 +260,17 @@ class TestEmbeddingExport:
     def test_mismatched_rows_rejected(self, tmp_path):
         with pytest.raises(DimensionError):
             write_embeddings(tmp_path / "x.tsv", ["a", "b"], np.zeros((1, 4)), 1)
+
+    def test_exact_bytes_for_signed_zero_subnormals_and_extremes(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        matrix = np.array(
+            [[0.0, -0.0, 1.4e-45, 1e-40, 1.17549435e-38],
+             [1 / 3, -2.5, 1e30, 3.4028235e38, 16777217.0]],
+            dtype=np.float32,
+        )
+        write_embeddings(path, ["a", "b"], matrix, num_levels=1)
+        assert path.read_bytes() == (
+            b"#gnolr-emb v1 dim=5 T=1\n"
+            b"a\t0\t-0\t1.40129846e-45\t9.9999461e-41\t1.17549435e-38\n"
+            b"b\t0.333333343\t-2.5\t1.00000002e+30\t3.40282347e+38\t16777216\n"
+        )

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from gnolr.errors import ArgumentError, UndefinedMetricError
+from gnolr import metrics
+from gnolr.errors import ArgumentError, DimensionError, UndefinedMetricError
 from gnolr.metrics import (
     RetrievalIndex,
     angle_histogram,
@@ -14,6 +15,7 @@ from gnolr.metrics import (
     gauc,
     recall_at_k,
     topk_retrieve,
+    topk_retrieve_batch,
     write_angle_csv,
     write_report,
 )
@@ -155,6 +157,135 @@ class TestTopkRetrieve:
         dots = rows @ user
         by_dot = [index.item_ids[j] for j in np.lexsort((np.array(index.item_ids), -dots))]
         assert by_distance == by_dot
+
+
+def assert_matches_oracle(users, index, ks):
+    for k in ks:
+        got = topk_retrieve_batch(users, index, k)
+        assert got == [exhaustive_topk(u, index, min(k, len(index))) for u in users], k
+
+
+# Unit vectors in 4-D with dyadic coordinates (+-e_i and (+-1/2, ...)): every
+# distance between concatenations of them is exact in any summation order, so
+# equal distances are true ties for the oracle and for the ranking rule alike.
+DYADIC_UNITS = np.concatenate(
+    [np.eye(4), -np.eye(4), 0.5 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T]
+)
+
+
+def unit_blocks(rng, n, t, zero_share):
+    """Rows of T concatenated unit sub-embeddings; some sub-embeddings are zero,
+    as ``l2_normalize`` returns for a degenerate tower output."""
+    blocks = [DYADIC_UNITS[rng.integers(0, len(DYADIC_UNITS), size=n)] for _ in range(t)]
+    for block in blocks:
+        block[rng.random(n) < zero_share] = 0.0
+    return np.concatenate(blocks, axis=1)
+
+
+class TestBlockedTopk:
+    def test_boundary_ties_and_zero_norm_sub_embeddings(self):
+        rng = np.random.default_rng(11)
+        distinct = unit_blocks(rng, 12, 3, zero_share=0.3)
+        rows = distinct[rng.integers(0, 12, size=40)]  # every vector repeats
+        ids = [f"i{j}" for j in rng.permutation(40)]
+        index = RetrievalIndex(ids, rows)
+        users = np.concatenate([unit_blocks(rng, 6, 3, zero_share=0.3), np.zeros((1, 12))])
+        assert_matches_oracle(users, index, range(0, 43))
+
+    def test_near_ties_below_gemm_rounding(self):
+        # A large shared offset makes the GEMM form err by about 2^40 * 2^-52;
+        # the distances differ by multiples of 2^-24 and are exact in the
+        # difference form, so only the exact re-score orders them.
+        rng = np.random.default_rng(12)
+        offset = 2.0**20
+        n = 60
+        rows = np.zeros((n, 4))
+        rows[:, 0] = offset
+        rows[:, 1:3] = rng.integers(0, 48, size=(n, 2)) * 2.0**-12
+        users = np.zeros((3, 4))
+        users[:, 0] = offset
+        users[:, 1:3] = rng.integers(0, 48, size=(3, 2)) * 2.0**-12
+        index = RetrievalIndex([f"i{j:02d}" for j in rng.permutation(n)], rows)
+        approx = (rows**2).sum(1)[None, :] - 2.0 * users @ rows.T + (users**2).sum(1)[:, None]
+        exact = ((rows[None, :, :] - users[:, None, :]) ** 2).sum(-1)
+        assert not np.array_equal(np.argsort(approx, axis=1), np.argsort(exact, axis=1))
+        assert_matches_oracle(users, index, range(0, n + 2))
+
+    def test_k_zero_full_and_oversize(self):
+        rng = np.random.default_rng(13)
+        index = RetrievalIndex(["c", "a", "b"], rng.normal(size=(3, 2)))
+        users = rng.normal(size=(4, 2))
+        assert topk_retrieve_batch(users, index, 0) == [[], [], [], []]
+        full = topk_retrieve_batch(users, index, 3)
+        assert all(sorted(ranked) == ["a", "b", "c"] for ranked in full)
+        assert topk_retrieve_batch(users, index, 50) == full
+        assert_matches_oracle(users, index, (0, 3, 50))
+
+    def test_empty_index_and_no_users(self):
+        empty = RetrievalIndex([], np.zeros((0, 3)))
+        assert topk_retrieve_batch(np.ones((2, 3)), empty, 5) == [[], []]
+        assert topk_retrieve(np.ones(3), empty, 5) == []
+        index = RetrievalIndex(["a"], np.ones((1, 3)))
+        assert topk_retrieve_batch(np.zeros((0, 3)), index, 5) == []
+
+    def test_more_users_than_one_block(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK_SCORES", 64)
+        rng = np.random.default_rng(14)
+        index = RetrievalIndex([f"i{j:02d}" for j in range(25)], unit_blocks(rng, 25, 2, 0.2))
+        users = unit_blocks(rng, 37, 2, 0.2)  # 64 // 25 = 2 users per block
+        assert_matches_oracle(users, index, (1, 5, 24, 25))
+
+    def test_id_string_order_differs_from_index_order(self):
+        ids = ["i9", "i10", "i100", "b", "B", "a1", "a10", "a2"]
+        index = RetrievalIndex(ids, np.ones((8, 2)))  # all tied: ids decide
+        expected = sorted(ids)
+        assert expected != ids
+        for k in range(0, 10):
+            assert topk_retrieve_batch(np.zeros((2, 2)), index, k) == [expected[:k]] * 2
+
+    def test_single_vector_wrapper_is_one_row_of_the_batch(self):
+        rng = np.random.default_rng(15)
+        index = RetrievalIndex([f"i{j}" for j in range(30)], rng.normal(size=(30, 5)))
+        users = rng.normal(size=(6, 5))
+        batch = topk_retrieve_batch(users, index, 7)
+        assert [topk_retrieve(u, index, 7) for u in users] == batch
+
+    def test_matches_the_full_pass_rule_on_tie_heavy_fixtures(self):
+        # The full-pass rule: a difference-form distance to every item, then a
+        # stable sort by (distance, id string).
+        def full_pass(user, index, k):
+            diff = index.vectors - user[None, :]
+            dist = np.einsum("ij,ij->i", diff, diff)
+            ids = np.asarray(index.item_ids)
+            return [str(i) for i in ids[np.lexsort((ids, dist))[:k]]]
+
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            base = rng.normal(size=(int(rng.integers(1, n + 1)), dim))
+            rows = base[rng.integers(0, len(base), size=n)]
+            rows[rng.random(n) < 0.1] = 0.0
+            nudge = rng.random(rows.shape) < 0.1
+            rows[nudge] = np.nextafter(rows[nudge], np.inf)
+            users = np.concatenate([rows[rng.integers(0, n, size=2)], rng.normal(size=(2, dim))])
+            index = RetrievalIndex([f"x{j}" for j in rng.permutation(n)], rows)
+            k = int(rng.integers(0, n + 3))
+            assert topk_retrieve_batch(users, index, k) == [full_pass(u, index, k) for u in users]
+
+    def test_shape_and_value_errors(self):
+        index = RetrievalIndex(["a", "b"], np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            topk_retrieve_batch(np.ones(3), index, 1)
+        with pytest.raises(DimensionError):
+            topk_retrieve_batch(np.ones((2, 4)), index, 1)
+        with pytest.raises(DimensionError):
+            topk_retrieve(np.ones((1, 3)), index, 1)
+        with pytest.raises(ArgumentError):
+            topk_retrieve_batch(np.ones((1, 3)), index, -1)
+        with pytest.raises(ArgumentError):
+            topk_retrieve_batch(np.full((1, 3), np.nan), index, 1)
+        with pytest.raises(ArgumentError):
+            RetrievalIndex(["a"], np.array([[np.inf, 0.0, 0.0]]))
 
 
 class TestRecallAtK:

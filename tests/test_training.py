@@ -193,6 +193,47 @@ class TestCheckpointRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestCheckpointSelection:
+    """Validation scores are scripted per epoch from the raw feedback bits, so
+    level 1 and level 2 would pick different best epochs."""
+
+    @staticmethod
+    def script_validation_scores(monkeypatch, per_epoch):
+        epochs = iter(per_epoch)
+        monkeypatch.setattr(training, "_split_scores", lambda model, split: next(epochs))
+
+    def test_bce_selects_on_its_target_level(self, bundle, monkeypatch):
+        bits = bundle.validation.bits.astype(np.float64)
+        click_on_pay = auc(bits[:, 0], bits[:, 1])
+        pay_on_click = auc(bits[:, 1], bits[:, 0])
+        assert click_on_pay < 1.0 and pay_on_click < 1.0
+        # Epoch 1 scores with the click bits, epoch 2 with the pay bits.
+        self.script_validation_scores(monkeypatch, [bits[:, :1], bits[:, 1:]])
+        config = TrainConfig(kind="bce", bce_target_level=1, seed=2, **{**FAST, "epochs": 2})
+        result = train(bundle, config)
+        assert [line.split()[-1] for line in result.log_lines] == [
+            "val_auc_t1=1.000000",
+            f"val_auc_t1={pay_on_click:.6f}",
+        ]
+        assert result.checkpoint.best_epoch == 1  # level 2 would have picked epoch 2
+
+    def test_gnolr_still_selects_on_the_sparsest_level(self, bundle, monkeypatch):
+        bits = bundle.validation.bits.astype(np.float64)
+        # Epoch 1 answers both levels with the pay bits, epoch 2 with the click bits.
+        self.script_validation_scores(monkeypatch, [bits[:, [1, 1]], bits[:, [0, 0]]])
+        result = train(bundle, TrainConfig(kind="gnolr", seed=2, **{**FAST, "epochs": 2}))
+        assert result.log_lines[0].endswith("val_auc_t2=1.000000")
+        assert "val_auc_t2=" in result.log_lines[1]
+        assert result.checkpoint.best_epoch == 1  # level 1 would have picked epoch 2
+
+    def test_bce_falls_back_when_its_target_level_is_single_class(self, bundle):
+        split = dataclasses.replace(bundle.validation, bits=bundle.validation.bits.copy())
+        split.bits[:, 0] = 1
+        model = untrained_model(bundle, kind="bce", bce_target_level=1)
+        scores = model.task_scores_all(split.user_features, split.item_features)[:, 0]
+        assert training._validation_auc(model, split, 2) == (auc(scores, split.bits[:, 1]), 2)
+
+
 class TestDescentSanity:
     def test_repeated_batch_loss_non_increasing(self, bundle):
         config = TrainConfig(kind="gnolr", seed=3, **{**FAST, "learning_rate": 1e-3})
@@ -276,10 +317,15 @@ def counting(original, calls: list):
 
 
 def count_topk_calls(monkeypatch) -> list:
+    """Record the number of query rows of each ``topk_retrieve_batch`` call."""
     calls: list[int] = []
-    counted = counting(metrics.topk_retrieve, calls)
-    monkeypatch.setattr(metrics, "topk_retrieve", counted)
-    monkeypatch.setattr(training, "topk_retrieve", counted, raising=False)
+    original = metrics.topk_retrieve_batch
+
+    def counted(user_embeddings, index, k):
+        calls.append(len(user_embeddings))
+        return original(user_embeddings, index, k)
+
+    monkeypatch.setattr(training, "topk_retrieve_batch", counted)
     return calls
 
 
@@ -334,15 +380,14 @@ class TestOnePassScoringAndRanking:
         calls = count_topk_calls(monkeypatch)
         out = retrieval_recalls(model, bundle, (1, 5, 20))
         users = users_with_positives(bundle.test, 1) | users_with_positives(bundle.test, 2)
-        assert len(calls) == len(users)
+        assert calls == [len(users)]
         assert {f"recall_t{c}@{k}" for c in (1, 2) for k in (1, 5, 20)} == set(out)
 
     def test_nsb_ranks_each_user_once_per_level_space(self, bundle, monkeypatch):
         model = untrained_model(bundle, kind="nsb")
         calls = count_topk_calls(monkeypatch)
         out = evaluate(model, bundle, recall_ks=(1, 5, 20), with_gauc=False)
-        expected = sum(len(users_with_positives(bundle.test, c)) for c in (1, 2))
-        assert len(calls) == expected
+        assert calls == [len(users_with_positives(bundle.test, c)) for c in (1, 2)]
         assert "recall_t2@20" in out
 
     def test_recalls_match_brute_force_oracle_with_boundary_ties(self, tied_bundle):
