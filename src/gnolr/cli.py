@@ -289,6 +289,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     gauc_mode = cfg.get("eval", "gauc", "pairs") or "pairs"
     if gauc_mode not in ("pairs", "uniform", "off"):
         raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {gauc_mode!r}")
+    user_out = cfg.get("eval", "embeddings_user")
+    item_out = cfg.get("eval", "embeddings_item")
+    # One item matrix serves both the recall index and the export.
+    index = training.unified_index(model, bundle) if item_out else None
     metrics = training.evaluate(
         model,
         bundle,
@@ -296,20 +300,18 @@ def cmd_eval(cfg: RunConfig) -> int:
         recall_ks=recall_ks,
         gauc_weighting=gauc_mode if gauc_mode != "off" else "pairs",
         with_gauc=gauc_mode != "off",
+        index=index,
     )
     sys.stdout.write(format_report(metrics))
     report_path = cfg.get("eval", "report")
     if report_path:
         write_report(report_path, metrics)
-    user_out = cfg.get("eval", "embeddings_user")
-    item_out = cfg.get("eval", "embeddings_item")
     num_levels = getattr(model.encoder, "num_levels", 1)
     if user_out:
         vectors = model.user_embeddings(bundle.user_feature_table)
         write_embeddings(user_out, bundle.users, vectors, num_levels)
     if item_out:
-        vectors = model.item_embeddings(bundle.item_feature_table)
-        write_embeddings(item_out, bundle.items, vectors, num_levels)
+        write_embeddings(item_out, bundle.items, index.vectors, num_levels)
     return 0
 
 

@@ -560,46 +560,82 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
         raise
 
 
+def _read_exact(fh, n: int, path) -> bytes:
+    """The next n bytes, checked against the file size before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise IngestionError(f"{path}: truncated: {n} more bytes expected, {left} left")
+    return fh.read(n)
+
+
+def read_header(fh, path, magic: bytes, version: int, kind: str) -> dict:
+    """Magic, version and JSON metadata shared by the GNB1 and GNC1 formats.
+
+    A wrong magic or version, a short read or a header that is not a JSON
+    object raises ``IngestionError``.
+    """
+    found = fh.read(len(magic))
+    if found != magic:
+        raise IngestionError(f"{path}: not a {kind} (magic {found!r})")
+    found_version = int.from_bytes(_read_exact(fh, 4, path), "little")
+    if found_version != version:
+        raise IngestionError(f"{path}: unsupported {kind} version {found_version}")
+    blob_len = int.from_bytes(_read_exact(fh, 8, path), "little")
+    try:
+        meta = json.loads(_read_exact(fh, blob_len, path).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise IngestionError(f"{path}: corrupt {kind} header: {exc}") from None
+    if not isinstance(meta, dict):
+        raise IngestionError(f"{path}: corrupt {kind} header: not a JSON object")
+    return meta
+
+
+def read_array(fh, path, shape, dtype) -> np.ndarray:
+    """The next array of the given shape and dtype, length-checked."""
+    try:
+        shape = tuple(int(d) for d in shape)
+        dtype = np.dtype(dtype)
+    except (TypeError, ValueError) as exc:
+        raise IngestionError(f"{path}: bad array spec {shape!r} {dtype!r}: {exc}") from None
+    if any(d < 0 for d in shape):
+        raise IngestionError(f"{path}: negative array shape {shape}")
+    data = _read_exact(fh, math.prod(shape) * dtype.itemsize, path)
+    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+
+
 def load_bundle(path) -> DatasetBundle:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BUNDLE_MAGIC:
-            raise IngestionError(f"{path}: not a bundle cache (magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != BUNDLE_VERSION:
-            raise IngestionError(f"{path}: unsupported bundle version {version}")
-        blob_len = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
-        loaded: dict[str, np.ndarray] = {}
-        for spec in meta["arrays"]:
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            dtype = np.dtype(spec["dtype"])
-            data = np.frombuffer(fh.read(count * dtype.itemsize), dtype=dtype)
-            loaded[spec["name"]] = data.reshape(spec["shape"]).copy()
-
-    def load_split(name: str) -> Split:
-        return Split(
-            **{attr: loaded[f"{name}.{attr}"] for attr, _ in _SPLIT_ARRAYS},
-            lists=ListIndex(**{attr: loaded[f"{name}.lists.{attr}"] for attr, _ in _LIST_ARRAYS}),
-        )
-
-    schema = FeedbackSchema(
-        names=tuple(meta["schema"]["names"]),
-        positive_counts=tuple(meta["schema"]["positive_counts"]),
-        order=tuple(meta["schema"]["order"]),
-    )
-    return DatasetBundle(
-        schema=schema,
-        user_feature_names=list(meta["user_feature_names"]),
-        item_feature_names=list(meta["item_feature_names"]),
-        user_vocab_sizes=list(meta["user_vocab_sizes"]),
-        item_vocab_sizes=list(meta["item_vocab_sizes"]),
-        binning={k: np.asarray(v, dtype=np.float64) for k, v in meta["binning"].items()},
-        users=list(meta["users"]),
-        items=list(meta["items"]),
-        user_feature_table=loaded["user_feature_table"],
-        item_feature_table=loaded["item_feature_table"],
-        train=load_split("train"),
-        validation=load_split("validation"),
-        test=load_split("test"),
-    )
+        meta = read_header(fh, path, BUNDLE_MAGIC, BUNDLE_VERSION, "bundle cache")
+        try:
+            loaded = {
+                spec["name"]: read_array(fh, path, spec["shape"], spec["dtype"])
+                for spec in meta["arrays"]
+            }
+            splits = {
+                name: Split(
+                    **{attr: loaded[f"{name}.{attr}"] for attr, _ in _SPLIT_ARRAYS},
+                    lists=ListIndex(
+                        **{attr: loaded[f"{name}.lists.{attr}"] for attr, _ in _LIST_ARRAYS}
+                    ),
+                )
+                for name in ("train", "validation", "test")
+            }
+            return DatasetBundle(
+                schema=FeedbackSchema(
+                    names=tuple(meta["schema"]["names"]),
+                    positive_counts=tuple(meta["schema"]["positive_counts"]),
+                    order=tuple(meta["schema"]["order"]),
+                ),
+                user_feature_names=list(meta["user_feature_names"]),
+                item_feature_names=list(meta["item_feature_names"]),
+                user_vocab_sizes=list(meta["user_vocab_sizes"]),
+                item_vocab_sizes=list(meta["item_vocab_sizes"]),
+                binning={k: np.asarray(v, dtype=np.float64) for k, v in meta["binning"].items()},
+                users=list(meta["users"]),
+                items=list(meta["items"]),
+                user_feature_table=loaded["user_feature_table"],
+                item_feature_table=loaded["item_feature_table"],
+                **splits,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestionError(f"{path}: malformed bundle cache: {exc!r}") from None

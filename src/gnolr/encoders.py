@@ -48,7 +48,9 @@ class EmbeddingTableSet:
     """Per-feature lookup tables, shared across towers and tasks.
 
     Row 0 of every table is the reserved out-of-vocabulary / missing
-    bucket; ids outside [0, vocab) land there.
+    bucket; ids outside [0, vocab) land there.  ``backward`` records the
+    rows it scatters into, so the optimizer visits those rows only and its
+    cost follows the batch, not the vocabulary.
     """
 
     def __init__(
@@ -63,6 +65,7 @@ class EmbeddingTableSet:
         self.dim = dim
         self.feature_names = list(feature_vocabs)
         self.tables: dict[str, Parameter] = {}
+        self.touched: dict[str, list[np.ndarray]] = {name: [] for name in self.feature_names}
         for name in self.feature_names:
             vocab = feature_vocabs[name]
             if vocab < 1:
@@ -96,11 +99,28 @@ class EmbeddingTableSet:
         return np.concatenate(cols, axis=1)
 
     def backward(self, upstream: np.ndarray, ids: np.ndarray) -> None:
-        """Scatter-add gradients into the looked-up rows."""
+        """Scatter-add gradients into the looked-up rows and record those rows."""
         ids = np.asarray(ids)
         for j, name in enumerate(self.feature_names):
             seg = upstream[:, j * self.dim : (j + 1) * self.dim]
-            np.add.at(self.tables[name].grad, self._safe_ids(name, ids[:, j]), seg)
+            rows = self._safe_ids(name, ids[:, j])
+            np.add.at(self.tables[name].grad, rows, seg)
+            self.touched[name].append(rows)
+
+    def take_touched(self) -> list[tuple[Parameter, np.ndarray]]:
+        """(table, rows) per feature: the recorded rows whose summed gradient is
+        nonzero, ascending and unique.  Clears the record.
+
+        A recorded row whose contributions cancel to exactly zero is left out,
+        so lazy Adam leaves it untouched, as a full scan for nonzero rows would.
+        """
+        out = []
+        for name in self.feature_names:
+            table, recorded = self.tables[name], self.touched[name]
+            rows = np.unique(np.concatenate(recorded)) if recorded else np.empty(0, np.int64)
+            recorded.clear()
+            out.append((table, rows[np.any(table.grad[rows] != 0.0, axis=1)]))
+        return out
 
 
 class Tower:

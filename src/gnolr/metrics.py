@@ -35,17 +35,12 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty_like(order, dtype=np.float64)
     sorted_scores = scores[order]
-    # Average ranks over runs of equal scores.
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Runs of equal scores share the mean of their 1-based ranks, first..last.
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], scores.shape[0]] - 1
+    ranks = np.empty_like(order, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     pos_rank_sum = ranks[pos].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

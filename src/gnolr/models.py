@@ -4,6 +4,8 @@ All models share the same ingredients: per-feature embedding tables
 (shared across towers), unit-output MLP towers, dot-product similarity of
 the normalized outputs, one Adam-updated parameter list.  They differ in
 how many tower pairs they instantiate and which loss supervises them.
+The tower and head parameters live in one flat ``dense`` buffer, so one
+Adam call updates them; the tables take row-sparse updates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .losses import (
     olr_percategory_batch,
     olr_shared_batch,
 )
-from .tensor import Parameter, stable_sigmoid
+from .tensor import Parameter, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
 GNOLR_VARIANTS = ("nested", "v0", "v1")
@@ -124,6 +126,7 @@ class _TwinBase:
         item_vocabs: dict[str, int],
         rng: np.random.Generator,
         num_pairs: int,
+        heads: tuple[_CalibratedHead, ...] = (),
     ) -> None:
         self.cfg = cfg
         self.tables_user = EmbeddingTableSet(user_vocabs, cfg.embedding_dim, rng, "emb_u")
@@ -136,10 +139,15 @@ class _TwinBase:
             tower_cfg,
             rng,
         )
+        self.heads = list(heads)
+        self.dense = pack_parameters("dense", self._dense_params())
+
+    def _dense_params(self) -> list[Parameter]:
+        return self.encoder.params + [p for head in self.heads for p in head.params]
 
     @property
     def params(self) -> list[Parameter]:
-        return self.tables_user.params + self.tables_item.params + self.encoder.params
+        return self.tables_user.params + self.tables_item.params + self._dense_params()
 
     def param_map(self) -> dict[str, Parameter]:
         return {p.name: p for p in self.params}
@@ -295,12 +303,9 @@ class BceModel(_TwinBase):
     kind = "bce"
 
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, 1)
-        self.head = _CalibratedHead("head", cfg.bce_raw_cosine)
-
-    @property
-    def params(self) -> list[Parameter]:
-        return super().params + self.head.params
+        head = _CalibratedHead("head", cfg.bce_raw_cosine)
+        super().__init__(cfg, user_vocabs, item_vocabs, rng, 1, (head,))
+        self.head = head
 
     def loss_and_grad(self, batch: Batch) -> float:
         u, i, caches = self._forward(batch.user_features, batch.item_features)
@@ -332,18 +337,11 @@ class NsbModel(_TwinBase):
     kind = "nsb"
 
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, cfg.num_levels)
-        self.heads = [
+        heads = tuple(
             _CalibratedHead(f"head{t}", cfg.bce_raw_cosine)
             for t in range(1, cfg.num_levels + 1)
-        ]
-
-    @property
-    def params(self) -> list[Parameter]:
-        out = super().params
-        for head in self.heads:
-            out.extend(head.params)
-        return out
+        )
+        super().__init__(cfg, user_vocabs, item_vocabs, rng, cfg.num_levels, heads)
 
     def loss_and_grad(self, batch: Batch) -> float:
         u, i, caches = self._forward(batch.user_features, batch.item_features)

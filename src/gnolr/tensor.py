@@ -50,6 +50,25 @@ class Parameter:
         self.grad.fill(0.0)
 
 
+def pack_parameters(name: str, params: Sequence[Parameter]) -> Parameter:
+    """One flat Parameter over ``params``, so one optimizer call updates them all.
+
+    Each member's value, grad and Adam moments become views into the flat
+    arrays, in list order; the members keep their names, shapes and values,
+    and their gradients and moments restart at zero, so pack before training.
+    Writes must stay in place from then on: rebinding a member's array
+    detaches it from the flat one.
+    """
+    flat = Parameter(name, np.concatenate([p.value.reshape(-1) for p in params]))
+    offset = 0
+    for p in params:
+        size, shape = p.value.size, p.value.shape
+        for attr in ("value", "grad", "adam_m", "adam_v"):
+            setattr(p, attr, getattr(flat, attr)[offset : offset + size].reshape(shape))
+        offset += size
+    return flat
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float
@@ -67,19 +86,32 @@ class AdamConfig:
 
 
 def adam_step(param: Parameter, cfg: AdamConfig) -> Parameter:
-    """Bias-corrected Adam update in place; zeroes the gradient afterward."""
+    """Bias-corrected Adam update in place; zeroes the gradient afterward.
+
+    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+    value -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+    Each product and quotient is rounded in that order, but written into one
+    scratch array and the spent gradient buffer instead of fresh temporaries.
+    """
     if not np.all(np.isfinite(param.grad)):
         raise OptimizerError(f"non-finite gradient in parameter '{param.name}'")
     param.step_count += 1
     t = param.step_count
     g = param.grad
+    scratch = np.multiply(g, 1.0 - cfg.beta1)
     param.adam_m *= cfg.beta1
-    param.adam_m += (1.0 - cfg.beta1) * g
+    param.adam_m += scratch
+    np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+    scratch *= g
     param.adam_v *= cfg.beta2
-    param.adam_v += (1.0 - cfg.beta2) * g * g
-    m_hat = param.adam_m / (1.0 - cfg.beta1**t)
-    v_hat = param.adam_v / (1.0 - cfg.beta2**t)
-    param.value -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    param.adam_v += scratch
+    denom = np.divide(param.adam_v, 1.0 - cfg.beta2**t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step = np.divide(param.adam_m, 1.0 - cfg.beta1**t, out=scratch)
+    step *= cfg.learning_rate
+    step /= denom
+    param.value -= step
     param.zero_grad()
     return param
 
@@ -94,10 +126,11 @@ def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Par
 
     Rows outside ``rows`` keep value, moments, and bits untouched; bias
     correction uses the parameter's global step count, as in lazy Adam.
+    Only the gradient of ``rows`` is zeroed afterward, so the caller passes
+    every row whose gradient is nonzero; the cost is O(len(rows)).
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
-        param.zero_grad()
         return param
     g = param.grad[rows]
     if not np.all(np.isfinite(g)):
@@ -109,18 +142,20 @@ def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Par
     m_hat = param.adam_m[rows] / (1.0 - cfg.beta1**t)
     v_hat = param.adam_v[rows] / (1.0 - cfg.beta2**t)
     param.value[rows] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-    param.zero_grad()
+    param.grad[rows] = 0.0
     return param
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
+    """x where x >= 0, else slope * x; with 0 < slope < 1 that is max(x, slope * x)."""
     if not 0.0 < slope < 1.0:
         raise DimensionError(f"leaky slope must lie in (0, 1), got {slope}")
-    return np.where(x >= 0.0, x, slope * x)
+    return np.maximum(x, slope * x)
 
 
 def leaky_relu_backward(upstream: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
-    return upstream * np.where(x >= 0.0, 1.0, slope)
+    """upstream times 1 where x >= 0, else slope: max of the 0/1 mask and slope."""
+    return upstream * np.maximum(x >= 0.0, slope)
 
 
 def stable_sigmoid(x):

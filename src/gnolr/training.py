@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetBundle, Split, make_batches
+from .data import DatasetBundle, Split, make_batches, read_array, read_header
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
@@ -180,12 +180,11 @@ def _make_batch(split: Split, idx: np.ndarray, bounds=None) -> Batch:
 
 
 def _optimizer_step(model, adam: AdamConfig) -> None:
-    for param in model.params:
-        if param.name.startswith(("emb_u.", "emb_i.")):
-            touched = np.nonzero(np.any(param.grad != 0.0, axis=1))[0]
-            adam_step_sparse(param, adam, touched)
-        else:
-            adam_step(param, adam)
+    """Lazy Adam on the table rows the batch touched, one Adam call for the rest."""
+    for tables in (model.tables_user, model.tables_item):
+        for table, rows in tables.take_touched():
+            adam_step_sparse(table, adam, rows)
+    adam_step(model.dense, adam)
 
 
 def _split_scores(model, split: Split) -> np.ndarray:
@@ -324,7 +323,8 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def _unified_index(model, bundle: DatasetBundle) -> RetrievalIndex:
+def unified_index(model, bundle: DatasetBundle) -> RetrievalIndex:
+    """Every item's unified embedding, computed in chunks of rows."""
     vectors = np.concatenate(
         [
             model.item_embeddings(bundle.item_feature_table[start : start + _SCORE_CHUNK])
@@ -355,7 +355,7 @@ def retrieval_recalls(
     split = bundle.split(split_name)
     levels = [level] if level is not None else list(range(1, bundle.num_feedbacks + 1))
     if index is None:
-        index = _unified_index(model, bundle)
+        index = unified_index(model, bundle)
     if user_vectors is None:
         user_vectors = np.concatenate(
             [
@@ -393,8 +393,13 @@ def evaluate(
     recall_ks: tuple[int, ...] = (),
     gauc_weighting: str = "pairs",
     with_gauc: bool = True,
+    index: RetrievalIndex | None = None,
 ) -> dict[str, float]:
-    """Per-task AUC (raw feedback bits), GAUC over users, optional Recall@K."""
+    """Per-task AUC (raw feedback bits), GAUC over users, optional Recall@K.
+
+    ``index`` is the unified item index when the caller has already built
+    it; NSB recall ignores it and retrieves in its per-level spaces.
+    """
     split = bundle.split(split_name)
     metrics: dict[str, float] = {}
     if model.kind == "bce":
@@ -430,7 +435,7 @@ def evaluate(
                     )
                 )
         else:
-            metrics.update(retrieval_recalls(model, bundle, recall_ks, split_name))
+            metrics.update(retrieval_recalls(model, bundle, recall_ks, split_name, index=index))
     return metrics
 
 
@@ -497,32 +502,27 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise IngestionError(f"{path}: not a checkpoint (magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        if version != CHECKPOINT_VERSION:
-            raise IngestionError(f"{path}: unsupported checkpoint version {version}")
-        blob_len = int(np.frombuffer(fh.read(8), dtype="<u8")[0])
-        meta = json.loads(fh.read(blob_len).decode("utf-8"))
-        params = {}
-        for spec in meta["params"]:
-            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-            params[spec["name"]] = data.reshape(spec["shape"]).copy()
-    return Checkpoint(
-        model_config=ModelConfig.from_dict(meta["model_config"]),
-        train_config=meta["train_config"],
-        schema_names=meta["schema_names"],
-        schema_counts=meta["schema_counts"],
-        schema_order=meta["schema_order"],
-        user_feature_names=meta["user_feature_names"],
-        item_feature_names=meta["item_feature_names"],
-        user_vocab_sizes=meta["user_vocab_sizes"],
-        item_vocab_sizes=meta["item_vocab_sizes"],
-        binning=meta["binning"],
-        best_metric=meta["best_metric"],
-        best_epoch=meta["best_epoch"],
-        config_hash=meta["config_hash"],
-        params=params,
-    )
+        meta = read_header(fh, path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        try:
+            params = {
+                spec["name"]: read_array(fh, path, spec["shape"], "<f8")
+                for spec in meta["params"]
+            }
+            return Checkpoint(
+                model_config=ModelConfig.from_dict(meta["model_config"]),
+                train_config=meta["train_config"],
+                schema_names=meta["schema_names"],
+                schema_counts=meta["schema_counts"],
+                schema_order=meta["schema_order"],
+                user_feature_names=meta["user_feature_names"],
+                item_feature_names=meta["item_feature_names"],
+                user_vocab_sizes=meta["user_vocab_sizes"],
+                item_vocab_sizes=meta["item_vocab_sizes"],
+                binning=meta["binning"],
+                best_metric=meta["best_metric"],
+                best_epoch=meta["best_epoch"],
+                config_hash=meta["config_hash"],
+                params=params,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestionError(f"{path}: malformed checkpoint: {exc!r}") from None

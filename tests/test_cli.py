@@ -165,6 +165,33 @@ class TestTrainEval:
         assert header.startswith("#gnolr-emb v1 dim=16 T=2")
 
 
+    def test_eval_embeds_items_once_for_recall_and_export(self, workspace, capsys, monkeypatch):
+        from gnolr.data import load_bundle
+        from gnolr.encoders import write_embeddings
+        from gnolr.models import _TwinBase
+        from gnolr.training import load_checkpoint
+
+        tmp_path, cfg = workspace
+        bundle = load_bundle(tmp_path / "bundle.gnb")
+        direct = tmp_path / "items_direct.tsv"
+        model = load_checkpoint(tmp_path / "model.gnc").build_model()
+        write_embeddings(direct, bundle.items, model.item_embeddings(bundle.item_feature_table), 2)
+        embedded_rows = []
+        original = _TwinBase.item_embeddings
+
+        def counted(self, feature_rows):
+            embedded_rows.append(len(feature_rows))
+            return original(self, feature_rows)
+
+        monkeypatch.setattr(_TwinBase, "item_embeddings", counted)
+        out_file = tmp_path / "items_once.tsv"
+        overrides = ["--set", "eval.recall_ks=5", "--set", f"eval.embeddings_item={out_file}"]
+        assert main(["eval", cfg, *overrides]) == 0
+        assert "recall_t2@5=" in capsys.readouterr().out
+        assert sum(embedded_rows) == len(bundle.items)
+        assert out_file.read_bytes() == direct.read_bytes()
+
+
 class TestRetrieve:
     def test_tsv_format(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -322,6 +349,49 @@ class TestConfigValidation:
             loaded = load_checkpoint(tmp_path / "model.gnc")
             assert loaded.model_config.kind == "gnolr"
             assert getattr(loaded.model_config, field) == expected
+
+
+@pytest.fixture(scope="module")
+def tiny_artifacts(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("tiny")
+    csv_path = write_synthetic_csv(tmp_path / "d.csv", n_users=6, n_items=8, n_rows=80, seed=11)
+    cfg = write_config(tmp_path, csv_path)
+    assert main(["prepare", cfg]) == 0
+    assert main(["train", cfg, "--set", "train.epochs=1"]) == 0
+    return tmp_path, cfg
+
+
+class TestTruncatedArtifacts:
+    @pytest.mark.parametrize("name", ["bundle.gnb", "model.gnc"])
+    def test_every_prefix_raises_a_typed_error(self, tiny_artifacts, name):
+        from gnolr.data import load_bundle
+        from gnolr.errors import GnolrError
+        from gnolr.training import load_checkpoint
+
+        tmp_path, _ = tiny_artifacts
+        load = load_bundle if name == "bundle.gnb" else load_checkpoint
+        data = (tmp_path / name).read_bytes()
+        load(tmp_path / name)  # the whole file loads
+        cut = tmp_path / f"cut-{name}"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            with pytest.raises(GnolrError):
+                load(cut)
+
+    @pytest.mark.parametrize("name", ["bundle.gnb", "model.gnc"])
+    def test_cli_exits_one_with_error_line(self, tiny_artifacts, tmp_path, capsys, name):
+        src, cfg = tiny_artifacts
+        for other in ("bundle.gnb", "model.gnc"):
+            data = (src / other).read_bytes()
+            (tmp_path / other).write_bytes(data[: len(data) // 2] if other == name else data)
+        overrides = [
+            "--set", f"data.bundle={tmp_path}/bundle.gnb",
+            "--set", f"train.checkpoint={tmp_path}/model.gnc",
+        ]
+        capsys.readouterr()
+        assert main(["eval", cfg, *overrides]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated" in err
 
 
 class TestConsoleScript:

@@ -36,6 +36,27 @@ def pairwise_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def loop_auc(scores, labels):
+    """The tie-averaging loop the vectorized ``auc`` replaced, kept as an oracle:
+    it walks each run of equal sorted scores and gives it the mean rank."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) > 0
+    n_pos = int(pos.sum())
+    n_neg = scores.shape[0] - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty_like(order, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    n = scores.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def exhaustive_topk(user, index, k):
     """Sort-everything oracle with the same (distance, id) tie rule."""
     rows = []
@@ -73,6 +94,25 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-12
             )
+
+    def test_bit_identical_to_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        fixtures = [
+            (np.full(7, 0.3), np.array([0, 1, 0, 1, 0, 1, 1])),  # one run of all rows
+            (np.array([0.0, -0.0, 0.0, 1.0]), np.array([1, 0, 0, 1])),  # signed zeros tie
+            (np.array([2.0, 1.0]), np.array([1, 0])),
+        ]
+        for _ in range(200):
+            n = int(rng.integers(2, 400))
+            # 1 to 6 distinct values: long runs, runs at both ends, singletons.
+            scores = rng.choice(rng.normal(size=int(rng.integers(1, 7))), size=n)
+            fixtures.append((scores, rng.integers(0, 2, size=n)))
+        scores = rng.normal(size=5000).round(1)  # many runs, short and long
+        fixtures.append((scores, (scores + rng.normal(size=5000) > 0).astype(int)))
+        for scores, labels in fixtures:
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            assert auc(scores, labels) == loop_auc(scores, labels)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)

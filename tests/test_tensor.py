@@ -17,6 +17,7 @@ from gnolr.tensor import (
     l2_normalize_backward,
     leaky_relu,
     leaky_relu_backward,
+    pack_parameters,
     stable_sigmoid,
     stable_softplus,
 )
@@ -52,6 +53,36 @@ class TestLeakyRelu:
     def test_slope_range_enforced(self):
         with pytest.raises(DimensionError):
             leaky_relu(np.zeros(3), 1.5)
+
+    @staticmethod
+    def special_values():
+        tiny = np.nextafter(0.0, 1.0)  # smallest subnormal
+        return np.array(
+            [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308,
+             1e308, -1e308, np.finfo(np.float64).max, -np.finfo(np.float64).max, 1.0, -1.0]
+        )
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 0.5, 0.999999])
+    def test_bit_identical_to_where_reference(self, slope):
+        # The max form and the mask form must give the np.where bits exactly,
+        # signed zeros and subnormals included.
+        rng = np.random.default_rng(21)
+        specials = self.special_values()
+        x = np.concatenate([specials, rng.normal(size=500), rng.normal(size=500) * 1e-300])
+        x = np.concatenate([x, rng.permutation(x)]).reshape(-1, 4)
+        upstream = np.concatenate([np.resize(specials, 64), rng.normal(size=x.size - 64)])
+        upstream = rng.permutation(upstream).reshape(x.shape)
+        forward_ref = np.where(x >= 0.0, x, slope * x)
+        backward_ref = upstream * np.where(x >= 0.0, 1.0, slope)
+        assert leaky_relu(x, slope).tobytes() == forward_ref.tobytes()
+        assert leaky_relu_backward(upstream, x, slope).tobytes() == backward_ref.tobytes()
+        # Every (x, upstream) pair of special values, so each zero sign meets each.
+        xs, ups = np.meshgrid(specials, specials)
+        assert leaky_relu(xs, slope).tobytes() == np.where(xs >= 0.0, xs, slope * xs).tobytes()
+        assert (
+            leaky_relu_backward(ups, xs, slope).tobytes()
+            == (ups * np.where(xs >= 0.0, 1.0, slope)).tobytes()
+        )
 
 
 class TestStableSigmoid:
@@ -159,6 +190,59 @@ class TestAdam:
         assert np.array_equal(p.value[untouched], before[untouched])
         assert not np.array_equal(p.value[3], before[3])
         assert not np.array_equal(p.value[7], before[7])
+
+
+    def test_sparse_zeroes_only_the_given_rows(self):
+        # The caller passes every row with a nonzero gradient; no other row
+        # is written, so the step costs O(rows), not O(table).
+        p = Parameter("emb", np.ones((6, 2)))
+        p.grad[2] = 0.5
+        p.grad[4] = 7.0  # left out on purpose: must survive as it is
+        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([2]))
+        assert np.all(p.grad[2] == 0.0)
+        assert np.all(p.grad[4] == 7.0)
+        assert p.step_count == 1
+        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([], dtype=np.int64))
+        assert p.step_count == 1
+
+
+class TestPackParameters:
+    def make(self):
+        rng = np.random.default_rng(22)
+        return [
+            Parameter("a.W0", rng.normal(size=(3, 4))),
+            Parameter("a.b0", rng.normal(size=(1, 4))),
+            Parameter("head.w", np.ones((1, 1))),
+        ]
+
+    def test_members_become_views_with_values_kept(self):
+        members = self.make()
+        before = [p.value.copy() for p in members]
+        flat = pack_parameters("dense", members)
+        assert flat.value.shape == (3 * 4 + 4 + 1,)
+        for p, value in zip(members, before):
+            assert p.value.tobytes() == value.tobytes()
+            for attr in ("value", "grad", "adam_m", "adam_v"):
+                assert np.shares_memory(getattr(p, attr), getattr(flat, attr))
+        members[1].grad += 2.0
+        assert np.count_nonzero(flat.grad) == 4
+
+    def test_one_flat_step_matches_a_step_per_member(self):
+        rng = np.random.default_rng(23)
+        packed, single = self.make(), self.make()
+        flat = pack_parameters("dense", packed)
+        cfg = AdamConfig(learning_rate=0.05)
+        for _ in range(4):
+            for p, q in zip(packed, single):
+                g = rng.normal(size=p.value.shape)
+                p.grad += g
+                q.grad += g
+            adam_step(flat, cfg)
+            for q in single:
+                adam_step(q, cfg)
+        for p, q in zip(packed, single):
+            for attr in ("value", "adam_m", "adam_v", "grad"):
+                assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (p.name, attr)
 
 
 class TestFiniteDiffCheck:

@@ -11,6 +11,7 @@ from gnolr import metrics, training
 from gnolr.data import DataConfig, build_bundle, make_batches
 from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
+from gnolr.losses import bce_batch
 from gnolr.metrics import auc
 from gnolr.models import Batch, ModelConfig, make_model
 from gnolr.tensor import AdamConfig
@@ -163,6 +164,161 @@ class TestOptimizerSparsity:
         for row in range(table.value.shape[0]):
             if row not in touched:
                 assert np.array_equal(table.value[row], before[row]), row
+
+
+def reference_optimizer_step(model, adam: AdamConfig) -> None:
+    """The dense-scan rule, written out independently of ``gnolr.tensor``.
+
+    Every table is scanned in full for rows with a nonzero gradient, which
+    get lazy Adam at the table's own step count (a table with no such row
+    keeps its count); every other parameter gets plain Adam on its own.
+    All gradients are then zero-filled.
+    """
+    table_names = {p.name for ts in (model.tables_user, model.tables_item) for p in ts.params}
+    for p in model.params:
+        if p.name in table_names:
+            rows = np.nonzero(np.any(p.grad != 0.0, axis=1))[0]
+        else:
+            rows = np.arange(p.value.shape[0])
+        if rows.size:
+            p.step_count += 1
+            t = p.step_count
+            g = p.grad[rows]
+            p.adam_m[rows] = adam.beta1 * p.adam_m[rows] + (1.0 - adam.beta1) * g
+            p.adam_v[rows] = adam.beta2 * p.adam_v[rows] + (1.0 - adam.beta2) * g * g
+            m_hat = p.adam_m[rows] / (1.0 - adam.beta1**t)
+            v_hat = p.adam_v[rows] / (1.0 - adam.beta2**t)
+            p.value[rows] -= adam.learning_rate * m_hat / (np.sqrt(v_hat) + adam.epsilon)
+        p.grad.fill(0.0)
+
+
+def oracle_batch(rng, n, vocab_u, vocab_i, num_levels=2):
+    """Ids drawn past both ends of each vocabulary (so OOV row 0 is hit) and
+    from a pool smaller than the batch (so ids repeat)."""
+    bits = rng.integers(0, 2, size=(n, num_levels))
+    deepest = np.max(np.where(bits > 0, np.arange(1, num_levels + 1), 0), axis=1)
+    return Batch(
+        user_features=np.stack([rng.integers(-2, v + 2, size=n) for v in vocab_u.values()], 1),
+        item_features=np.stack([rng.integers(-2, v + 2, size=n) for v in vocab_i.values()], 1),
+        labels=np.where(deepest > 0, deepest + 1, 1).astype(np.int64),
+        bits=bits.astype(np.int8),
+    )
+
+
+def nsb_first_task_only(model, batch) -> None:
+    """Backprop task 1 alone, so task 2's towers and head get zero gradient."""
+    u, i, caches = model._forward(batch.user_features, batch.item_features)
+    dots = np.einsum("btd,btd->bt", u, i)
+    _, grad_logits = bce_batch(model.heads[0].forward(dots[:, 0]), batch.bits[:, 0])
+    grad_dots = np.zeros_like(dots)
+    grad_dots[:, 0] = model.heads[0].backward(grad_logits / len(dots), dots[:, 0])
+    model._backward(
+        grad_dots[:, :, None] * i, grad_dots[:, :, None] * u, caches,
+        batch.user_features, batch.item_features,
+    )
+
+
+class TestLeanOptimizerStep:
+    VOCAB_U = {"__user_id": 7, "uf_a": 3}
+    VOCAB_I = {"__item_id": 9, "if_b": 4}
+    CANCEL_ROW = 5  # a user-id row looked up in the first two steps only
+
+    def build(self, kind, **kwargs):
+        cfg = ModelConfig(
+            kind=kind, num_levels=2, thresholds=(0.3, 1.1), gamma=1.5,
+            embedding_dim=4, hidden_sizes=(8, 4), **kwargs,
+        )
+        return make_model(cfg, self.VOCAB_U, self.VOCAB_I, np.random.default_rng(31))
+
+    def backprop(self, model, batch, step) -> None:
+        if model.kind == "nsb" and step % 2:
+            nsb_first_task_only(model, batch)
+        else:
+            model.loss_and_grad(batch)
+        if step == 2:
+            # Two lookups of one row whose contributions cancel to exactly 0.
+            upstream = np.zeros((2, model.tables_user.output_dim))
+            upstream[0, :4] = [0.25, -1.5, 3.0, 1e-3]
+            upstream[1, :4] = -upstream[0, :4]
+            model.tables_user.backward(upstream, np.array([[self.CANCEL_ROW, 1]] * 2))
+
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [
+            ("gnolr", {}),
+            ("gnolr", {"variant": "v0"}),
+            ("neural_olr", {}),
+            ("bce", {}),
+            ("nsb", {}),
+        ],
+    )
+    def test_matches_dense_scan_reference_byte_for_byte(self, kind, kwargs):
+        lean, reference = self.build(kind, **kwargs), self.build(kind, **kwargs)
+        adam = AdamConfig(learning_rate=0.05)
+        cancel = lean.tables_user.tables["__user_id"]
+        rng = np.random.default_rng(32)
+        for step in range(6):
+            batch = oracle_batch(rng, 24, self.VOCAB_U, self.VOCAB_I)
+            ids = batch.user_features[:, 0]
+            if step < 2:
+                ids[:3] = self.CANCEL_ROW  # gives the row nonzero Adam moments
+            else:
+                ids[ids == self.CANCEL_ROW] = 1
+            for model, optimizer in ((lean, _optimizer_step), (reference, reference_optimizer_step)):
+                self.backprop(model, batch, step)
+                optimizer(model, adam)
+            if step == 1:
+                cancel_before = [
+                    getattr(cancel, attr)[self.CANCEL_ROW].copy()
+                    for attr in ("value", "adam_m", "adam_v")
+                ]
+        ref_params = reference.param_map()
+        for name, p in lean.param_map().items():
+            q = ref_params[name]
+            for attr in ("value", "adam_m", "adam_v"):
+                assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (name, attr)
+        for p in lean.tables_user.params + lean.tables_item.params:
+            assert p.step_count == ref_params[p.name].step_count, p.name
+        assert lean.dense.step_count == 6
+        # The cancelled row kept its bits from step 1 on: no moment decay.
+        assert np.any(cancel_before[1] != 0.0)
+        for attr, before in zip(("value", "adam_m", "adam_v"), cancel_before):
+            assert getattr(cancel, attr)[self.CANCEL_ROW].tobytes() == before.tobytes(), attr
+
+    def test_table_whose_rows_all_cancel_keeps_its_step_count(self):
+        model = self.build("gnolr")
+        table = model.tables_user.tables["uf_a"]
+        upstream = np.zeros((2, model.tables_user.output_dim))
+        upstream[0, 4:] = [0.5, -2.0, 1.0, 3.0]
+        upstream[1, 4:] = -upstream[0, 4:]
+        model.tables_user.backward(upstream, np.array([[1, 2], [3, 2]]))
+        before = table.value.copy()
+        _optimizer_step(model, AdamConfig(learning_rate=0.05))
+        assert table.step_count == 0
+        assert table.value.tobytes() == before.tobytes()
+        assert model.tables_user.tables["__user_id"].step_count == 0
+
+    @pytest.mark.parametrize("kind", ["gnolr", "bce", "nsb"])
+    def test_step_leaves_no_gradient_and_no_record(self, kind):
+        model = self.build(kind)
+        rng = np.random.default_rng(33)
+        for step in range(3):
+            self.backprop(model, oracle_batch(rng, 24, self.VOCAB_U, self.VOCAB_I), step)
+            assert any(model.tables_user.touched.values())
+            _optimizer_step(model, AdamConfig(learning_rate=0.05))
+            for tables in (model.tables_user, model.tables_item):
+                assert not any(tables.touched.values())
+                for p in tables.params:
+                    assert not np.any(p.grad), p.name
+            assert not np.any(model.dense.grad)
+
+    def test_dense_parameters_are_views_into_one_buffer(self):
+        model = self.build("nsb")
+        dense = [p for p in model.params if not p.name.startswith(("emb_u.", "emb_i."))]
+        assert sum(p.value.size for p in dense) == model.dense.value.size
+        for p in dense:
+            assert np.shares_memory(p.value, model.dense.value), p.name
+            assert np.shares_memory(p.grad, model.dense.grad), p.name
 
 
 class TestCheckpointRoundTrip:
