@@ -22,7 +22,6 @@ from .encoders import write_embeddings
 from .errors import ConfigError, GnolrError
 from .feedback import estimate_thresholds
 from .metrics import (
-    RetrievalIndex,
     angle_histogram,
     format_report,
     topk_retrieve_batch,
@@ -291,8 +290,13 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {gauc_mode!r}")
     user_out = cfg.get("eval", "embeddings_user")
     item_out = cfg.get("eval", "embeddings_item")
-    # One item matrix serves both the recall index and the export.
+    # One item matrix and one user matrix serve both recall and the export.
     index = training.unified_index(model, bundle) if item_out else None
+    users = (
+        training.entity_matrix(model.user_embeddings, bundle.user_feature_table)
+        if user_out
+        else None
+    )
     metrics = training.evaluate(
         model,
         bundle,
@@ -301,15 +305,15 @@ def cmd_eval(cfg: RunConfig) -> int:
         gauc_weighting=gauc_mode if gauc_mode != "off" else "pairs",
         with_gauc=gauc_mode != "off",
         index=index,
+        user_vectors=users,
     )
     sys.stdout.write(format_report(metrics))
     report_path = cfg.get("eval", "report")
     if report_path:
         write_report(report_path, metrics)
-    num_levels = getattr(model.encoder, "num_levels", 1)
+    num_levels = model.encoder.num_levels
     if user_out:
-        vectors = model.user_embeddings(bundle.user_feature_table)
-        write_embeddings(user_out, bundle.users, vectors, num_levels)
+        write_embeddings(user_out, bundle.users, users, num_levels)
     if item_out:
         write_embeddings(item_out, bundle.items, index.vectors, num_levels)
     return 0
@@ -325,12 +329,11 @@ def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
     model = checkpoint.build_model()
     split = bundle.split(cfg.get("eval", "split", "test") or "test")
     out_path = cfg.get("eval", "retrieve_out")
-    index = RetrievalIndex(
-        item_ids=list(bundle.items),
-        vectors=model.item_embeddings(bundle.item_feature_table),
-    )
+    index = training.unified_index(model, bundle)
     user_ids = np.unique(split.user_index)
-    user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
+    user_vectors = training.entity_matrix(
+        model.user_embeddings, bundle.user_feature_table[user_ids]
+    )
     lines: list[str] = []
     for uid, top in zip(user_ids.tolist(), topk_retrieve_batch(user_vectors, index, k)):
         for rank, item in enumerate(top, start=1):
@@ -353,8 +356,8 @@ def cmd_angles(cfg: RunConfig) -> int:
     level = cfg.get_int("eval", "angle_level", bundle.num_feedbacks)
     if not 1 <= level <= bundle.num_feedbacks:
         raise ConfigError(f"angle_level outside 1..{bundle.num_feedbacks}")
-    user_vecs = model.user_embeddings(split.user_features)
-    item_vecs = model.item_embeddings(split.item_features)
+    user_vecs = training.entity_matrix(model.user_embeddings, split.user_features)
+    item_vecs = training.entity_matrix(model.item_embeddings, split.item_features)
     table = angle_histogram(user_vecs, item_vecs, split.labels > level)
     out_path = cfg.get("eval", "angles_out")
     if out_path:

@@ -317,9 +317,14 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray, int]:
         header = fh.readline().rstrip("\n")
         if not header.startswith(EMBEDDING_HEADER_PREFIX):
             raise ArgumentError(f"not an embedding file (header {header!r})")
-        fields = dict(part.split("=", 1) for part in header.split()[2:])
-        dim = int(fields["dim"])
-        num_levels = int(fields["T"])
+        try:
+            fields = dict(part.split("=", 1) for part in header.split()[2:])
+            dim = int(fields["dim"])
+            num_levels = int(fields["T"])
+        except (KeyError, ValueError):
+            raise ArgumentError(f"embedding header needs integer dim= and T=: {header!r}") from None
+        if dim < 1 or num_levels < 1:
+            raise ArgumentError(f"embedding header dim and T must be >= 1: {header!r}")
         ids = []
         rows = []
         for line in fh:
@@ -327,6 +332,9 @@ def read_embeddings(path) -> tuple[list[str], np.ndarray, int]:
             if len(parts) != dim + 1:
                 raise ArgumentError(f"embedding row has {len(parts) - 1} values, expected {dim}")
             ids.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
+            try:
+                rows.append([float(v) for v in parts[1:]])
+            except ValueError:
+                raise ArgumentError(f"non-numeric embedding value for {parts[0]!r}") from None
     matrix = np.asarray(rows, dtype=np.float64).reshape(len(ids), dim)
     return ids, matrix, num_levels

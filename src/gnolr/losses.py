@@ -6,6 +6,12 @@ cosine of the level-c prefix embeddings.  Because each prefix concatenates
 unit sub-embeddings, c * K_c equals the running sum of per-level
 sub-similarities, so all losses below are written in terms of those sums.
 
+The batch losses share one kernel map, ``cumulative_from_dots``: gamma
+times the prefix running sum (nested model, ``v1``) or c * gamma * dot per
+level (``v0`` and, with one broadcast column, the shared-encoder baseline).
+``gnolr_batch`` sums the subtask NLLs; ``olr_batch`` is the plain ordinal
+NLL for the ablations and the baseline.
+
 Every probability entering a log is clipped to [clip_floor, inf); a
 clipped term contributes exactly -log(clip_floor) and passes no gradient
 (clamp semantics).
@@ -162,12 +168,29 @@ def _validate_batch(labels: np.ndarray, num_levels: int) -> np.ndarray:
     return labels
 
 
-def _cumulative_from_dots(dots: np.ndarray, hyper: GnolrHyper) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative probs S (B, T) and their logit-slope parts S(1-S)."""
+def cumulative_from_dots(dots: np.ndarray, hyper: GnolrHyper, prefix: bool = True) -> np.ndarray:
+    """The kernel map: cumulative probs S (B, T) from per-level similarities.
+
+    With ``prefix`` the level-c kernel is the running sum of the first c
+    dots (c * K_c of the nested prefixes); without it level c scales its
+    own dot by c, and a single column of dots (one shared tower pair) is
+    broadcast to every level.
+    """
     a = hyper.thresholds.as_array()
-    cs = np.cumsum(dots, axis=1)
-    s = stable_sigmoid(a[None, :] - hyper.gamma * cs)
-    return s, s * (1.0 - s)
+    if prefix:
+        return stable_sigmoid(a[None, :] - hyper.gamma * np.cumsum(dots, axis=1))
+    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
+    return stable_sigmoid(a[None, :] - c[None, :] * hyper.gamma * dots)
+
+
+def _dots_adjoint(dl_ds: np.ndarray, s: np.ndarray, hyper: GnolrHyper, prefix: bool) -> np.ndarray:
+    """dL/d dots from dL/dS through ``cumulative_from_dots`` (before any broadcast)."""
+    if prefix:
+        # Each dot feeds every cumulative at or above its level.
+        per_level = dl_ds * (s * (1.0 - s)) * -hyper.gamma
+        return np.cumsum(per_level[:, ::-1], axis=1)[:, ::-1]
+    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
+    return dl_ds * (s * (1.0 - s)) * (-c[None, :] * hyper.gamma)
 
 
 def gnolr_batch(
@@ -185,7 +208,7 @@ def gnolr_batch(
     n = labels.shape[0]
     if dots.shape != (n, big_t):
         raise ArgumentError(f"dots must be ({n}, {big_t}), got {dots.shape}")
-    s, s_slope = _cumulative_from_dots(dots, hyper)
+    s = cumulative_from_dots(dots, hyper)
     floor = hyper.clip_floor
 
     losses = np.zeros(n)
@@ -216,80 +239,43 @@ def gnolr_batch(
         dl_ds[idx, k - 1] -= coef
         two_up = idx[k >= 2]
         dl_ds[two_up, k[k >= 2] - 2] += coef[k >= 2]
-
-    # S_c = sigma(a_c - gamma * cumsum(dots)_c), so each dot feeds every
-    # cumulative at or above its level.
-    per_level = dl_ds * s_slope * -hyper.gamma
-    grad_dots = np.cumsum(per_level[:, ::-1], axis=1)[:, ::-1]
-    return losses, grad_dots
+    return losses, _dots_adjoint(dl_ds, s, hyper, True)
 
 
-def _olr_core(
-    labels: np.ndarray, s: np.ndarray, floor: float
+def olr_batch(
+    labels: np.ndarray, dots: np.ndarray, hyper: GnolrHyper, prefix: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-term ordinal NLL given cumulative probs; returns losses, dL/dS."""
-    n, big_t = s.shape
-    full = np.concatenate((np.zeros((n, 1)), s, np.ones((n, 1))), axis=1)
-    rows = np.arange(n)
-    p = full[rows, labels] - full[rows, labels - 1]
-    live = p > floor
-    losses = -np.log(np.maximum(p, floor))
-    dl_ds = np.zeros_like(s)
-    coef = np.where(live, 1.0 / np.maximum(p, floor), 0.0)
-    has_upper = labels <= big_t
-    dl_ds[rows[has_upper], labels[has_upper] - 1] -= coef[has_upper]
-    has_lower = labels >= 2
-    dl_ds[rows[has_lower], labels[has_lower] - 2] += coef[has_lower]
-    return losses, dl_ds
+    """Plain (single-term) ordinal NLL through the kernel map.
 
-
-def olr_nested_batch(
-    labels: np.ndarray, dots: np.ndarray, hyper: GnolrHyper
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain (single-term) ordinal NLL on nested prefix kernels."""
-    dots = np.asarray(dots, dtype=np.float64)
-    labels = _validate_batch(labels, hyper.num_levels)
-    s, s_slope = _cumulative_from_dots(dots, hyper)
-    losses, dl_ds = _olr_core(labels, s, hyper.clip_floor)
-    per_level = dl_ds * s_slope * -hyper.gamma
-    grad_dots = np.cumsum(per_level[:, ::-1], axis=1)[:, ::-1]
-    return losses, grad_dots
-
-
-def olr_percategory_batch(
-    labels: np.ndarray, dots: np.ndarray, hyper: GnolrHyper
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain ordinal NLL where level c sees only its own sub-similarity.
-
-    Keeps the c * gamma scaling so it differs from the nested variant only
-    in dropping the prefix aggregation.
+    ``prefix`` gives the ``v1`` ablation (nested prefix kernels); without
+    it each level sees only its own dot (``v0``), and dots of shape (B, 1)
+    are one shared kernel per sample (the shared-encoder baseline).
+    Returns per-sample losses (B,) and a gradient shaped like ``dots``.
     """
     dots = np.asarray(dots, dtype=np.float64)
     big_t = hyper.num_levels
     labels = _validate_batch(labels, big_t)
-    a = hyper.thresholds.as_array()
-    c = np.arange(1, big_t + 1, dtype=np.float64)
-    s = stable_sigmoid(a[None, :] - c[None, :] * hyper.gamma * dots)
-    s_slope = s * (1.0 - s)
-    losses, dl_ds = _olr_core(labels, s, hyper.clip_floor)
-    grad_dots = dl_ds * s_slope * (-c[None, :] * hyper.gamma)
+    n = labels.shape[0]
+    if dots.shape != (n, big_t) and (prefix or dots.shape != (n, 1)):
+        raise ArgumentError(
+            f"dots must be ({n}, {big_t}), or ({n}, 1) without prefix; got {dots.shape}"
+        )
+    s = cumulative_from_dots(dots, hyper, prefix)
+    floor = hyper.clip_floor
+    full = np.concatenate((np.zeros((n, 1)), s, np.ones((n, 1))), axis=1)
+    rows = np.arange(n)
+    p = full[rows, labels] - full[rows, labels - 1]
+    losses = -np.log(np.maximum(p, floor))
+    dl_ds = np.zeros_like(s)
+    coef = np.where(p > floor, 1.0 / np.maximum(p, floor), 0.0)
+    has_upper = labels <= big_t
+    dl_ds[rows[has_upper], labels[has_upper] - 1] -= coef[has_upper]
+    has_lower = labels >= 2
+    dl_ds[rows[has_lower], labels[has_lower] - 2] += coef[has_lower]
+    grad_dots = _dots_adjoint(dl_ds, s, hyper, prefix)
+    if dots.shape[1] == 1:
+        grad_dots = grad_dots.sum(axis=1, keepdims=True)
     return losses, grad_dots
-
-
-def olr_shared_batch(
-    labels: np.ndarray, kernel: np.ndarray, hyper: GnolrHyper
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain ordinal NLL with one shared kernel per sample (one tower pair)."""
-    kernel = np.asarray(kernel, dtype=np.float64).reshape(-1)
-    big_t = hyper.num_levels
-    labels = _validate_batch(labels, big_t)
-    a = hyper.thresholds.as_array()
-    c = np.arange(1, big_t + 1, dtype=np.float64)
-    s = stable_sigmoid(a[None, :] - c[None, :] * hyper.gamma * kernel[:, None])
-    s_slope = s * (1.0 - s)
-    losses, dl_ds = _olr_core(labels, s, hyper.clip_floor)
-    grad_kernel = (dl_ds * s_slope * (-c[None, :] * hyper.gamma)).sum(axis=1)
-    return losses, grad_kernel
 
 
 def bce_batch(

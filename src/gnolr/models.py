@@ -2,14 +2,24 @@
 
 All models share the same ingredients: per-feature embedding tables
 (shared across towers), unit-output MLP towers, dot-product similarity of
-the normalized outputs, one Adam-updated parameter list.  They differ in
-how many tower pairs they instantiate and which loss supervises them.
+the normalized outputs, one Adam-updated parameter list.  ``_TwinBase``
+runs the forward pass, the per-pair dots and the backward pass once for
+every model; two families differ only in how the dots become
+probabilities:
+
+- ``GnolrModel`` ("gnolr" with its ``v0``/``v1`` ablations, and
+  "neural_olr"): ordinal losses through the kernel map
+  ``losses.cumulative_from_dots``, which also gives the task scores.
+- ``BceModel`` ("bce" and "nsb"): one calibrated logit head and one BCE
+  term per target level.
+
 The tower and head parameters live in one flat ``dense`` buffer, so one
 Adam call updates them; the tables take row-sparse updates.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +30,10 @@ from .feedback import ThresholdSet
 from .losses import (
     GnolrHyper,
     bce_batch,
+    cumulative_from_dots,
     gnolr_batch,
     listnet_list_batch,
-    olr_nested_batch,
-    olr_percategory_batch,
-    olr_shared_batch,
+    olr_batch,
 )
 from .tensor import Parameter, pack_parameters, stable_sigmoid
 
@@ -65,8 +74,18 @@ class ModelConfig:
             )
         if not 1 <= self.bce_target_level <= self.num_levels:
             raise ArgumentError(f"bce_target_level outside 1..{self.num_levels}")
+        if len(self.positive_weights) not in (0, 1, self.num_levels):
+            raise ArgumentError(
+                f"positive weights need 1 or {self.num_levels} values, "
+                f"got {len(self.positive_weights)}"
+            )
         if any(w < 1 for w in self.positive_weights):
             raise ArgumentError(f"positive weights must be >= 1, got {self.positive_weights}")
+        if self.embedding_dim < 1:
+            raise ArgumentError(f"embedding dim must be >= 1, got {self.embedding_dim}")
+        # Tower layout, thresholds and clip floor fail here, before a model is built.
+        TowerConfig(self.hidden_sizes, self.activation_slope)
+        self.hyper
 
     @property
     def hyper(self) -> GnolrHyper:
@@ -80,22 +99,10 @@ class ModelConfig:
         return self.positive_weights[level - 1]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "num_levels": self.num_levels,
-            "thresholds": list(self.thresholds),
-            "gamma": self.gamma,
-            "clip_floor": self.clip_floor,
-            "embedding_dim": self.embedding_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "activation_slope": self.activation_slope,
-            "variant": self.variant,
-            "listwise": self.listwise,
-            "listnet_use_log": self.listnet_use_log,
-            "positive_weights": list(self.positive_weights),
-            "bce_raw_cosine": self.bce_raw_cosine,
-            "bce_target_level": self.bce_target_level,
-        }
+        out = dataclasses.asdict(self)
+        for key in ("thresholds", "hidden_sizes", "positive_weights"):
+            out[key] = list(out[key])
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -117,7 +124,12 @@ class Batch:
 
 
 class _TwinBase:
-    """Feature lookup plus tower-pair bookkeeping shared by all models."""
+    """Feature lookup, tower pairs and the one training step shared by all models.
+
+    A subclass sets how many tower pairs it runs and supplies
+    ``_objective`` (loss and dL/d dots from the per-pair dots) and
+    ``_scores`` (task scores from the dots).
+    """
 
     def __init__(
         self,
@@ -129,6 +141,7 @@ class _TwinBase:
         heads: tuple[_CalibratedHead, ...] = (),
     ) -> None:
         self.cfg = cfg
+        self.kind = cfg.kind
         self.tables_user = EmbeddingTableSet(user_vocabs, cfg.embedding_dim, rng, "emb_u")
         self.tables_item = EmbeddingTableSet(item_vocabs, cfg.embedding_dim, rng, "emb_i")
         tower_cfg = TowerConfig(cfg.hidden_sizes, cfg.activation_slope)
@@ -155,18 +168,28 @@ class _TwinBase:
     def _forward(self, user_ids: np.ndarray, item_ids: np.ndarray):
         user_x = self.tables_user.lookup(user_ids)
         item_x = self.tables_item.lookup(item_ids)
-        u, i, caches = self.encoder.forward(user_x, item_x)
-        return u, i, caches
+        return self.encoder.forward(user_x, item_x)
 
     def _backward(self, grad_u, grad_i, caches, user_ids, item_ids) -> None:
         gu_x, gi_x = self.encoder.backward(grad_u, grad_i, caches)
         self.tables_user.backward(gu_x, user_ids)
         self.tables_item.backward(gi_x, item_ids)
 
-    def _dots(self, user_ids: np.ndarray, item_ids: np.ndarray) -> np.ndarray:
-        """(B, num_pairs) per-level similarities of the unit sub-embeddings."""
+    def loss_and_grad(self, batch: Batch) -> float:
+        """Mean batch loss; accumulates every parameter's gradient."""
+        u, i, caches = self._forward(batch.user_features, batch.item_features)
+        # (B, num_pairs) per-level similarities of the unit sub-embeddings.
+        dots = np.einsum("btd,btd->bt", u, i)
+        total, grad_dots = self._objective(batch, dots)
+        grad_u = grad_dots[:, :, None] * i
+        grad_i = grad_dots[:, :, None] * u
+        self._backward(grad_u, grad_i, caches, batch.user_features, batch.item_features)
+        return total
+
+    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
+        """Task scores for every pair from one forward pass, one column per scored level."""
         u, i, _ = self._forward(user_ids, item_ids)
-        return np.einsum("btd,btd->bt", u, i)
+        return self._scores(np.einsum("btd,btd->bt", u, i))
 
     def user_embeddings(self, feature_rows: np.ndarray) -> np.ndarray:
         return self.encoder.embed_entities(self.tables_user.lookup(feature_rows), "user")
@@ -176,36 +199,35 @@ class _TwinBase:
 
 
 class GnolrModel(_TwinBase):
-    """T tower pairs under the nested ordinal loss (or an ablation variant).
+    """Ordinal models: the nested model, its ablations and the shared-encoder baseline.
 
-    ``variant`` selects the supervision: "nested" is the full
-    subtask-summed loss; "v1" keeps the nested prefix kernels but uses the
-    plain single-term ordinal likelihood; "v0" additionally drops the
-    prefix aggregation (each level scores its own sub-embedding only).
+    Kind "gnolr" runs T tower pairs; ``variant`` selects the supervision:
+    "nested" is the full subtask-summed loss; "v1" keeps the nested prefix
+    kernels but uses the plain single-term ordinal likelihood; "v0"
+    additionally drops the prefix aggregation (each level scores its own
+    sub-embedding only).  Kind "neural_olr" is v0 with one tower pair whose
+    kernel is broadcast to every level.  Listwise co-training applies to
+    kind "gnolr" only.
     """
 
-    kind = "gnolr"
-
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, cfg.num_levels)
+        shared = cfg.kind == "neural_olr"
+        super().__init__(cfg, user_vocabs, item_vocabs, rng, 1 if shared else cfg.num_levels)
         self.hyper = cfg.hyper
+        self.prefix = not shared and cfg.variant != "v0"
+        self.nested = not shared and cfg.variant == "nested"
+        self.listwise = not shared and cfg.listwise
 
-    def _pointwise(self, labels, dots):
-        if self.cfg.variant == "nested":
-            return gnolr_batch(labels, dots, self.hyper)
-        if self.cfg.variant == "v1":
-            return olr_nested_batch(labels, dots, self.hyper)
-        return olr_percategory_batch(labels, dots, self.hyper)
-
-    def loss_and_grad(self, batch: Batch) -> float:
-        u, i, caches = self._forward(batch.user_features, batch.item_features)
-        dots = np.einsum("btd,btd->bt", u, i)
+    def _objective(self, batch: Batch, dots: np.ndarray) -> tuple[float, np.ndarray]:
         n = dots.shape[0]
-        losses, grad_dots = self._pointwise(batch.labels, dots)
+        if self.nested:
+            losses, grad_dots = gnolr_batch(batch.labels, dots, self.hyper)
+        else:
+            losses, grad_dots = olr_batch(batch.labels, dots, self.hyper, self.prefix)
         total = float(losses.mean())
         grad_dots = grad_dots / n
 
-        if self.cfg.listwise:
+        if self.listwise:
             if not batch.list_bounds:
                 raise ArgumentError("listwise model needs list bounds in the batch")
             logits = self.hyper.gamma * dots.sum(axis=1)
@@ -221,50 +243,11 @@ class GnolrModel(_TwinBase):
                 grad_logits[start:end] = grad
             total += list_total / n_lists
             grad_dots = grad_dots + self.hyper.gamma * (grad_logits / n_lists)[:, None]
+        return total, grad_dots
 
-        grad_u = grad_dots[:, :, None] * i
-        grad_i = grad_dots[:, :, None] * u
-        self._backward(grad_u, grad_i, caches, batch.user_features, batch.item_features)
-        return total
-
-    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
-        """P(k > c) for every level c from one forward pass; shape (B, T).
-
-        The v0 variant scores each level on its own sub-similarity, matching
-        its training convention; the others use the prefix sums.
-        """
-        dots = self._dots(user_ids, item_ids)
-        a = self.hyper.thresholds.as_array()
-        if self.cfg.variant == "v0":
-            c = np.arange(1, self.cfg.num_levels + 1, dtype=np.float64)
-            return 1.0 - stable_sigmoid(a[None, :] - c[None, :] * self.hyper.gamma * dots)
-        cs = np.cumsum(dots, axis=1)
-        return 1.0 - stable_sigmoid(a[None, :] - self.hyper.gamma * cs)
-
-
-class NeuralOlrModel(_TwinBase):
-    """One shared tower pair under the plain ordinal likelihood."""
-
-    kind = "neural_olr"
-
-    def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, 1)
-        self.hyper = cfg.hyper
-
-    def loss_and_grad(self, batch: Batch) -> float:
-        u, i, caches = self._forward(batch.user_features, batch.item_features)
-        kernel = np.einsum("btd,btd->bt", u, i)[:, 0]
-        losses, grad_kernel = olr_shared_batch(batch.labels, kernel, self.hyper)
-        n = kernel.shape[0]
-        grad = (grad_kernel / n)[:, None, None]
-        self._backward(grad * i, grad * u, caches, batch.user_features, batch.item_features)
-        return float(losses.mean())
-
-    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
-        kernel = self._dots(user_ids, item_ids)[:, 0]
-        a = self.hyper.thresholds.as_array()
-        c = np.arange(1, self.cfg.num_levels + 1, dtype=np.float64)
-        return 1.0 - stable_sigmoid(a[None, :] - c[None, :] * self.hyper.gamma * kernel[:, None])
+    def _scores(self, dots: np.ndarray) -> np.ndarray:
+        """P(k > c) for every level c; shape (B, T)."""
+        return 1.0 - cumulative_from_dots(dots, self.hyper, self.prefix)
 
 
 class _CalibratedHead:
@@ -293,96 +276,45 @@ class _CalibratedHead:
 
 
 class BceModel(_TwinBase):
-    """Single-task twin tower trained with (optionally reweighted) BCE.
+    """Binary baselines: one tower pair and head per target level, (re)weighted BCE each.
 
-    The target is one raw feedback bit; the logit is an affine-calibrated
-    cosine unless ``bce_raw_cosine`` pins it to the bounded similarity
-    itself.
+    Kind "bce" targets the raw feedback bit of ``bce_target_level`` (head
+    ``head``); kind "nsb", the shared-bottom baseline, targets every level
+    1..T (heads ``head1``..``headT``), coupled only through the shared
+    feature tables.  Target t's retrieval space is the t-th column block
+    of the unified embedding.  A logit is an affine-calibrated cosine
+    unless ``bce_raw_cosine`` pins it to the bounded similarity itself.
     """
 
-    kind = "bce"
-
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        head = _CalibratedHead("head", cfg.bce_raw_cosine)
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, 1, (head,))
-        self.head = head
+        if cfg.kind == "bce":
+            self.targets = [cfg.bce_target_level]
+            names = ["head"]
+        else:
+            self.targets = list(range(1, cfg.num_levels + 1))
+            names = [f"head{t}" for t in self.targets]
+        heads = tuple(_CalibratedHead(name, cfg.bce_raw_cosine) for name in names)
+        super().__init__(cfg, user_vocabs, item_vocabs, rng, len(heads), heads)
 
-    def loss_and_grad(self, batch: Batch) -> float:
-        u, i, caches = self._forward(batch.user_features, batch.item_features)
-        dots = np.einsum("btd,btd->bt", u, i)[:, 0]
-        targets = batch.bits[:, self.cfg.bce_target_level - 1]
-        logits = self.head.forward(dots)
-        losses, grad_logits = bce_batch(
-            logits, targets, self.cfg.task_weight(self.cfg.bce_target_level)
-        )
-        n = dots.shape[0]
-        grad_dots = self.head.backward(grad_logits / n, dots)
-        grad = grad_dots[:, None, None]
-        self._backward(grad * i, grad * u, caches, batch.user_features, batch.item_features)
-        return float(losses.mean())
-
-    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
-        """P(target bit) in a single column, shape (B, 1), whatever T is."""
-        dots = self._dots(user_ids, item_ids)[:, 0]
-        return stable_sigmoid(self.head.forward(dots))[:, None]
-
-
-class NsbModel(_TwinBase):
-    """Independent per-task twin towers over shared embedding tables.
-
-    Task t's logit comes from its own tower pair and head; the only
-    cross-task coupling is the shared feature tables.
-    """
-
-    kind = "nsb"
-
-    def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
-        heads = tuple(
-            _CalibratedHead(f"head{t}", cfg.bce_raw_cosine)
-            for t in range(1, cfg.num_levels + 1)
-        )
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, cfg.num_levels, heads)
-
-    def loss_and_grad(self, batch: Batch) -> float:
-        u, i, caches = self._forward(batch.user_features, batch.item_features)
-        dots = np.einsum("btd,btd->bt", u, i)
+    def _objective(self, batch: Batch, dots: np.ndarray) -> tuple[float, np.ndarray]:
         n = dots.shape[0]
         total = 0.0
         grad_dots = np.zeros_like(dots)
-        for t in range(self.cfg.num_levels):
-            logits = self.heads[t].forward(dots[:, t])
+        for col, (level, head) in enumerate(zip(self.targets, self.heads)):
+            logits = head.forward(dots[:, col])
             losses, grad_logits = bce_batch(
-                logits, batch.bits[:, t], self.cfg.task_weight(t + 1)
+                logits, batch.bits[:, level - 1], self.cfg.task_weight(level)
             )
             total += float(losses.mean())
-            grad_dots[:, t] = self.heads[t].backward(grad_logits / n, dots[:, t])
-        grad_u = grad_dots[:, :, None] * i
-        grad_i = grad_dots[:, :, None] * u
-        self._backward(grad_u, grad_i, caches, batch.user_features, batch.item_features)
-        return total
+            grad_dots[:, col] = head.backward(grad_logits / n, dots[:, col])
+        return total, grad_dots
 
-    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
-        dots = self._dots(user_ids, item_ids)
-        cols = [
-            stable_sigmoid(self.heads[t].forward(dots[:, t]))
-            for t in range(self.cfg.num_levels)
-        ]
+    def _scores(self, dots: np.ndarray) -> np.ndarray:
+        """P(target bit), one column per target: (B, 1) for "bce", (B, T) for "nsb"."""
+        cols = [stable_sigmoid(head.forward(dots[:, c])) for c, head in enumerate(self.heads)]
         return np.stack(cols, axis=1)
-
-    def task_user_embeddings(self, feature_rows: np.ndarray, level: int) -> np.ndarray:
-        x = self.tables_user.lookup(feature_rows)
-        return self.encoder.user_towers[level - 1].forward(x)[0]
-
-    def task_item_embeddings(self, feature_rows: np.ndarray, level: int) -> np.ndarray:
-        x = self.tables_item.lookup(feature_rows)
-        return self.encoder.item_towers[level - 1].forward(x)[0]
 
 
 def make_model(cfg: ModelConfig, user_vocabs: dict[str, int], item_vocabs: dict[str, int], rng):
-    cls = {
-        "gnolr": GnolrModel,
-        "neural_olr": NeuralOlrModel,
-        "bce": BceModel,
-        "nsb": NsbModel,
-    }[cfg.kind]
+    cls = GnolrModel if cfg.kind in ("gnolr", "neural_olr") else BceModel
     return cls(cfg, user_vocabs, item_vocabs, rng)

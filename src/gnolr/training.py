@@ -22,7 +22,7 @@ from .data import DatasetBundle, Split, make_batches, read_array, read_header
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
-from .models import Batch, ModelConfig, NsbModel, make_model
+from .models import Batch, ModelConfig, make_model
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
 logger = logging.getLogger("gnolr")
@@ -63,6 +63,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if min(self.batch_size, self.list_batch_size) < 1:
+            raise ConfigError(
+                f"batch sizes must be >= 1, got {self.batch_size} and {self.list_batch_size}"
+            )
         if self.thresholds_population not in ("train", "all"):
             raise ConfigError(
                 f"thresholds_population must be train|all, got {self.thresholds_population}"
@@ -149,24 +155,20 @@ def resolve_thresholds(bundle: DatasetBundle, config: TrainConfig) -> tuple[floa
 
 
 def _model_config(bundle: DatasetBundle, config: TrainConfig) -> ModelConfig:
+    """The model config for this bundle; any value it rejects is a config error."""
     if config.kind == "nsb" and bundle.num_feedbacks < 2:
         raise ConfigError("the shared-bottom baseline needs at least 2 feedback types")
-    return ModelConfig(
-        kind=config.kind,
-        num_levels=bundle.num_feedbacks,
-        thresholds=resolve_thresholds(bundle, config),
-        gamma=config.gamma,
-        clip_floor=config.clip_floor,
-        embedding_dim=config.embedding_dim,
-        hidden_sizes=config.hidden_sizes,
-        activation_slope=config.activation_slope,
-        variant=config.variant,
-        listwise=config.listwise,
-        listnet_use_log=config.listnet_use_log,
-        positive_weights=config.positive_weights,
-        bce_raw_cosine=config.bce_raw_cosine,
-        bce_target_level=config.bce_target_level,
-    )
+    thresholds = resolve_thresholds(bundle, config)
+    # Every model field but the two the bundle decides has a namesake in TrainConfig.
+    fields = {
+        f.name: getattr(config, f.name)
+        for f in dataclasses.fields(ModelConfig)
+        if f.name not in ("num_levels", "thresholds")
+    }
+    try:
+        return ModelConfig(num_levels=bundle.num_feedbacks, thresholds=thresholds, **fields)
+    except ArgumentError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _make_batch(split: Split, idx: np.ndarray, bounds=None) -> Batch:
@@ -323,14 +325,22 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 
+def entity_matrix(embed, feature_rows: np.ndarray) -> np.ndarray:
+    """``embed`` (a model's user or item embedding) of every row, in chunks of rows.
+
+    No rows still make one (empty) call, so the result has the embedding width.
+    A single chunk is returned as is, without a copy.
+    """
+    chunks = [
+        embed(feature_rows[start : start + _SCORE_CHUNK])
+        for start in range(0, max(len(feature_rows), 1), _SCORE_CHUNK)
+    ]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 def unified_index(model, bundle: DatasetBundle) -> RetrievalIndex:
-    """Every item's unified embedding, computed in chunks of rows."""
-    vectors = np.concatenate(
-        [
-            model.item_embeddings(bundle.item_feature_table[start : start + _SCORE_CHUNK])
-            for start in range(0, len(bundle.items), _SCORE_CHUNK)
-        ]
-    )
+    """Every item's unified embedding."""
+    vectors = entity_matrix(model.item_embeddings, bundle.item_feature_table)
     return RetrievalIndex(item_ids=list(bundle.items), vectors=vectors)
 
 
@@ -357,12 +367,7 @@ def retrieval_recalls(
     if index is None:
         index = unified_index(model, bundle)
     if user_vectors is None:
-        user_vectors = np.concatenate(
-            [
-                model.user_embeddings(bundle.user_feature_table[start : start + _SCORE_CHUNK])
-                for start in range(0, len(bundle.users), _SCORE_CHUNK)
-            ]
-        )
+        user_vectors = entity_matrix(model.user_embeddings, bundle.user_feature_table)
     level_positives: dict[int, dict[int, set[str]]] = {}
     for lvl in levels:
         per_user = level_positives[lvl] = {}
@@ -394,11 +399,13 @@ def evaluate(
     gauc_weighting: str = "pairs",
     with_gauc: bool = True,
     index: RetrievalIndex | None = None,
+    user_vectors: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Per-task AUC (raw feedback bits), GAUC over users, optional Recall@K.
 
-    ``index`` is the unified item index when the caller has already built
-    it; NSB recall ignores it and retrieves in its per-level spaces.
+    ``index`` and ``user_vectors`` are the unified item index and user
+    matrix when the caller has already built them.  NSB recall retrieves
+    level t in the t-th column block of both.
     """
     split = bundle.split(split_name)
     metrics: dict[str, float] = {}
@@ -421,21 +428,24 @@ def evaluate(
             except UndefinedMetricError:
                 pass
     if recall_ks:
-        if isinstance(model, NsbModel):
-            # Task-specific spaces: each level retrieves with its own towers.
-            for lvl in range(1, bundle.num_feedbacks + 1):
-                index = RetrievalIndex(
-                    list(bundle.items),
-                    model.task_item_embeddings(bundle.item_feature_table, lvl),
-                )
-                users = model.task_user_embeddings(bundle.user_feature_table, lvl)
-                metrics.update(
-                    retrieval_recalls(
-                        model, bundle, recall_ks, split_name, lvl, users, index
-                    )
-                )
-        else:
-            metrics.update(retrieval_recalls(model, bundle, recall_ks, split_name, index=index))
+        if index is None:
+            index = unified_index(model, bundle)
+        if user_vectors is None:
+            user_vectors = entity_matrix(model.user_embeddings, bundle.user_feature_table)
+        spaces = [(None, user_vectors, index)]
+        if model.kind == "nsb":
+            blocks = zip(
+                np.hsplit(user_vectors, bundle.num_feedbacks),
+                np.hsplit(index.vectors, bundle.num_feedbacks),
+            )
+            spaces = [
+                (lvl, users, RetrievalIndex(index.item_ids, items))
+                for lvl, (users, items) in enumerate(blocks, start=1)
+            ]
+        for lvl, users, space in spaces:
+            metrics.update(
+                retrieval_recalls(model, bundle, recall_ks, split_name, lvl, users, space)
+            )
     return metrics
 
 

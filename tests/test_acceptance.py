@@ -292,11 +292,12 @@ def test_criterion_8_unified_space_multi_target_retrieval(tmp_path):
                 bundle,
                 TrainConfig(kind="nsb", positive_weights=(5.0, 20.0), seed=seed, **common),
             ).checkpoint.build_model()
+            # Task e's space is the e-th column block of the unified embeddings.
+            item_blocks = np.hsplit(n.item_embeddings(bundle.item_feature_table), 2)
+            user_blocks = np.hsplit(n.user_embeddings(bundle.user_feature_table), 2)
             for e in (1, 2):
-                index = RetrievalIndex(
-                    list(bundle.items), n.task_item_embeddings(bundle.item_feature_table, e)
-                )
-                users = n.task_user_embeddings(bundle.user_feature_table, e)
+                index = RetrievalIndex(list(bundle.items), item_blocks[e - 1])
+                users = user_blocks[e - 1]
                 for c in (1, 2):
                     recalls = retrieval_recalls(
                         n, bundle, ks, level=c, user_vectors=users, index=index

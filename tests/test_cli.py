@@ -192,6 +192,33 @@ class TestTrainEval:
         assert out_file.read_bytes() == direct.read_bytes()
 
 
+    def test_eval_embeds_users_once_for_recall_and_export(self, workspace, capsys, monkeypatch):
+        from gnolr.data import load_bundle
+        from gnolr.encoders import write_embeddings
+        from gnolr.models import _TwinBase
+        from gnolr.training import load_checkpoint
+
+        tmp_path, cfg = workspace
+        bundle = load_bundle(tmp_path / "bundle.gnb")
+        direct = tmp_path / "users_direct.tsv"
+        model = load_checkpoint(tmp_path / "model.gnc").build_model()
+        write_embeddings(direct, bundle.users, model.user_embeddings(bundle.user_feature_table), 2)
+        embedded_rows = []
+        original = _TwinBase.user_embeddings
+
+        def counted(self, feature_rows):
+            embedded_rows.append(len(feature_rows))
+            return original(self, feature_rows)
+
+        monkeypatch.setattr(_TwinBase, "user_embeddings", counted)
+        out_file = tmp_path / "users_once.tsv"
+        overrides = ["--set", "eval.recall_ks=5", "--set", f"eval.embeddings_user={out_file}"]
+        assert main(["eval", cfg, *overrides]) == 0
+        assert "recall_t2@5=" in capsys.readouterr().out
+        assert sum(embedded_rows) == len(bundle.users)
+        assert out_file.read_bytes() == direct.read_bytes()
+
+
 class TestRetrieve:
     def test_tsv_format(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -327,6 +354,32 @@ class TestConfigValidation:
         assert main([command, cfg, "--set", override]) == 2
         section, key = override.split("=")[0].split(".")
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["model.variant=v2"],
+            ["model.kind=ranker"],
+            ["model.hidden_sizes=16,0"],
+            ["model.embedding_dim=0"],
+            ["model.activation_slope=1.5"],
+            ["model.clip_floor=2"],
+            ["model.gamma=0"],
+            ["model.kind=bce", "model.bce_target_level=3"],
+            ["model.thresholds=1.0,0.5"],
+            ["model.kind=nsb", "model.positive_weights=2,3,4"],
+            ["train.learning_rate=0"],
+            ["train.batch_size=0"],
+        ],
+        ids=lambda overrides: overrides[-1],
+    )
+    def test_bad_model_or_train_value_exits_two(self, workspace, capsys, overrides):
+        tmp_path, cfg = workspace
+        args = [arg for item in overrides for arg in ("--set", item)]
+        assert main(["train", cfg, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "epoch=" not in captured.out
 
     def test_composite_kind_aliases(self, workspace, capsys):
         from gnolr.training import load_checkpoint

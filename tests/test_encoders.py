@@ -274,3 +274,26 @@ class TestEmbeddingExport:
             b"a\t0\t-0\t1.40129846e-45\t9.9999461e-41\t1.17549435e-38\n"
             b"b\t0.333333343\t-2.5\t1.00000002e+30\t3.40282347e+38\t16777216\n"
         )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "#gnolr-emb v1 dim=four T=1\na\t0\t0\n",
+            "#gnolr-emb v1 dim=0 T=1\n",
+            "#gnolr-emb v1 dim=2\na\t0\t0\n",
+            "#gnolr-emb v1 dim=2 T=x\na\t0\t0\n",
+            "#gnolr-emb v1 dim=2 T\na\t0\t0\n",
+        ],
+        ids=["dim-not-integer", "dim-zero", "T-missing", "T-not-integer", "field-without-value"],
+    )
+    def test_malformed_header_raises_typed_error(self, tmp_path, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match="embedding header"):
+            read_embeddings(path)
+
+    def test_non_numeric_value_raises_typed_error(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#gnolr-emb v1 dim=2 T=1\na\t0.5\t0.25\nb\t0.5\tnan?\n")
+        with pytest.raises(ArgumentError, match="non-numeric embedding value for 'b'"):
+            read_embeddings(path)

@@ -22,9 +22,7 @@ from gnolr.losses import (
     gnolr_batch,
     gnolr_total_loss,
     listnet_list_batch,
-    olr_nested_batch,
-    olr_percategory_batch,
-    olr_shared_batch,
+    olr_batch,
     subtask_loss,
     task_score,
 )
@@ -364,9 +362,25 @@ class TestBceLoss:
             assert grads[j] == pytest.approx(numeric, abs=1e-7)
 
 
+def olr_shared(labels, kernel, hyper):
+    """Plain ordinal NLL with one shared kernel per sample (one tower pair)."""
+    losses, grad = olr_batch(labels, np.asarray(kernel)[:, None], hyper, prefix=False)
+    return losses, grad[:, 0]
+
+
+def olr_v1(labels, dots, hyper):
+    """Plain ordinal NLL on nested prefix kernels."""
+    return olr_batch(labels, dots, hyper, prefix=True)
+
+
+def olr_v0(labels, dots, hyper):
+    """Plain ordinal NLL where level c sees only its own sub-similarity."""
+    return olr_batch(labels, dots, hyper, prefix=False)
+
+
 def shared_loss(label_k, kernel, hyper):
     """One-sample plain ordinal NLL through the batch path."""
-    losses, _ = olr_shared_batch(np.array([label_k]), np.array([kernel]), hyper)
+    losses, _ = olr_shared(np.array([label_k]), np.array([kernel]), hyper)
     return float(losses[0])
 
 
@@ -402,12 +416,12 @@ class TestNeuralOlrLoss:
             h = random_hyper(rng, big_t)
             kernel = np.array([rng.uniform(-0.9, 0.9)])
             label = np.array([int(rng.integers(1, big_t + 2))])
-            losses, grad = olr_shared_batch(label, kernel, h)
+            losses, grad = olr_shared(label, kernel, h)
             if losses[0] >= -math.log(CLIP) - 1e-6:
                 continue
             hstep = 1e-6
-            hi, _ = olr_shared_batch(label, kernel + hstep, h)
-            lo, _ = olr_shared_batch(label, kernel - hstep, h)
+            hi, _ = olr_shared(label, kernel + hstep, h)
+            lo, _ = olr_shared(label, kernel - hstep, h)
             numeric = (hi[0] - lo[0]) / (2 * hstep)
             denom = max(abs(numeric), abs(grad[0]), 1e-6)
             assert abs(grad[0] - numeric) / denom < 1e-4
@@ -416,7 +430,7 @@ class TestNeuralOlrLoss:
 class TestAblationVariantLosses:
     def test_nested_variant_gradient(self):
         rng = np.random.default_rng(26)
-        for fn in (olr_nested_batch, olr_percategory_batch):
+        for fn in (olr_v1, olr_v0):
             for _ in range(30):
                 big_t = int(rng.integers(2, 5))
                 h = random_hyper(rng, big_t)
@@ -440,13 +454,13 @@ class TestAblationVariantLosses:
         # With the per-category kernel, the bottom-category loss depends
         # only on the first similarity.
         h = hyper_of(0.0, 1.0, gamma=2.0)
-        base = olr_percategory_batch(np.array([1]), np.array([[0.3, -0.5]]), h)[0][0]
-        moved = olr_percategory_batch(np.array([1]), np.array([[0.3, 0.9]]), h)[0][0]
+        base = olr_v0(np.array([1]), np.array([[0.3, -0.5]]), h)[0][0]
+        moved = olr_v0(np.array([1]), np.array([[0.3, 0.9]]), h)[0][0]
         assert base == pytest.approx(moved, abs=1e-12)
 
     def test_nested_variant_differs_from_subtask_sum(self):
         h = hyper_of(0.0, 1.0)
         dots = np.array([[0.2, 0.4]])
-        single, _ = olr_nested_batch(np.array([2]), dots, h)
+        single, _ = olr_v1(np.array([2]), dots, h)
         summed, _ = gnolr_batch(np.array([2]), dots, h)
         assert single[0] != pytest.approx(summed[0], abs=1e-6)

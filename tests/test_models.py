@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gnolr.losses import bce_batch
-from gnolr.models import Batch, BceModel, ModelConfig, NsbModel, make_model
+from gnolr.models import Batch, BceModel, ModelConfig, make_model
 from gnolr.tensor import finite_diff_check
 
 VOCABS_U = {"__user_id": 10, "uf_a": 6}
@@ -145,7 +145,7 @@ class TestNsbIsolation:
         # task-2 towers and head must keep zero grads; only the embedding
         # tables are allowed to carry cross-task gradient.
         cfg = tiny_config("nsb")
-        model = NsbModel(cfg, VOCABS_U, VOCABS_I, np.random.default_rng(14))
+        model = BceModel(cfg, VOCABS_U, VOCABS_I, np.random.default_rng(14))
         rng = np.random.default_rng(15)
         batch = tiny_batch(rng, n=8)
         for p in model.params:
@@ -177,7 +177,7 @@ class TestNsbIsolation:
 
         cfg_nsb = tiny_config("nsb", num_levels=1, thresholds=(0.4,))
         cfg_bce = tiny_config("bce", num_levels=1, thresholds=(0.4,))
-        nsb = NsbModel(cfg_nsb, VOCABS_U, VOCABS_I, np.random.default_rng(16))
+        nsb = BceModel(cfg_nsb, VOCABS_U, VOCABS_I, np.random.default_rng(16))
         bce = BceModel(cfg_bce, VOCABS_U, VOCABS_I, np.random.default_rng(16))
         rng = np.random.default_rng(17)
         adam = AdamConfig(learning_rate=0.01)
@@ -238,12 +238,12 @@ class TestBceModes:
         lo, hi = 1 / (1 + np.exp(1.0)), 1 / (1 + np.exp(-1.0))
         assert np.all(scores >= lo - 1e-12)
         assert np.all(scores <= hi + 1e-12)
-        assert model.head.params == []
+        assert model.heads[0].params == []
 
     def test_calibrated_head_has_learnable_scalars(self):
         cfg = tiny_config("bce", num_levels=1, thresholds=(0.4,))
         model = make_model(cfg, VOCABS_U, VOCABS_I, np.random.default_rng(24))
         names = [p.name for p in model.params]
         assert "head.w" in names and "head.b" in names
-        assert model.head.w.value[0, 0] == 1.0
-        assert model.head.b.value[0, 0] == 0.0
+        assert model.heads[0].w.value[0, 0] == 1.0
+        assert model.heads[0].b.value[0, 0] == 0.0
