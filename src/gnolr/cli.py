@@ -211,11 +211,14 @@ def _load_bundle(cfg: RunConfig):
     return load_bundle(path)
 
 
-def _load_checkpoint(cfg: RunConfig):
+def _load_model(cfg: RunConfig, bundle):
+    """The checkpoint's model, once the checkpoint is known to fit ``bundle``."""
     path = cfg.require("train", "checkpoint")
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint does not exist: {path} (run `gnolr train` first)")
-    return load_checkpoint(path)
+    checkpoint = load_checkpoint(path)
+    checkpoint.check_bundle(bundle)
+    return checkpoint.build_model()
 
 
 def _print_seed(cfg: RunConfig) -> None:
@@ -282,8 +285,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     _print_seed(cfg)
     bundle = _load_bundle(cfg)
-    checkpoint = _load_checkpoint(cfg)
-    model = checkpoint.build_model()
+    model = _load_model(cfg, bundle)
     recall_ks = cfg.get_list("eval", "recall_ks", "", int)
     gauc_mode = cfg.get("eval", "gauc", "pairs") or "pairs"
     if gauc_mode not in ("pairs", "uniform", "off"):
@@ -292,11 +294,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     item_out = cfg.get("eval", "embeddings_item")
     # One item matrix and one user matrix serve both recall and the export.
     index = training.unified_index(model, bundle) if item_out else None
-    users = (
-        training.entity_matrix(model.user_embeddings, bundle.user_feature_table)
-        if user_out
-        else None
-    )
+    users = model.user_embeddings(bundle.user_feature_table) if user_out else None
     metrics = training.evaluate(
         model,
         bundle,
@@ -325,15 +323,12 @@ def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
     if k < 0:
         raise ConfigError(f"retrieve depth K must be >= 0, got {k}")
     bundle = _load_bundle(cfg)
-    checkpoint = _load_checkpoint(cfg)
-    model = checkpoint.build_model()
+    model = _load_model(cfg, bundle)
     split = bundle.split(cfg.get("eval", "split", "test") or "test")
     out_path = cfg.get("eval", "retrieve_out")
     index = training.unified_index(model, bundle)
     user_ids = np.unique(split.user_index)
-    user_vectors = training.entity_matrix(
-        model.user_embeddings, bundle.user_feature_table[user_ids]
-    )
+    user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
     lines: list[str] = []
     for uid, top in zip(user_ids.tolist(), topk_retrieve_batch(user_vectors, index, k)):
         for rank, item in enumerate(top, start=1):
@@ -350,15 +345,15 @@ def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
 def cmd_angles(cfg: RunConfig) -> int:
     _print_seed(cfg)
     bundle = _load_bundle(cfg)
-    checkpoint = _load_checkpoint(cfg)
-    model = checkpoint.build_model()
+    model = _load_model(cfg, bundle)
     split = bundle.split(cfg.get("eval", "split", "test") or "test")
     level = cfg.get_int("eval", "angle_level", bundle.num_feedbacks)
     if not 1 <= level <= bundle.num_feedbacks:
         raise ConfigError(f"angle_level outside 1..{bundle.num_feedbacks}")
-    user_vecs = training.entity_matrix(model.user_embeddings, split.user_features)
-    item_vecs = training.entity_matrix(model.item_embeddings, split.item_features)
-    table = angle_histogram(user_vecs, item_vecs, split.labels > level)
+    # Each sample's pair of unified vectors, gathered from its distinct feature rows.
+    users, user_of = model.embed_distinct("user", split.user_features)
+    items, item_of = model.embed_distinct("item", split.item_features)
+    table = angle_histogram(users[user_of], items[item_of], split.labels > level)
     out_path = cfg.get("eval", "angles_out")
     if out_path:
         write_angle_csv(out_path, table)

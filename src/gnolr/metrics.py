@@ -56,27 +56,43 @@ def gauc(
     ``pairs`` weighting (default) weights each user by its positive times
     negative count; ``uniform`` averages plainly.  Users with a single
     class are skipped; if no user qualifies the metric is undefined.
+
+    One stable sort by (user, score) ranks every user at once; equal scores
+    of one user share their mean rank, as in ``auc``.  Rank sums are
+    multiples of 0.5, hence exact, and the weighted AUCs are summed in
+    ascending user order, so the result equals a per-user ``auc`` loop's.
     """
     if weighting not in ("pairs", "uniform"):
         raise ArgumentError(f"unknown GAUC weighting '{weighting}'")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     user_ids = np.asarray(user_ids)
-    total = 0.0
-    weight_sum = 0.0
-    for uid in np.unique(user_ids):
-        mask = user_ids == uid
-        u_labels = labels[mask]
-        n_pos = int(np.count_nonzero(u_labels > 0))
-        n_neg = int(u_labels.shape[0] - n_pos)
-        if n_pos == 0 or n_neg == 0:
-            continue
-        w = float(n_pos * n_neg) if weighting == "pairs" else 1.0
-        total += w * auc(scores[mask], u_labels)
-        weight_sum += w
-    if weight_sum == 0.0:
+    if scores.ndim != 1 or not scores.shape == labels.shape == user_ids.shape:
+        raise ArgumentError("scores, labels and user ids must be matching 1-D arrays")
+    if not np.all(np.isfinite(scores)):
+        raise ArgumentError("scores must be finite")
+    n = scores.shape[0]
+    order = np.argsort(scores, kind="stable")
+    order = order[np.argsort(user_ids[order], kind="stable")]
+    users, sorted_scores, pos = user_ids[order], scores[order], labels[order] > 0
+    new_user = np.r_[True, users[1:] != users[:-1]][:n]
+    starts = np.flatnonzero(new_user)
+    # Runs of one user's equal scores share the mean of their 1-based ranks in that user.
+    first = np.flatnonzero(new_user | np.r_[True, sorted_scores[1:] != sorted_scores[:-1]][:n])
+    last = np.r_[first[1:], n] - 1
+    user_start = starts[np.cumsum(new_user)[first] - 1]
+    ranks = np.repeat(0.5 * ((first - user_start) + (last - user_start)) + 1.0, last - first + 1)
+    n_pos = np.add.reduceat(pos.astype(np.int64), starts)
+    n_neg = np.diff(np.r_[starts, n]) - n_pos
+    both = (n_pos > 0) & (n_neg > 0)
+    if not both.any():
         raise UndefinedMetricError("no user has both a positive and a negative")
-    return total / weight_sum
+    pos_rank_sum = np.add.reduceat(np.where(pos, ranks, 0.0), starts)[both]
+    n_pos, n_neg = n_pos[both], n_neg[both]
+    aucs = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    weights = (n_pos * n_neg).astype(np.float64) if weighting == "pairs" else np.ones(len(aucs))
+    # Running sums add left to right, as the per-user loop does.
+    return float(np.cumsum(weights * aucs)[-1] / np.cumsum(weights)[-1])
 
 
 @dataclass
@@ -193,16 +209,18 @@ def angle_histogram(
 
     Returns an array of rows (bin_start_deg, count_pos, count_neg); the
     angle is arccos of the pair cosine, clamped into [-1, 1], and the top
-    bin is closed so 180 degrees lands in the last row.
+    bin is closed so 180 degrees lands in the last row.  A pair with an
+    all-zero vector has cosine 0, the dot the model scores it with, and
+    lands in the 90-degree bin.
     """
     u = np.asarray(user_embeddings, dtype=np.float64)
     v = np.asarray(item_embeddings, dtype=np.float64)
     labels = np.asarray(labels)
     if u.shape != v.shape or u.ndim != 2 or u.shape[0] != labels.shape[0]:
         raise DimensionError("user/item embedding shapes and labels must align")
-    nu = np.linalg.norm(u, axis=1)
-    nv = np.linalg.norm(v, axis=1)
-    cos = np.einsum("ij,ij->i", u, v) / (nu * nv)
+    dots = np.einsum("ij,ij->i", u, v)
+    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
+    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
     theta = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
     n_bins = int(math.ceil(180.0 / bin_width_deg))
     bins = np.minimum((theta / bin_width_deg).astype(np.int64), n_bins - 1)

@@ -14,7 +14,8 @@ probabilities:
   term per target level.
 
 The tower and head parameters live in one flat ``dense`` buffer, so one
-Adam call updates them; the tables take row-sparse updates.
+Adam call updates them; the tables take row-sparse updates.  Scoring and
+embedding run the towers once per distinct feature row, with no caches.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import EmbeddingTableSet, NestedTwinEncoder, TowerConfig
-from .errors import ArgumentError
+from .errors import ArgumentError, DimensionError
 from .feedback import ThresholdSet
 from .losses import (
     GnolrHyper,
@@ -39,6 +40,10 @@ from .tensor import Parameter, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
 GNOLR_VARIANTS = ("nested", "v0", "v1")
+
+# Rows per tower pass and pairs per gathered block when scoring or embedding:
+# bounds the transient memory, whatever the number of rows.
+_SCORE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -186,16 +191,59 @@ class _TwinBase:
         self._backward(grad_u, grad_i, caches, batch.user_features, batch.item_features)
         return total
 
-    def task_scores_all(self, user_ids, item_ids) -> np.ndarray:
-        """Task scores for every pair from one forward pass, one column per scored level."""
-        u, i, _ = self._forward(user_ids, item_ids)
-        return self._scores(np.einsum("btd,btd->bt", u, i))
+    def task_scores_all(self, user_rows: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
+        """Task scores of every (user row, item row) pair, one column per scored level.
+
+        A twin-tower score reads only the two tower outputs, so each
+        distinct feature row is embedded once; the pairs' sub-embeddings
+        are gathered back ``_SCORE_CHUNK`` pairs at a time and dotted per
+        level.  The scores equal the training forward's bit for bit.
+        """
+        if len(user_rows) != len(item_rows):
+            raise DimensionError(f"{len(user_rows)} user rows but {len(item_rows)} item rows")
+        subs = (self.encoder.num_levels, self.encoder.cfg.output_dim)
+        users, user_of = self.embed_distinct("user", user_rows)
+        items, item_of = self.embed_distinct("item", item_rows)
+        users = users.reshape(len(users), *subs)
+        items = items.reshape(len(items), *subs)
+        step = _SCORE_CHUNK
+        dots = [
+            np.einsum(
+                "btd,btd->bt",
+                users[user_of[start : start + step]],
+                items[item_of[start : start + step]],
+            )
+            for start in range(0, max(len(user_of), 1), step)
+        ]
+        return self._scores(np.concatenate(dots))
+
+    def embed_distinct(self, side: str, feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unified embeddings of the distinct feature rows, and each row's index into them.
+
+        Rows are deduplicated by their feature values, not by entity id:
+        sample-level features may differ from the entity table's.
+        """
+        distinct, inverse = np.unique(feature_rows, axis=0, return_inverse=True)
+        return self._embed(side, distinct), inverse.reshape(-1)
+
+    def _embed(self, side: str, feature_rows: np.ndarray) -> np.ndarray:
+        """Unified embeddings (B, T * dim), ``_SCORE_CHUNK`` rows per tower pass.
+
+        No rows still make one (empty) pass, so the result has the embedding width.
+        """
+        tables = self.tables_user if side == "user" else self.tables_item
+        step = _SCORE_CHUNK
+        chunks = [
+            self.encoder.embed_entities(tables.lookup(feature_rows[start : start + step]), side)
+            for start in range(0, max(len(feature_rows), 1), step)
+        ]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def user_embeddings(self, feature_rows: np.ndarray) -> np.ndarray:
-        return self.encoder.embed_entities(self.tables_user.lookup(feature_rows), "user")
+        return self._embed("user", feature_rows)
 
     def item_embeddings(self, feature_rows: np.ndarray) -> np.ndarray:
-        return self.encoder.embed_entities(self.tables_item.lookup(feature_rows), "item")
+        return self._embed("item", feature_rows)
 
 
 class GnolrModel(_TwinBase):

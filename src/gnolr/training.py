@@ -30,8 +30,6 @@ logger = logging.getLogger("gnolr")
 CHECKPOINT_MAGIC = b"GNC1"
 CHECKPOINT_VERSION = 1
 
-_SCORE_CHUNK = 8192
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,6 +99,20 @@ class Checkpoint:
     config_hash: str
     params: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def check_bundle(self, bundle: DatasetBundle) -> None:
+        """Refuse a bundle other than the one this checkpoint was trained on.
+
+        Ids from another vocabulary would land on the wrong or the OOV table
+        rows and give plausible but wrong scores, so any difference in the
+        fields the bundle decides is a config error naming the first one.
+        """
+        for name, value in _bundle_fields(bundle).items():
+            if getattr(self, name) != value:
+                raise ConfigError(
+                    f"checkpoint does not fit this bundle: {name} differs "
+                    "(was it trained on another bundle?)"
+                )
+
     def build_model(self):
         seed = int(self.train_config.get("seed", 0))
         model = make_model(
@@ -128,6 +140,20 @@ class TrainResult:
     checkpoint: Checkpoint
     log_lines: list[str]
     diverged: bool = False
+
+
+def _bundle_fields(bundle: DatasetBundle) -> dict:
+    """The checkpoint fields that the training bundle decides."""
+    return {
+        "user_feature_names": list(bundle.user_feature_names),
+        "item_feature_names": list(bundle.item_feature_names),
+        "user_vocab_sizes": list(bundle.user_vocab_sizes),
+        "item_vocab_sizes": list(bundle.item_vocab_sizes),
+        "schema_names": list(bundle.schema.names),
+        "schema_counts": list(bundle.schema.positive_counts),
+        "schema_order": list(bundle.schema.order),
+        "binning": {k: v.tolist() for k, v in bundle.binning.items()},
+    }
 
 
 def _config_hash(model_config: ModelConfig, train_config: TrainConfig) -> str:
@@ -190,16 +216,8 @@ def _optimizer_step(model, adam: AdamConfig) -> None:
 
 
 def _split_scores(model, split: Split) -> np.ndarray:
-    """Every level's task scores, one ``task_scores_all`` pass per chunk of rows."""
-    return np.concatenate(
-        [
-            model.task_scores_all(
-                split.user_features[start : start + _SCORE_CHUNK],
-                split.item_features[start : start + _SCORE_CHUNK],
-            )
-            for start in range(0, split.num_samples, _SCORE_CHUNK)
-        ]
-    )
+    """Every level's task scores for the split, from one ``task_scores_all`` call."""
+    return model.task_scores_all(split.user_features, split.item_features)
 
 
 def _level_column(scores: np.ndarray, level: int) -> np.ndarray:
@@ -304,14 +322,7 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
     checkpoint = Checkpoint(
         model_config=model_config,
         train_config=config.to_dict(),
-        schema_names=list(bundle.schema.names),
-        schema_counts=list(bundle.schema.positive_counts),
-        schema_order=list(bundle.schema.order),
-        user_feature_names=list(bundle.user_feature_names),
-        item_feature_names=list(bundle.item_feature_names),
-        user_vocab_sizes=list(bundle.user_vocab_sizes),
-        item_vocab_sizes=list(bundle.item_vocab_sizes),
-        binning={k: v.tolist() for k, v in bundle.binning.items()},
+        **_bundle_fields(bundle),
         best_metric=best_metric,
         best_epoch=best_epoch,
         config_hash=_config_hash(model_config, config),
@@ -325,22 +336,9 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
 # ---------------------------------------------------------------------------
 
 
-def entity_matrix(embed, feature_rows: np.ndarray) -> np.ndarray:
-    """``embed`` (a model's user or item embedding) of every row, in chunks of rows.
-
-    No rows still make one (empty) call, so the result has the embedding width.
-    A single chunk is returned as is, without a copy.
-    """
-    chunks = [
-        embed(feature_rows[start : start + _SCORE_CHUNK])
-        for start in range(0, max(len(feature_rows), 1), _SCORE_CHUNK)
-    ]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
 def unified_index(model, bundle: DatasetBundle) -> RetrievalIndex:
     """Every item's unified embedding."""
-    vectors = entity_matrix(model.item_embeddings, bundle.item_feature_table)
+    vectors = model.item_embeddings(bundle.item_feature_table)
     return RetrievalIndex(item_ids=list(bundle.items), vectors=vectors)
 
 
@@ -367,7 +365,7 @@ def retrieval_recalls(
     if index is None:
         index = unified_index(model, bundle)
     if user_vectors is None:
-        user_vectors = entity_matrix(model.user_embeddings, bundle.user_feature_table)
+        user_vectors = model.user_embeddings(bundle.user_feature_table)
     level_positives: dict[int, dict[int, set[str]]] = {}
     for lvl in levels:
         per_user = level_positives[lvl] = {}
@@ -431,7 +429,7 @@ def evaluate(
         if index is None:
             index = unified_index(model, bundle)
         if user_vectors is None:
-            user_vectors = entity_matrix(model.user_embeddings, bundle.user_feature_table)
+            user_vectors = model.user_embeddings(bundle.user_feature_table)
         spaces = [(None, user_vectors, index)]
         if model.kind == "nsb":
             blocks = zip(

@@ -111,3 +111,25 @@ def synthetic_bundle(tmp_path, name="synth.csv", **kwargs):
     csv_path = write_synthetic_csv(tmp_path / name, **kwargs)
     feedback = ("click", "pay") if two_level else ("click",)
     return build_bundle(DataConfig(csv_path=csv_path, feedback=feedback))
+
+
+def forward_task_scores(model, user_rows, item_rows, chunk=8192):
+    """Oracle for ``task_scores_all``: the per-sample training forward.
+
+    Both towers run once per sample row, keeping every cache, ``chunk``
+    rows at a time, as scoring worked before it embedded distinct rows.
+    """
+    out = []
+    for start in range(0, len(user_rows), chunk):
+        stop = start + chunk
+        u, i, _ = model._forward(user_rows[start:stop], item_rows[start:stop])
+        out.append(model._scores(np.einsum("btd,btd->bt", u, i)))
+    return np.concatenate(out)
+
+
+def forward_embeddings(model, side, feature_rows):
+    """Oracle for unified embeddings: each tower's caching training forward, per row."""
+    tables = model.tables_user if side == "user" else model.tables_item
+    towers = model.encoder.user_towers if side == "user" else model.encoder.item_towers
+    x = tables.lookup(feature_rows)
+    return np.concatenate([tower.forward(x)[0] for tower in towers], axis=1)

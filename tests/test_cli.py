@@ -404,6 +404,56 @@ class TestConfigValidation:
             assert getattr(loaded.model_config, field) == expected
 
 
+class TestCheckpointBundleBinding:
+    @pytest.fixture(scope="class")
+    def other_bundle(self, tmp_path_factory):
+        """A bundle from other data: 55 users where the workspace has 40."""
+        tmp_path = tmp_path_factory.mktemp("other")
+        csv_path = write_synthetic_csv(tmp_path / "other.csv", n_users=55, n_rows=1200, seed=9)
+        assert main(["prepare", write_config(tmp_path, csv_path)]) == 0
+        return tmp_path / "bundle.gnb"
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve", "angles"])
+    def test_checkpoint_from_another_vocabulary_exits_two(
+        self, workspace, other_bundle, capsys, command
+    ):
+        tmp_path, cfg = workspace
+        capsys.readouterr()
+        assert main([command, cfg, "--set", f"data.bundle={other_bundle}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: checkpoint does not fit this bundle: user_vocab_sizes differs "
+            "(was it trained on another bundle?)\n"
+        )
+        assert "auc_t" not in captured.out and "\t" not in captured.out
+
+    def test_each_bundle_field_is_compared(self, workspace):
+        import dataclasses
+
+        from gnolr.data import load_bundle
+        from gnolr.errors import ConfigError
+        from gnolr.training import load_checkpoint
+
+        tmp_path, _ = workspace
+        checkpoint = load_checkpoint(tmp_path / "model.gnc")
+        bundle = load_bundle(tmp_path / "bundle.gnb")
+        checkpoint.check_bundle(bundle)
+        schema = bundle.schema
+        changes = {
+            "item_feature_names": dict(item_feature_names=bundle.item_feature_names + ["if_x"]),
+            "item_vocab_sizes": dict(item_vocab_sizes=[v + 1 for v in bundle.item_vocab_sizes]),
+            "schema_counts": dict(
+                schema=dataclasses.replace(
+                    schema, positive_counts=tuple(c + 1 for c in schema.positive_counts)
+                )
+            ),
+            "binning": dict(binning={"uf_age": np.array([0.5, 1.5])}),
+        }
+        for name, change in changes.items():
+            with pytest.raises(ConfigError, match=f": {name} differs"):
+                checkpoint.check_bundle(dataclasses.replace(bundle, **change))
+
+
 @pytest.fixture(scope="module")
 def tiny_artifacts(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("tiny")

@@ -1,6 +1,7 @@
 """Metric implementations against brute-force oracles."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ def loop_auc(scores, labels):
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def loop_gauc(scores, labels, user_ids, weighting="pairs"):
+    """The per-user mask loop the vectorized ``gauc`` replaced, kept as an oracle:
+    one ``auc`` per user with both classes, summed in ascending user order."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    user_ids = np.asarray(user_ids)
+    total = 0.0
+    weight_sum = 0.0
+    for uid in np.unique(user_ids):
+        mask = user_ids == uid
+        u_labels = labels[mask]
+        n_pos = int(np.count_nonzero(u_labels > 0))
+        n_neg = int(u_labels.shape[0] - n_pos)
+        if n_pos == 0 or n_neg == 0:
+            continue
+        w = float(n_pos * n_neg) if weighting == "pairs" else 1.0
+        total += w * auc(scores[mask], u_labels)
+        weight_sum += w
+    return total / weight_sum
 
 
 def exhaustive_topk(user, index, k):
@@ -153,6 +175,48 @@ class TestGauc:
     def test_no_eligible_user_errors(self):
         with pytest.raises(UndefinedMetricError):
             gauc(np.array([0.5, 0.5]), np.array([1, 0]), np.array(["a", "b"]))
+        with pytest.raises(UndefinedMetricError):
+            gauc(np.array([]), np.array([]), np.array([]))
+
+    @pytest.mark.parametrize(
+        "scores, labels, users",
+        [
+            ([0.1, 0.2], [1, 0, 1], ["a", "a", "b"]),
+            ([0.1, 0.2, 0.3], [1, 0], ["a", "a", "b"]),
+            ([0.1, 0.2, 0.3], [1, 0, 1], ["a", "a"]),
+            ([[0.1, 0.2]], [[1, 0]], [["a", "a"]]),
+        ],
+        ids=["short-scores", "short-labels", "short-users", "two-d"],
+    )
+    def test_mismatched_inputs_raise_argument_error(self, scores, labels, users):
+        with pytest.raises(ArgumentError, match="matching 1-D"):
+            gauc(np.array(scores), np.array(labels), np.array(users))
+
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ArgumentError, match="finite"):
+            gauc(np.array([0.1, np.nan]), np.array([1, 0]), np.array([3, 3]))
+
+    @pytest.mark.parametrize("weighting", ["pairs", "uniform"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_loop_oracle_bit_for_bit_on_ties(self, seed, weighting):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 3000))
+        # Few distinct scores (heavy ties within users, and runs that would
+        # cross from one user into the next), unsorted integer user ids with
+        # a few rows each, single-class users, and a signed zero.
+        scores = rng.integers(0, [2, 3, 6, 20][seed % 4], size=n) / 4.0 - 0.5
+        scores[rng.random(n) < 0.05] = -0.0
+        users = rng.integers(0, max(2, n // [3, 15][seed % 2]), size=n) * 7 - 30
+        labels = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(np.int8)
+        assert gauc(scores, labels, users, weighting) == loop_gauc(scores, labels, users, weighting)
+
+    @pytest.mark.parametrize("weighting", ["pairs", "uniform"])
+    def test_matches_loop_oracle_with_string_users_and_label_levels(self, weighting):
+        rng = np.random.default_rng(11)
+        scores = np.round(rng.normal(size=4000), 1)
+        users = np.array([f"u{k}" for k in rng.integers(0, 300, size=4000)])
+        labels = rng.integers(0, 4, size=4000)  # positives are the labels above zero
+        assert gauc(scores, labels, users, weighting) == loop_gauc(scores, labels, users, weighting)
 
 
 class TestTopkRetrieve:
@@ -389,6 +453,15 @@ class TestAngleHistogram:
         v = np.array([[0.0, 1.0]])
         table = angle_histogram(u, v, np.ones(1))
         assert table[90, 1] == 1
+
+    def test_zero_vectors_land_in_ninety_without_warning(self):
+        u = np.array([[0.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        v = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = angle_histogram(u, v, np.array([1, 0, 1]))
+        assert table[90, 1] == 2 and table[90, 2] == 1
+        assert table[:, 1:].sum() == 3
 
     def test_csv_format(self, tmp_path):
         u = np.array([[1.0, 0.0], [1.0, 0.0]])

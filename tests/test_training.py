@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnolr import metrics, training
+from gnolr import metrics, models, training
 from gnolr.data import DataConfig, build_bundle, make_batches
 from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
@@ -25,7 +25,7 @@ from gnolr.training import (
     save_checkpoint,
     train,
 )
-from tests.helpers import synthetic_bundle
+from tests.helpers import forward_task_scores, synthetic_bundle
 
 FAST = dict(
     embedding_dim=8,
@@ -509,18 +509,27 @@ def tied_bundle(tmp_path_factory):
 
 
 class TestOnePassScoringAndRanking:
-    def test_evaluate_scores_each_chunk_once(self, bundle, monkeypatch):
-        monkeypatch.setattr(training, "_SCORE_CHUNK", 64)
+    def test_evaluate_scores_the_split_in_one_call(self, bundle, monkeypatch):
+        monkeypatch.setattr(models, "_SCORE_CHUNK", 64)
         model = untrained_model(bundle)
         uf, itf = bundle.test.user_features, bundle.test.item_features
-        scores = np.concatenate(
-            [model.task_scores_all(uf[s : s + 64], itf[s : s + 64]) for s in range(0, len(uf), 64)]
-        )
+        scores = forward_task_scores(model, uf, itf)
         expected = {c: auc(scores[:, c - 1], bundle.test.bits[:, c - 1]) for c in (1, 2)}
         calls: list[int] = []
         monkeypatch.setattr(model, "task_scores_all", counting(model.task_scores_all, calls))
+        embedded_rows: list[int] = []
+        embed = model.encoder.embed_entities
+
+        def counted(x, side):
+            embedded_rows.append(len(x))
+            return embed(x, side)
+
+        monkeypatch.setattr(model.encoder, "embed_entities", counted)
         metrics_out = evaluate(model, bundle)
-        assert len(calls) == math.ceil(bundle.test.num_samples / 64)
+        assert len(calls) == 1
+        # Each distinct user and item feature row went through the towers once.
+        assert sum(embedded_rows) == len(np.unique(uf, axis=0)) + len(np.unique(itf, axis=0))
+        assert len(uf) > 64  # the pairs were gathered in several blocks
         for level in (1, 2):
             assert metrics_out[f"auc_t{level}"] == expected[level]
 
