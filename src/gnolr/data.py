@@ -105,12 +105,8 @@ def fit_bins(values: np.ndarray, n_bins: int = 50) -> np.ndarray:
     arr = np.sort(np.asarray(values, dtype=np.float64))
     if arr.size == 0:
         raise IngestionError("cannot fit bins on an empty value set")
-    n = arr.size
-    cuts = []
-    for i in range(1, n_bins):
-        rank = -((-i * n) // n_bins)  # ceil(i * n / n_bins)
-        cuts.append(arr[min(max(rank - 1, 0), n - 1)])
-    return np.unique(np.asarray(cuts, dtype=np.float64))
+    rank = -((-np.arange(1, n_bins) * arr.size) // n_bins)  # ceil(i * n / n_bins)
+    return np.unique(arr[np.clip(rank - 1, 0, arr.size - 1)])
 
 
 def apply_bins(value, boundaries: np.ndarray):
@@ -137,39 +133,47 @@ class ListIndex:
         return self.sample_idx[self.offsets[li] : self.offsets[li + 1]]
 
 
+def first_seen(values) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of a 1-D array in first-seen order.
+
+    Returns ``(first, number)``: ``first[k]`` is the row where the k-th
+    distinct value first occurs (so ``first`` ascends and ``values[first]``
+    lists the distinct values in first-seen order), and ``number[row]`` is
+    the k of that row's value.
+    """
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(by_first.size)
+    return first[by_first], number[inverse]
+
+
 def build_lists(user_index: np.ndarray, max_len: int = 500, rng=None) -> ListIndex:
     """Group split rows by user; oversize groups are shuffled and chunked.
 
-    A group of n > max_len rows becomes ceil(n / max_len) lists, all but
-    the last holding exactly max_len rows; the shuffle is seeded so the
-    partition is reproducible.
+    Groups follow first-seen user order and keep row order.  A group of
+    n > max_len rows is shuffled (one seeded permutation per oversize group,
+    in group order) and becomes ceil(n / max_len) lists, all but the last
+    holding exactly max_len rows, so the partition is reproducible.
     """
+    if max_len < 1:
+        raise ArgumentError(f"max list length must be >= 1, got {max_len}")
     if rng is None:
         rng = np.random.default_rng(0)
     user_index = np.asarray(user_index, dtype=np.int64)
-    groups: dict[int, list[int]] = {}
-    order: list[int] = []
-    for row, uid in enumerate(user_index.tolist()):
-        if uid not in groups:
-            groups[uid] = []
-            order.append(uid)
-        groups[uid].append(row)
-    offsets = [0]
-    sample_idx: list[int] = []
-    list_user: list[int] = []
-    for uid in order:
-        rows = groups[uid]
-        if len(rows) > max_len:
-            rows = [rows[i] for i in rng.permutation(len(rows))]
-        for start in range(0, len(rows), max_len):
-            chunk = rows[start : start + max_len]
-            sample_idx.extend(chunk)
-            offsets.append(len(sample_idx))
-            list_user.append(uid)
+    _, group = first_seen(user_index)
+    sample_idx = np.argsort(group, kind="stable")
+    sizes = np.bincount(group)
+    starts = np.cumsum(sizes) - sizes
+    for g in np.flatnonzero(sizes > max_len):
+        rows = sample_idx[starts[g] : starts[g] + sizes[g]]
+        rows[:] = rows[rng.permutation(rows.size)]
+    within = np.arange(sample_idx.size) - np.repeat(starts, sizes)
+    heads = np.flatnonzero(within % max_len == 0)
     return ListIndex(
-        offsets=np.asarray(offsets, dtype=np.int64),
-        sample_idx=np.asarray(sample_idx, dtype=np.int64),
-        list_user=np.asarray(list_user, dtype=np.int64),
+        offsets=np.append(heads, sample_idx.size),
+        sample_idx=sample_idx,
+        list_user=user_index[sample_idx[heads]],
     )
 
 
@@ -249,36 +253,32 @@ def make_batches(mode: str, split: Split, batch_size: int, rng) -> Iterator:
 _REQUIRED_COLUMNS = ("user_id", "item_id", "timestamp")
 
 
-class _Vocab:
-    """First-seen token numbering; 0 is the reserved OOV/missing row."""
-
-    def __init__(self) -> None:
-        self.mapping: dict[str, int] = {}
-
-    def fit(self, token: str | None) -> None:
-        if token is not None and token not in self.mapping:
-            self.mapping[token] = len(self.mapping) + 1
-
-    def get(self, token: str | None) -> int:
-        if token is None:
-            return 0
-        return self.mapping.get(token, 0)
-
-    @property
-    def size(self) -> int:
-        return len(self.mapping) + 1
+def _csv_rows(fh, path) -> Iterator[list[str]]:
+    """CSV records of ``fh``; undecodable bytes and csv errors become IngestionError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: input is not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise IngestionError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_csv(config: DataConfig) -> dict:
+    """Validate every row and return the columns as arrays in file order.
+
+    Id and categorical columns are object arrays of strings (a missing
+    categorical value is ""), numeric features are float64 with NaN for
+    missing, and feedback columns are 0/1 int64.
+    """
     path = config.csv_path
     if not os.path.exists(path):
         raise ConfigError(f"CSV file does not exist: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
+        rows = _csv_rows(fh, path)
+        header = next(rows, None)
+        if header is None:
+            raise ConfigError(f"{path}: empty file")
         col = {name: i for i, name in enumerate(header)}
         for name in _REQUIRED_COLUMNS:
             if name not in col:
@@ -307,7 +307,7 @@ def _parse_csv(config: DataConfig) -> dict:
         numeric = set(config.numeric_features)
         binarize = set(config.binarize_feedback)
 
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise IngestionError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
@@ -328,35 +328,43 @@ def _parse_csv(config: DataConfig) -> dict:
                     value = float(raw)
                 except ValueError:
                     raise IngestionError(f"{path}:{lineno}: bad feedback value {raw!r}") from None
-                if c in binarize:
-                    feedback_cols[c].append(1 if value > config.rating_threshold else 0)
-                else:
-                    if value not in (0.0, 1.0):
-                        raise IngestionError(
-                            f"{path}:{lineno}: feedback '{c}' must be 0/1, got {raw!r}"
-                        )
-                    feedback_cols[c].append(int(value))
+                if c not in binarize and value not in (0.0, 1.0):
+                    raise IngestionError(
+                        f"{path}:{lineno}: feedback '{c}' must be 0/1, got {raw!r}"
+                    )
+                feedback_cols[c].append(value)
             for c in uf_cols + if_cols:
                 raw = row[col[c]]
-                if c in numeric:
-                    if raw == "":
-                        feature_cols[c].append(None)
-                    else:
-                        try:
-                            feature_cols[c].append(float(raw))
-                        except ValueError:
-                            raise IngestionError(
-                                f"{path}:{lineno}: bad numeric value {raw!r} in '{c}'"
-                            ) from None
+                if c not in numeric:
+                    feature_cols[c].append(raw)
+                elif raw == "":
+                    feature_cols[c].append(math.nan)
                 else:
-                    feature_cols[c].append(raw if raw != "" else None)
+                    try:
+                        value = float(raw)
+                    except ValueError:
+                        value = math.nan
+                    if not math.isfinite(value):
+                        raise IngestionError(
+                            f"{path}:{lineno}: bad numeric value {raw!r} in '{c}'"
+                            " (must be a finite number)"
+                        )
+                    feature_cols[c].append(value)
 
     return {
-        "user_keys": user_keys,
-        "item_ids": item_ids,
+        "user_keys": np.array(user_keys, dtype=object),
+        "item_ids": np.array(item_ids, dtype=object),
         "timestamps": np.asarray(timestamps, dtype=np.int64),
-        "features": feature_cols,
-        "feedback": feedback_cols,
+        "features": {
+            c: np.array(vals, dtype=np.float64 if c in numeric else object)
+            for c, vals in feature_cols.items()
+        },
+        "feedback": {
+            c: binarize_ratings(vals, config.rating_threshold)
+            if c in binarize
+            else np.asarray(vals, dtype=np.int64)
+            for c, vals in feedback_cols.items()
+        },
         "uf_cols": uf_cols,
         "if_cols": if_cols,
     }
@@ -366,7 +374,9 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
     """Full ingestion: parse, order, label, split, bin, encode, list.
 
     All fitting (bins, vocabularies) happens on the training split; the
-    identical transforms are then applied to validation and test.
+    identical transforms are then applied to validation and test.  Every
+    numbering (entities, vocabulary rows, list groups) is first-seen order
+    over the chronologically sorted rows.
     """
     raw = _parse_csv(config)
     n = raw["timestamps"].shape[0]
@@ -374,11 +384,8 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
         raise IngestionError(f"{config.csv_path}: no data rows")
 
     order = np.argsort(raw["timestamps"], kind="stable")
-    user_keys = [raw["user_keys"][i] for i in order]
-    item_ids = [raw["item_ids"][i] for i in order]
     timestamps = raw["timestamps"][order]
-    features = {c: [vals[i] for i in order] for c, vals in raw["features"].items()}
-    feedback = {c: np.asarray(vals, dtype=np.int64)[order] for c, vals in raw["feedback"].items()}
+    feedback = {c: vals[order] for c, vals in raw["feedback"].items()}
 
     counts = [int(feedback[c].sum()) for c in config.feedback]
     schema = FeedbackSchema.from_counts(list(config.feedback), counts)
@@ -388,78 +395,45 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
     train_idx, val_idx, test_idx = split_indices(
         np.arange(n), config.train_fraction, config.validation_fraction_of_train
     )
+    n_train = train_idx.size  # rows are sorted, so train is the prefix [0, n_train)
 
-    # Percentile bins fit on train, applied everywhere.
+    user_keys = raw["user_keys"][order]
+    item_ids = raw["item_ids"][order]
+    first_user, user_index = first_seen(user_keys)
+    first_item, item_index = first_seen(item_ids)
+
+    # Each column as (tokens, present); percentile bins fit on train, applied everywhere.
+    everywhere = np.ones(n, dtype=bool)
+    columns = {"__user_id": (user_index, everywhere), "__item_id": (item_index, everywhere)}
     binning: dict[str, np.ndarray] = {}
-    encoded_features: dict[str, list] = {}
     for c in raw["uf_cols"] + raw["if_cols"]:
-        vals = features[c]
-        if c in config.numeric_features:
-            train_vals = [vals[i] for i in train_idx if vals[i] is not None]
-            if not train_vals:
-                raise IngestionError(f"numeric feature '{c}' has no training values")
-            boundaries = fit_bins(np.asarray(train_vals), config.n_bins)
-            binning[c] = boundaries
-            encoded_features[c] = [
-                None if v is None else str(apply_bins(v, boundaries)) for v in vals
-            ]
-        else:
-            encoded_features[c] = vals
+        values = raw["features"][c][order]
+        if c not in config.numeric_features:
+            columns[c] = (values, values != "")
+            continue
+        present = ~np.isnan(values)
+        if not present[:n_train].any():
+            raise IngestionError(f"numeric feature '{c}' has no training values")
+        binning[c] = fit_bins(values[:n_train][present[:n_train]], config.n_bins)
+        columns[c] = (apply_bins(values, binning[c]), present)
+
+    def encode(names: list[str]) -> tuple[np.ndarray, list[int]]:
+        """Vocabulary codes: train tokens 1.. in first-seen order; 0 for OOV or missing."""
+        codes = np.zeros((n, len(names)), dtype=np.int64)
+        sizes = []
+        for j, c in enumerate(names):
+            tokens, present = columns[c]
+            first, number = first_seen(tokens[present])
+            # The training vocabulary: tokens first seen in a training row, numbered first.
+            n_vocab = int(np.searchsorted(first, np.count_nonzero(present[:n_train])))
+            codes[present, j] = np.where(number < n_vocab, number + 1, 0)
+            sizes.append(n_vocab + 1)
+        return codes, sizes
 
     user_feature_names = (["__user_id"] if config.embed_user_id else []) + raw["uf_cols"]
     item_feature_names = (["__item_id"] if config.embed_item_id else []) + raw["if_cols"]
-    encoded_features["__user_id"] = user_keys
-    encoded_features["__item_id"] = item_ids
-
-    # Vocabularies fit on train rows only; unseen tokens map to row 0.
-    vocabs: dict[str, _Vocab] = {}
-    for c in user_feature_names + item_feature_names:
-        vocab = _Vocab()
-        col = encoded_features[c]
-        for i in train_idx:
-            vocab.fit(col[i])
-        vocabs[c] = vocab
-
-    def encode(names: list[str]) -> np.ndarray:
-        out = np.zeros((n, len(names)), dtype=np.int64)
-        for j, c in enumerate(names):
-            vocab = vocabs[c]
-            col = encoded_features[c]
-            out[:, j] = [vocab.get(v) for v in col]
-        return out
-
-    user_features_all = encode(user_feature_names)
-    item_features_all = encode(item_feature_names)
-
-    users: list[str] = []
-    user_pos: dict[str, int] = {}
-    items: list[str] = []
-    item_pos: dict[str, int] = {}
-    for key in user_keys:
-        if key not in user_pos:
-            user_pos[key] = len(users)
-            users.append(key)
-    for key in item_ids:
-        if key not in item_pos:
-            item_pos[key] = len(items)
-            items.append(key)
-    user_index = np.asarray([user_pos[k] for k in user_keys], dtype=np.int64)
-    item_index = np.asarray([item_pos[k] for k in item_ids], dtype=np.int64)
-
-    # Entity feature rows come from each entity's first chronological row.
-    user_table = np.zeros((len(users), len(user_feature_names)), dtype=np.int64)
-    seen_u = np.zeros(len(users), dtype=bool)
-    item_table = np.zeros((len(items), len(item_feature_names)), dtype=np.int64)
-    seen_i = np.zeros(len(items), dtype=bool)
-    for row in range(n):
-        u = user_index[row]
-        if not seen_u[u]:
-            user_table[u] = user_features_all[row]
-            seen_u[u] = True
-        it = item_index[row]
-        if not seen_i[it]:
-            item_table[it] = item_features_all[row]
-            seen_i[it] = True
+    user_features_all, user_vocab_sizes = encode(user_feature_names)
+    item_features_all, item_vocab_sizes = encode(item_feature_names)
 
     def make_split(idx: np.ndarray, salt: int) -> Split:
         rng = np.random.default_rng([config.seed, salt])
@@ -474,17 +448,18 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
             lists=build_lists(user_index[idx], config.max_list_len, rng),
         )
 
+    # Entity feature rows come from each entity's first chronological row.
     return DatasetBundle(
         schema=schema,
         user_feature_names=user_feature_names,
         item_feature_names=item_feature_names,
-        user_vocab_sizes=[vocabs[c].size for c in user_feature_names],
-        item_vocab_sizes=[vocabs[c].size for c in item_feature_names],
+        user_vocab_sizes=user_vocab_sizes,
+        item_vocab_sizes=item_vocab_sizes,
         binning=binning,
-        users=users,
-        items=items,
-        user_feature_table=user_table,
-        item_feature_table=item_table,
+        users=user_keys[first_user].tolist(),
+        items=item_ids[first_item].tolist(),
+        user_feature_table=user_features_all[first_user],
+        item_feature_table=item_features_all[first_item],
         train=make_split(train_idx, 0),
         validation=make_split(val_idx, 1),
         test=make_split(test_idx, 2),
@@ -542,22 +517,9 @@ def save_bundle(bundle: DatasetBundle, path) -> None:
             for name, arr, dtype in arrays
         ],
     }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gnb1-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(BUNDLE_MAGIC)
-            fh.write(np.asarray(BUNDLE_VERSION, dtype="<u4").tobytes())
-            fh.write(np.asarray(len(blob), dtype="<u8").tobytes())
-            fh.write(blob)
-            for _, arr, dtype in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_artifact(
+        path, BUNDLE_MAGIC, BUNDLE_VERSION, meta, [(arr, dtype) for _, arr, dtype in arrays]
+    )
 
 
 def _read_exact(fh, n: int, path) -> bytes:
@@ -566,6 +528,31 @@ def _read_exact(fh, n: int, path) -> bytes:
     if n > left:
         raise IngestionError(f"{path}: truncated: {n} more bytes expected, {left} left")
     return fh.read(n)
+
+
+def write_artifact(path, magic: bytes, version: int, meta: dict, arrays) -> None:
+    """Atomic write shared by the GNB1 and GNC1 formats.
+
+    Layout: magic, version (u4), JSON header length (u8), the sorted compact
+    JSON header, then each ``(array, dtype)`` of ``arrays`` as raw bytes.
+    Identical inputs give identical bytes; a failed write leaves no file.
+    """
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{magic.decode('ascii').lower()}-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(magic)
+            fh.write(np.asarray(version, dtype="<u4").tobytes())
+            fh.write(np.asarray(len(blob), dtype="<u8").tobytes())
+            fh.write(blob)
+            for arr, dtype in arrays:
+                fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_header(fh, path, magic: bytes, version: int, kind: str) -> dict:

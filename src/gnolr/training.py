@@ -12,13 +12,11 @@ import hashlib
 import json
 import logging
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DatasetBundle, Split, make_batches, read_array, read_header
+from .data import DatasetBundle, Split, make_batches, read_array, read_header, write_artifact
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
@@ -490,22 +488,13 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             {"name": n, "shape": list(checkpoint.params[n].shape)} for n in names
         ],
     }
-    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gnc1-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(np.asarray(CHECKPOINT_VERSION, dtype="<u4").tobytes())
-            fh.write(np.asarray(len(blob), dtype="<u8").tobytes())
-            fh.write(blob)
-            for name in names:
-                fh.write(np.ascontiguousarray(checkpoint.params[name], dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_artifact(
+        path,
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        meta,
+        [(checkpoint.params[n], "<f8") for n in names],
+    )
 
 
 def load_checkpoint(path) -> Checkpoint:

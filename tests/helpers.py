@@ -5,7 +5,19 @@ import pathlib
 
 import numpy as np
 
-from gnolr.data import DataConfig, build_bundle
+from gnolr.data import (
+    DataConfig,
+    DatasetBundle,
+    ListIndex,
+    Split,
+    _parse_csv,
+    apply_bins,
+    build_bundle,
+    fit_bins,
+    split_indices,
+)
+from gnolr.errors import IngestionError
+from gnolr.feedback import FeedbackSchema, map_to_ordinal_array
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -133,3 +145,171 @@ def forward_embeddings(model, side, feature_rows):
     towers = model.encoder.user_towers if side == "user" else model.encoder.item_towers
     x = tables.lookup(feature_rows)
     return np.concatenate([tower.forward(x)[0] for tower in towers], axis=1)
+
+
+def loop_build_lists(user_index, max_len=500, rng=None):
+    """Oracle for ``build_lists``: per-row dict grouping, then chunking."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    groups = {}
+    for row, uid in enumerate(np.asarray(user_index, dtype=np.int64).tolist()):
+        groups.setdefault(uid, []).append(row)
+    offsets, sample_idx, list_user = [0], [], []
+    for uid, rows in groups.items():
+        if len(rows) > max_len:
+            rows = [rows[i] for i in rng.permutation(len(rows))]
+        for start in range(0, len(rows), max_len):
+            sample_idx.extend(rows[start : start + max_len])
+            offsets.append(len(sample_idx))
+            list_user.append(uid)
+    return ListIndex(
+        offsets=np.asarray(offsets, dtype=np.int64),
+        sample_idx=np.asarray(sample_idx, dtype=np.int64),
+        list_user=np.asarray(list_user, dtype=np.int64),
+    )
+
+
+class _Vocab:
+    """First-seen token numbering; 0 is the reserved OOV/missing row."""
+
+    def __init__(self):
+        self.mapping = {}
+
+    def fit(self, token):
+        if token is not None and token not in self.mapping:
+            self.mapping[token] = len(self.mapping) + 1
+
+    def get(self, token):
+        if token is None:
+            return 0
+        return self.mapping.get(token, 0)
+
+    @property
+    def size(self):
+        return len(self.mapping) + 1
+
+
+def loop_build_bundle(config):
+    """Oracle for ``build_bundle``: the row-loop ingest with ``_Vocab`` dicts.
+
+    Takes the validated columns of ``_parse_csv``, turns them back into
+    per-row Python values (None for missing), then bins each value with a
+    scalar ``apply_bins`` call, numbers tokens, users and items with dicts
+    and picks each entity's feature row in a loop over all rows.
+    """
+    raw = _parse_csv(config)
+    n = raw["timestamps"].shape[0]
+    if n == 0:
+        raise IngestionError(f"{config.csv_path}: no data rows")
+
+    def as_values(c, vals):
+        if c in config.numeric_features:
+            return [None if np.isnan(v) else float(v) for v in vals]
+        return [v if v != "" else None for v in vals]
+
+    order = np.argsort(raw["timestamps"], kind="stable")
+    user_keys = [raw["user_keys"][i] for i in order]
+    item_ids = [raw["item_ids"][i] for i in order]
+    timestamps = raw["timestamps"][order]
+    features = {}
+    for c, vals in raw["features"].items():
+        values = as_values(c, vals)
+        features[c] = [values[i] for i in order]
+    feedback = {c: np.asarray(vals, dtype=np.int64)[order] for c, vals in raw["feedback"].items()}
+
+    counts = [int(feedback[c].sum()) for c in config.feedback]
+    schema = FeedbackSchema.from_counts(list(config.feedback), counts)
+    bits = np.stack([feedback[config.feedback[i]] for i in schema.order], axis=1)
+    labels = map_to_ordinal_array(bits)
+
+    train_idx, val_idx, test_idx = split_indices(
+        np.arange(n), config.train_fraction, config.validation_fraction_of_train
+    )
+
+    binning = {}
+    encoded_features = {}
+    for c in raw["uf_cols"] + raw["if_cols"]:
+        vals = features[c]
+        if c in config.numeric_features:
+            train_vals = [vals[i] for i in train_idx if vals[i] is not None]
+            if not train_vals:
+                raise IngestionError(f"numeric feature '{c}' has no training values")
+            boundaries = fit_bins(np.asarray(train_vals), config.n_bins)
+            binning[c] = boundaries
+            encoded_features[c] = [
+                None if v is None else str(apply_bins(v, boundaries)) for v in vals
+            ]
+        else:
+            encoded_features[c] = vals
+
+    user_feature_names = (["__user_id"] if config.embed_user_id else []) + raw["uf_cols"]
+    item_feature_names = (["__item_id"] if config.embed_item_id else []) + raw["if_cols"]
+    encoded_features["__user_id"] = user_keys
+    encoded_features["__item_id"] = item_ids
+
+    vocabs = {}
+    for c in user_feature_names + item_feature_names:
+        vocab = _Vocab()
+        for i in train_idx:
+            vocab.fit(encoded_features[c][i])
+        vocabs[c] = vocab
+
+    def encode(names):
+        out = np.zeros((n, len(names)), dtype=np.int64)
+        for j, c in enumerate(names):
+            out[:, j] = [vocabs[c].get(v) for v in encoded_features[c]]
+        return out
+
+    user_features_all = encode(user_feature_names)
+    item_features_all = encode(item_feature_names)
+
+    user_pos, item_pos = {}, {}
+    for key in user_keys:
+        user_pos.setdefault(key, len(user_pos))
+    for key in item_ids:
+        item_pos.setdefault(key, len(item_pos))
+    user_index = np.asarray([user_pos[k] for k in user_keys], dtype=np.int64)
+    item_index = np.asarray([item_pos[k] for k in item_ids], dtype=np.int64)
+
+    user_table = np.zeros((len(user_pos), len(user_feature_names)), dtype=np.int64)
+    seen_u = np.zeros(len(user_pos), dtype=bool)
+    item_table = np.zeros((len(item_pos), len(item_feature_names)), dtype=np.int64)
+    seen_i = np.zeros(len(item_pos), dtype=bool)
+    for row in range(n):
+        u = user_index[row]
+        if not seen_u[u]:
+            user_table[u] = user_features_all[row]
+            seen_u[u] = True
+        it = item_index[row]
+        if not seen_i[it]:
+            item_table[it] = item_features_all[row]
+            seen_i[it] = True
+
+    def make_split(idx, salt):
+        rng = np.random.default_rng([config.seed, salt])
+        return Split(
+            user_index=user_index[idx],
+            item_index=item_index[idx],
+            timestamps=timestamps[idx],
+            user_features=user_features_all[idx],
+            item_features=item_features_all[idx],
+            bits=bits[idx].astype(np.int8),
+            labels=labels[idx],
+            lists=loop_build_lists(user_index[idx], config.max_list_len, rng),
+        )
+
+    return DatasetBundle(
+        schema=schema,
+        user_feature_names=user_feature_names,
+        item_feature_names=item_feature_names,
+        user_vocab_sizes=[vocabs[c].size for c in user_feature_names],
+        item_vocab_sizes=[vocabs[c].size for c in item_feature_names],
+        binning=binning,
+        users=list(user_pos),
+        items=list(item_pos),
+        user_feature_table=user_table,
+        item_feature_table=item_table,
+        train=make_split(train_idx, 0),
+        validation=make_split(val_idx, 1),
+        test=make_split(test_idx, 2),
+    )

@@ -87,6 +87,39 @@ class TestPrepare:
         assert main(["prepare", cfg]) == 1
         assert ":3" in capsys.readouterr().err
 
+    def test_non_finite_numeric_feature_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        rows = [f"u{i % 3},i{i % 4},{i},{i % 2},0,{20 + i}" for i in range(12)]
+        rows[7] = "u1,i3,7,1,0,nan"
+        bad.write_text("user_id,item_id,timestamp,click,pay,uf_age\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[data]\ncsv = {bad}\nbundle = {tmp_path}/b.gnb\nfeedback = click,pay\n"
+            "numeric_features = uf_age\n"
+        )
+        assert main(["prepare", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:9: ")
+        assert "'nan'" in err and "'uf_age'" in err
+        assert not (tmp_path / "b.gnb").exists()
+
+    @pytest.mark.parametrize(
+        "body, expected",
+        [
+            (b"u1,i1,1,0,0\nu\xe9,i2,2,1,0\n", "not UTF-8"),
+            (b"u1,i1,1,0,0\nu" + b"x" * 140_000 + b",i2,2,1,0\n", ":3: field larger than field"),
+        ],
+        ids=["latin1_byte", "oversize_field"],
+    )
+    def test_undecodable_csv_exits_one(self, tmp_path, capsys, body, expected):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"user_id,item_id,timestamp,click,pay\n" + body)
+        cfg = write_config(tmp_path, bad)
+        assert main(["prepare", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}")
+        assert expected in err
+
 
 class TestThresholds:
     def test_balanced_synthetic_prints_zero(self, tmp_path, capsys):
@@ -385,6 +418,8 @@ class TestConfigValidation:
         from gnolr.training import load_checkpoint
 
         tmp_path, cfg = workspace
+        shared = (tmp_path / "model.gnc").read_bytes()
+        own = tmp_path / "aliases.gnc"
         for alias, field, expected in (
             ("gnolr_l", "listwise", True),
             ("gnolr-l", "listwise", True),
@@ -394,14 +429,15 @@ class TestConfigValidation:
             ("gnolr-v1", "variant", "v1"),
             ("GNOLR-V1", "variant", "v1"),
         ):
-            assert (
-                main(["train", cfg, "--set", f"model.kind={alias}", "--set", "train.epochs=1"])
-                == 0
-            )
+            args = ["--set", f"model.kind={alias}", "--set", "train.epochs=1"]
+            args += ["--set", f"train.checkpoint={own}"]
+            assert main(["train", cfg, *args]) == 0
             capsys.readouterr()
-            loaded = load_checkpoint(tmp_path / "model.gnc")
+            loaded = load_checkpoint(own)
             assert loaded.model_config.kind == "gnolr"
             assert getattr(loaded.model_config, field) == expected
+        # The module-scoped checkpoint that later tests read is left alone.
+        assert (tmp_path / "model.gnc").read_bytes() == shared
 
 
 class TestCheckpointBundleBinding:

@@ -1,5 +1,7 @@
 """Ingestion pipeline: splitting, binning, lists, batching, bundle cache."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,18 @@ from gnolr.data import (
     binarize_ratings,
     build_bundle,
     build_lists,
+    first_seen,
     fit_bins,
     load_bundle,
     make_batches,
+    read_array,
+    read_header,
     save_bundle,
     split_indices,
+    write_artifact,
 )
 from gnolr.errors import ArgumentError, ConfigError, IngestionError
+from tests.helpers import loop_build_bundle, loop_build_lists
 
 
 def write_csv(path, rows, header="user_id,item_id,timestamp,click,pay,uf_age,if_price"):
@@ -329,3 +336,164 @@ class TestBundleCache:
         bad.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(IngestionError):
             load_bundle(bad)
+
+
+def quirky_csv(path, n=420, seed=0, rating=False):
+    """Ingest edge cases in one file, rows shuffled against tied timestamps.
+
+    Rows whose timestamp falls in the last fifth (past the training block)
+    bring new users, items, segments and categories.  About 15% of the
+    feature values are missing, some ids and tokens differ from others only
+    by a trailing NUL, and ``if_late`` is empty on every training row.
+    """
+    rng = np.random.default_rng(seed)
+    header = ["user_id", "item_id", "timestamp", "click", "pay"]
+    header += (["rating"] if rating else []) + ["uf_age", "uf_segment", "if_price", "if_category"]
+    header += ["if_late"]
+
+    def maybe(value, p=0.15):
+        return "" if rng.random() < p else value
+
+    def pick(tokens):  # rng.choice would go through a <U array and drop trailing NULs
+        return tokens[int(rng.integers(0, len(tokens)))]
+
+    rows = []
+    for r in range(n):
+        late = r >= 0.8 * n
+        nul = "\x00" if rng.random() < 0.2 else ""
+        click = int(rng.random() < 0.4)
+        row = [
+            f"u{int(rng.integers(0, 35 if late else 25))}{nul}",
+            f"i{int(rng.integers(0, 55 if late else 40))}{nul}",
+            str(r // 3),
+            str(click),
+            str(int(click and rng.random() < 0.3)),
+        ]
+        if rating:
+            row.append(pick(["1", "3", "4", "4.5", "5"]))
+        row += [
+            maybe(str(int(rng.integers(18, 90 if late else 70)))),
+            maybe(pick(["s0", "s1", "s1\x00", "s9" if late else "s2"])),
+            maybe(f"{rng.uniform(1, 100):.2f}"),
+            maybe(pick(["c0", "c1", "c1\x00", "c_new" if late else "c0"])),
+            f"z{int(rng.integers(0, 3))}" if late else "",
+        ]
+        rows.append(",".join(row))
+    rows = [rows[i] for i in rng.permutation(n)]
+    path.write_text(",".join(header) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+ORACLE_CASES = {
+    "defaults": {},
+    "composite_user_key": {"user_key_columns": ("user_id", "uf_segment")},
+    "ids_not_embedded": {"embed_user_id": False, "embed_item_id": False},
+    "user_id_not_embedded": {"embed_user_id": False},
+    "three_bins": {"n_bins": 3},
+    "split_lists": {"max_list_len": 3},
+    "no_validation": {"validation_fraction_of_train": 0.0},
+    "binarized_rating": {"feedback": ("click", "pay", "rating"), "binarize_feedback": ("rating",)},
+}
+
+
+class TestIngestOracle:
+    """``build_bundle`` against the row-loop ingest, byte for byte."""
+
+    def build_both(self, tmp_path, case, seed=0):
+        kwargs = dict(
+            feedback=("click", "pay"), numeric_features=("uf_age", "if_price"), seed=seed
+        )
+        kwargs.update(ORACLE_CASES[case])
+        path = quirky_csv(tmp_path / "q.csv", seed=seed, rating="rating" in kwargs["feedback"])
+        config = DataConfig(csv_path=path, **kwargs)
+        return build_bundle(config), loop_build_bundle(config)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bundle_bytes_match_row_loop(self, tmp_path, case, seed):
+        fast, oracle = self.build_both(tmp_path, case, seed)
+        save_bundle(fast, tmp_path / "fast.gnb")
+        save_bundle(oracle, tmp_path / "oracle.gnb")
+        assert (tmp_path / "fast.gnb").read_bytes() == (tmp_path / "oracle.gnb").read_bytes()
+
+    def test_fixture_exercises_each_edge_case(self, tmp_path):
+        bundle, _ = self.build_both(tmp_path, "defaults")
+        assert "u1" in bundle.users and "u1\x00" in bundle.users
+        late = bundle.item_feature_names.index("if_late")
+        assert bundle.item_vocab_sizes[late] == 1
+        assert not bundle.test.item_features[:, late].any()
+        uid = bundle.user_feature_names.index("__user_id")
+        assert (bundle.test.user_features[:, uid] == 0).any()
+        segment = bundle.user_feature_names.index("uf_segment")
+        assert (bundle.train.user_features[:, segment] == 0).any()  # missing values
+        assert bundle.user_vocab_sizes[segment] == 5  # OOV row, s0, s1, s1\x00, s2 (not s9)
+        assert (bundle.test.user_features[:, segment] == 0).any()
+
+    def test_split_lists_and_empty_validation(self, tmp_path):
+        bundle, _ = self.build_both(tmp_path, "split_lists")
+        assert bundle.train.lists.num_lists > len(set(bundle.train.user_index.tolist()))
+        bundle, _ = self.build_both(tmp_path, "no_validation")
+        assert bundle.validation.num_samples == 0
+        assert bundle.validation.lists.offsets.tolist() == [0]
+
+
+class TestFirstSeen:
+    def test_numbers_follow_first_occurrence(self):
+        values = np.array(["b", "a", "b", "c", "a\x00", "a"], dtype=object)
+        first, number = first_seen(values)
+        assert first.tolist() == [0, 1, 3, 4]
+        assert number.tolist() == [0, 1, 0, 2, 3, 1]
+        assert values[first].tolist() == ["b", "a", "c", "a\x00"]
+
+    def test_empty(self):
+        first, number = first_seen(np.array([], dtype=np.int64))
+        assert first.size == 0 and number.size == 0
+
+    @pytest.mark.parametrize("max_len", [1, 2, 5, 100])
+    def test_build_lists_matches_row_loop(self, max_len):
+        users = np.random.default_rng(max_len).integers(0, 9, size=300) * 7
+        fast = build_lists(users, max_len, np.random.default_rng(3))
+        oracle = loop_build_lists(users, max_len, np.random.default_rng(3))
+        for attr in ("offsets", "sample_idx", "list_user"):
+            np.testing.assert_array_equal(getattr(fast, attr), getattr(oracle, attr))
+            assert getattr(fast, attr).dtype == np.int64
+
+    def test_build_lists_rejects_nonpositive_length(self):
+        with pytest.raises(ArgumentError, match="max list length"):
+            build_lists(np.zeros(3, dtype=np.int64), max_len=0)
+
+
+class TestIngestErrors:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_numeric_names_line_and_column(self, tmp_path, value):
+        rows = ["u1,i1,1,0,0,30,5.0", f"u2,i2,2,1,0,30,{value}"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(IngestionError, match=r":3: .*'if_price'"):
+            build_bundle(small_config(path))
+
+
+class TestWriteArtifact:
+    def test_layout(self, tmp_path):
+        meta = {"b": [1, 2], "a": "x"}
+        arrays = [(np.arange(3), "<i8"), (np.array([0.5, -1.0]), "<f8"), (np.array([1, 0]), "<i1")]
+        write_artifact(tmp_path / "f.bin", b"TST1", 7, meta, arrays)
+        blob = b'{"a":"x","b":[1,2]}'
+        expected = b"TST1" + (7).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob
+        expected += b"".join(np.asarray(a, dtype=d).tobytes() for a, d in arrays)
+        assert (tmp_path / "f.bin").read_bytes() == expected
+        with open(tmp_path / "f.bin", "rb") as fh:
+            assert read_header(fh, "f.bin", b"TST1", 7, "test file") == meta
+            np.testing.assert_array_equal(read_array(fh, "f.bin", [3], "<i8"), np.arange(3))
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "f.bin"
+        target.write_bytes(b"old")
+
+        def arrays():
+            yield np.arange(3), "<i8"
+            raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError, match="disk gone"):
+            write_artifact(target, b"TST1", 1, {}, arrays())
+        assert target.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["f.bin"]
