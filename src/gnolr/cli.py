@@ -19,7 +19,7 @@ import numpy as np
 from . import training
 from .data import DataConfig, build_bundle, load_bundle, save_bundle
 from .encoders import write_embeddings
-from .errors import ConfigError, GnolrError
+from .errors import ArgumentError, ConfigError, GnolrError
 from .feedback import estimate_thresholds
 from .metrics import (
     angle_histogram,
@@ -145,24 +145,30 @@ class RunConfig:
 
 
 def _data_config(cfg: RunConfig) -> DataConfig:
+    """The [data] section; any value ``DataConfig`` rejects is a config error."""
     csv_path = cfg.require("data", "csv")
-    return DataConfig(
-        csv_path=csv_path,
-        feedback=tuple(_split_list(cfg.require("data", "feedback"))),
-        numeric_features=tuple(_split_list(cfg.get("data", "numeric_features", "") or "")),
-        binarize_feedback=tuple(_split_list(cfg.get("data", "binarize_feedback", "") or "")),
-        rating_threshold=cfg.get_float("data", "rating_threshold", 4.0),
-        user_key_columns=tuple(
-            _split_list(cfg.get("data", "user_key_columns", "user_id") or "user_id")
-        ),
-        embed_user_id=cfg.get_bool("data", "embed_user_id", True),
-        embed_item_id=cfg.get_bool("data", "embed_item_id", True),
-        n_bins=cfg.get_int("data", "n_bins", 50),
-        max_list_len=cfg.get_int("data", "max_list_len", 500),
-        train_fraction=cfg.get_float("data", "train_fraction", 0.7),
-        validation_fraction_of_train=cfg.get_float("data", "validation_fraction_of_train", 0.1),
-        seed=cfg.get_int("data", "seed", 0),
-    )
+    try:
+        return DataConfig(
+            csv_path=csv_path,
+            feedback=tuple(_split_list(cfg.require("data", "feedback"))),
+            numeric_features=tuple(_split_list(cfg.get("data", "numeric_features", "") or "")),
+            binarize_feedback=tuple(_split_list(cfg.get("data", "binarize_feedback", "") or "")),
+            rating_threshold=cfg.get_float("data", "rating_threshold", 4.0),
+            user_key_columns=tuple(
+                _split_list(cfg.get("data", "user_key_columns", "user_id") or "user_id")
+            ),
+            embed_user_id=cfg.get_bool("data", "embed_user_id", True),
+            embed_item_id=cfg.get_bool("data", "embed_item_id", True),
+            n_bins=cfg.get_int("data", "n_bins", 50),
+            max_list_len=cfg.get_int("data", "max_list_len", 500),
+            train_fraction=cfg.get_float("data", "train_fraction", 0.7),
+            validation_fraction_of_train=cfg.get_float(
+                "data", "validation_fraction_of_train", 0.1
+            ),
+            seed=cfg.get_int("data", "seed", 0),
+        )
+    except ArgumentError as exc:
+        raise ConfigError(f"[data] {exc}") from None
 
 
 # Composite kinds: gnolr + "-" or "_" + a suffix is shorthand for kind gnolr plus a flag.

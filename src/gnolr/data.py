@@ -53,6 +53,18 @@ class DataConfig:
         unknown = set(self.binarize_feedback) - set(self.feedback)
         if unknown:
             raise ArgumentError(f"binarize_feedback names unknown feedback: {sorted(unknown)}")
+        # Fewer than 2 bins would put every numeric value in one token.
+        if self.n_bins < 2:
+            raise ArgumentError(f"n_bins must be >= 2, got {self.n_bins}")
+        if self.max_list_len < 1:
+            raise ArgumentError(f"max_list_len must be >= 1, got {self.max_list_len}")
+        if not 0 < self.train_fraction < 1:
+            raise ArgumentError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
+        if not 0 <= self.validation_fraction_of_train < 1:
+            raise ArgumentError(
+                "validation_fraction_of_train must lie in [0, 1), "
+                f"got {self.validation_fraction_of_train}"
+            )
 
 
 def binarize_ratings(rating, threshold: float = 4.0):
@@ -331,6 +343,10 @@ def _parse_csv(config: DataConfig) -> dict:
                 if c not in binarize and value not in (0.0, 1.0):
                     raise IngestionError(
                         f"{path}:{lineno}: feedback '{c}' must be 0/1, got {raw!r}"
+                    )
+                if not math.isfinite(value):
+                    raise IngestionError(
+                        f"{path}:{lineno}: bad rating {raw!r} in '{c}' (must be a finite number)"
                     )
                 feedback_cols[c].append(value)
             for c in uf_cols + if_cols:

@@ -14,8 +14,12 @@ probabilities:
   term per target level.
 
 The tower and head parameters live in one flat ``dense`` buffer, so one
-Adam call updates them; the tables take row-sparse updates.  Scoring and
-embedding run the towers once per distinct feature row, with no caches.
+Adam call updates them; the tables take row-sparse updates.  A tower's
+output depends only on its own side's feature row, so training, scoring
+and embedding all run the towers once per distinct feature row: a
+training step gathers the sub-embeddings back to its samples for the loss
+and sums the samples' gradients onto their rows for the backward, and
+scoring and embedding keep no caches.
 """
 
 from __future__ import annotations
@@ -117,15 +121,102 @@ class ModelConfig:
         return cls(**d)
 
 
+def row_numbers(feature_rows: np.ndarray) -> np.ndarray:
+    """Each row's index into its distinct feature rows in ascending order.
+
+    Rows are told apart by their feature values, not by entity id:
+    sample-level features may differ from the entity table's.  The result
+    equals the inverse of ``np.unique(feature_rows, axis=0)``, but it is
+    refined one column at a time with 1-D sorts, several times faster
+    than sorting whole rows.
+    """
+    number = np.zeros(len(feature_rows), dtype=np.intp)
+    for column in feature_rows.T:
+        values, code = np.unique(column, return_inverse=True)
+        # Both factors are below the row count, so the key cannot overflow.
+        _, number = np.unique(number * len(values) + code, return_inverse=True)
+    return number
+
+
+def distinct_rows(feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct feature rows, ascending, and each row's ``row_numbers`` index into them."""
+    number = row_numbers(feature_rows)
+    _, first = np.unique(number, return_index=True)
+    return feature_rows[first], number
+
+
 @dataclass
 class Batch:
-    """One training batch; ``list_bounds`` marks list segments when listwise."""
+    """One training batch; ``list_bounds`` marks list segments when listwise.
+
+    ``user_numbers`` and ``item_numbers`` number each sample's feature row,
+    equal exactly where the rows are equal (training numbers its split once
+    with ``row_numbers``).  A batch built without them numbers its own rows.
+    """
 
     user_features: np.ndarray
     item_features: np.ndarray
     labels: np.ndarray
     bits: np.ndarray
     list_bounds: list[tuple[int, int]] | None = None
+    user_numbers: np.ndarray | None = None
+    item_numbers: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.user_numbers is None:
+            self.user_numbers = row_numbers(self.user_features)
+        if self.item_numbers is None:
+            self.item_numbers = row_numbers(self.item_features)
+
+
+class _RowGroups:
+    """A batch's samples grouped by row number: one group per distinct row.
+
+    Grouping is one stable sort of the numbers; groups are ordered by
+    number and each starts at its earliest sample.  When no row repeats,
+    every sample is its own group in batch order and nothing is gathered.
+    """
+
+    def __init__(self, numbers: np.ndarray) -> None:
+        order = numbers.argsort(kind="stable")
+        ranked = numbers[order]
+        head = np.empty(len(order), dtype=bool)
+        head[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        self.repeats = not head.all()
+        if self.repeats:
+            self.order = order
+            self.starts = head.nonzero()[0]
+            self.first = order[self.starts]
+            self.of = np.empty_like(order)
+            self.of[order] = head.cumsum() - 1
+
+    def distinct(self, per_sample: np.ndarray) -> np.ndarray:
+        """One row of ``per_sample`` per group: its first sample's."""
+        return per_sample[self.first] if self.repeats else per_sample
+
+    def samples(self, per_group: np.ndarray) -> np.ndarray:
+        """Each sample's row of ``per_group``."""
+        return per_group[self.of] if self.repeats else per_group
+
+    def sum(self, per_sample: np.ndarray) -> np.ndarray:
+        """Each group's sum of ``per_sample`` rows.
+
+        One pass per occurrence rank: pass r adds the (r+1)-th sample of
+        every group that has one, so the targets of each fancy-index ``+=``
+        are distinct (``np.add.at`` would cost several times more).
+        """
+        if not self.repeats:
+            return per_sample
+        out = per_sample[self.first]
+        sizes = np.diff(self.starts, append=len(self.order))
+        alive = np.flatnonzero(sizes > 1)
+        rank = 1
+        while alive.size:
+            out[alive] += per_sample[self.order[self.starts[alive] + rank]]
+            rank += 1
+            alive = alive[sizes[alive] > rank]
+        return out
 
 
 class _TwinBase:
@@ -181,14 +272,24 @@ class _TwinBase:
         self.tables_item.backward(gi_x, item_ids)
 
     def loss_and_grad(self, batch: Batch) -> float:
-        """Mean batch loss; accumulates every parameter's gradient."""
-        u, i, caches = self._forward(batch.user_features, batch.item_features)
+        """Mean batch loss; accumulates every parameter's gradient.
+
+        The towers run forward and backward once per distinct feature row
+        of each side; the loss reads every sample.
+        """
+        users = _RowGroups(batch.user_numbers)
+        items = _RowGroups(batch.item_numbers)
+        user_rows = users.distinct(batch.user_features)
+        item_rows = items.distinct(batch.item_features)
+        u_rows, i_rows, caches = self._forward(user_rows, item_rows)
+        u = users.samples(u_rows)
+        i = items.samples(i_rows)
         # (B, num_pairs) per-level similarities of the unit sub-embeddings.
         dots = np.einsum("btd,btd->bt", u, i)
         total, grad_dots = self._objective(batch, dots)
-        grad_u = grad_dots[:, :, None] * i
-        grad_i = grad_dots[:, :, None] * u
-        self._backward(grad_u, grad_i, caches, batch.user_features, batch.item_features)
+        grad_u = users.sum(grad_dots[:, :, None] * i)
+        grad_i = items.sum(grad_dots[:, :, None] * u)
+        self._backward(grad_u, grad_i, caches, user_rows, item_rows)
         return total
 
     def task_scores_all(self, user_rows: np.ndarray, item_rows: np.ndarray) -> np.ndarray:
@@ -218,13 +319,9 @@ class _TwinBase:
         return self._scores(np.concatenate(dots))
 
     def embed_distinct(self, side: str, feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unified embeddings of the distinct feature rows, and each row's index into them.
-
-        Rows are deduplicated by their feature values, not by entity id:
-        sample-level features may differ from the entity table's.
-        """
-        distinct, inverse = np.unique(feature_rows, axis=0, return_inverse=True)
-        return self._embed(side, distinct), inverse.reshape(-1)
+        """Unified embeddings of the ``distinct_rows``, and each row's index into them."""
+        distinct, inverse = distinct_rows(feature_rows)
+        return self._embed(side, distinct), inverse
 
     def _embed(self, side: str, feature_rows: np.ndarray) -> np.ndarray:
         """Unified embeddings (B, T * dim), ``_SCORE_CHUNK`` rows per tower pass.

@@ -20,7 +20,7 @@ from .data import DatasetBundle, Split, make_batches, read_array, read_header, w
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
-from .models import Batch, ModelConfig, make_model
+from .models import Batch, ModelConfig, make_model, row_numbers
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
 logger = logging.getLogger("gnolr")
@@ -195,13 +195,16 @@ def _model_config(bundle: DatasetBundle, config: TrainConfig) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _make_batch(split: Split, idx: np.ndarray, bounds=None) -> Batch:
+def _make_batch(split: Split, numbers, idx: np.ndarray, bounds=None) -> Batch:
+    """The split's rows ``idx``; ``numbers`` are the split's user and item row numbers."""
     return Batch(
         user_features=split.user_features[idx],
         item_features=split.item_features[idx],
         labels=split.labels[idx],
         bits=split.bits[idx],
         list_bounds=bounds,
+        user_numbers=numbers[0][idx],
+        item_numbers=numbers[1][idx],
     )
 
 
@@ -266,6 +269,9 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
     mode = "listwise" if config.listwise else "pointwise"
     batch_size = config.list_batch_size if config.listwise else config.batch_size
 
+    # Every step runs the towers once per distinct feature row; number them once.
+    numbers = (row_numbers(bundle.train.user_features), row_numbers(bundle.train.item_features))
+
     best_params = _snapshot(model)
     best_metric = -math.inf
     best_epoch = 0
@@ -285,10 +291,10 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
                     bounds.append((start, start + len(lst)))
                     start += len(lst)
                 flat = np.concatenate(batch_idx)
-                batch = _make_batch(bundle.train, flat, bounds)
+                batch = _make_batch(bundle.train, numbers, flat, bounds)
                 n_rows = len(flat)
             else:
-                batch = _make_batch(bundle.train, batch_idx)
+                batch = _make_batch(bundle.train, numbers, batch_idx)
                 n_rows = len(batch_idx)
             loss = model.loss_and_grad(batch)
             if not math.isfinite(loss):

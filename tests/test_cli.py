@@ -103,6 +103,23 @@ class TestPrepare:
         assert "'nan'" in err and "'uf_age'" in err
         assert not (tmp_path / "b.gnb").exists()
 
+    @pytest.mark.parametrize("rating", ["nan", "inf", "1e999"])
+    def test_non_finite_rating_exits_one(self, tmp_path, capsys, rating):
+        bad = tmp_path / "bad.csv"
+        rows = [f"u{i % 3},i{i % 4},{i},{i % 2},{1 + i % 5}" for i in range(12)]
+        rows[4] = f"u1,i0,4,1,{rating}"
+        bad.write_text("user_id,item_id,timestamp,click,rating\n" + "\n".join(rows) + "\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[data]\ncsv = {bad}\nbundle = {tmp_path}/b.gnb\nfeedback = click,rating\n"
+            "binarize_feedback = rating\n"
+        )
+        assert main(["prepare", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:6: ")
+        assert f"'{rating}'" in err and "'rating'" in err
+        assert not (tmp_path / "b.gnb").exists()
+
     @pytest.mark.parametrize(
         "body, expected",
         [
@@ -147,17 +164,26 @@ class TestThresholds:
         assert len(values) == 2
         assert values[0] < values[1]
         # Feed the printed values back as manual thresholds.
-        assert main(["train", cfg, "--set", f"model.thresholds={line.split('= ', 1)[1]}"]) == 0
+        shared = (tmp_path / "model.gnc").read_bytes()
+        own = tmp_path / "thresholds.gnc"
+        manual = f"model.thresholds={line.split('= ', 1)[1]}"
+        assert main(["train", cfg, "--set", manual, "--set", f"train.checkpoint={own}"]) == 0
+        assert own.exists()
+        # The module-scoped checkpoint that later tests read is left alone.
+        assert (tmp_path / "model.gnc").read_bytes() == shared
 
 
 class TestTrainEval:
     def test_seed_prints_and_logs(self, workspace, capsys):
         tmp_path, cfg = workspace
-        assert main(["train", cfg, "--seed", "9"]) == 0
+        shared = (tmp_path / "model.gnc").read_bytes()
+        own = ["--set", f"train.checkpoint={tmp_path / 'seed9.gnc'}"]
+        assert main(["train", cfg, "--seed", "9", *own]) == 0
         out = capsys.readouterr().out
         assert out.startswith("seed=9\n")
         assert "epoch=1 loss=" in out
         assert "best_epoch=" in out
+        assert (tmp_path / "model.gnc").read_bytes() == shared
 
     def test_eval_emits_metric_lines(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -175,13 +201,16 @@ class TestTrainEval:
 
     def test_same_seed_identical_reports(self, workspace, capsys):
         tmp_path, cfg = workspace
+        shared = (tmp_path / "model.gnc").read_bytes()
+        own = ["--set", f"train.checkpoint={tmp_path / 'seed7.gnc'}"]
         reports = []
         for _ in range(2):
-            assert main(["train", cfg, "--seed", "7"]) == 0
+            assert main(["train", cfg, "--seed", "7", *own]) == 0
             capsys.readouterr()
-            assert main(["eval", cfg]) == 0
+            assert main(["eval", cfg, *own]) == 0
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
+        assert (tmp_path / "model.gnc").read_bytes() == shared
 
     def test_report_file_written(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -413,6 +442,28 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "epoch=" not in captured.out
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "data.n_bins=0",
+            "data.n_bins=1",
+            "data.max_list_len=0",
+            "data.train_fraction=0",
+            "data.train_fraction=1",
+            "data.validation_fraction_of_train=1",
+            "data.validation_fraction_of_train=-0.1",
+        ],
+    )
+    def test_bad_data_value_exits_two(self, workspace, capsys, override):
+        tmp_path, cfg = workspace
+        bundle = (tmp_path / "bundle.gnb").read_bytes()
+        assert main(["prepare", cfg, "--set", override]) == 2
+        captured = capsys.readouterr()
+        key = override.split("=")[0].split(".")[1]
+        assert captured.err.startswith(f"error: [data] {key} must ")
+        assert "split=" not in captured.out
+        assert (tmp_path / "bundle.gnb").read_bytes() == bundle
 
     def test_composite_kind_aliases(self, workspace, capsys):
         from gnolr.training import load_checkpoint

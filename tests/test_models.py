@@ -5,7 +5,7 @@ import pytest
 
 from gnolr.losses import bce_batch
 from gnolr.models import Batch, BceModel, ModelConfig, make_model
-from gnolr.tensor import finite_diff_check
+from tests.helpers import checked_gradients
 
 VOCABS_U = {"__user_id": 10, "uf_a": 6}
 VOCABS_I = {"__item_id": 12, "if_b": 5}
@@ -34,37 +34,6 @@ def tiny_batch(rng, n=12, num_levels=2, bounds=None):
         labels=labels.astype(np.int64),
         bits=bits.astype(np.int8),
         list_bounds=bounds,
-    )
-
-
-def checked_gradients(model, batch, num_samples=120, tolerance=1e-4):
-    """Analytic grads from one backward pass vs central differences.
-
-    Embedding tables are rescaled to a generic parameter point first: at
-    the tiny init scale the pre-normalization outputs have near-zero norm,
-    whose 1/||v||^3 curvature drowns an h=1e-5 central difference in
-    truncation error.
-    """
-    for p in model.params:
-        if p.name.startswith(("emb_u.", "emb_i.")):
-            p.value *= 10.0
-        p.zero_grad()
-    model.loss_and_grad(batch)
-
-    def pure_loss():
-        saved = [p.grad.copy() for p in model.params]
-        value = model.loss_and_grad(batch)
-        for p, g in zip(model.params, saved):
-            p.grad[...] = g
-        return value
-
-    return finite_diff_check(
-        pure_loss,
-        model.params,
-        h=1e-5,
-        tolerance=tolerance,
-        num_samples=num_samples,
-        rng=np.random.default_rng(99),
     )
 
 

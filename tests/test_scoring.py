@@ -1,12 +1,19 @@
-"""Scoring from distinct feature rows against the per-sample training forward.
+"""Scoring and training from distinct feature rows against per-sample oracles.
 
 ``task_scores_all`` embeds each distinct user and item feature row once,
 with no caches, and gathers the sub-embeddings back to the samples.  The
 oracle is the scoring it replaced: the caching training forward on every
 sample row.  The bar is bit-identical.
+
+``loss_and_grad`` runs the towers forward and backward once per distinct
+row and sums each sample's gradient onto its row.  The oracle is the step
+it replaced, which ran every sample row; only the summation order of the
+gradients differs, so the bar for them is a tolerance and the
+finite-difference checker.
 """
 
 import dataclasses
+import pathlib
 import tracemalloc
 import warnings
 
@@ -14,11 +21,27 @@ import numpy as np
 import pytest
 
 from gnolr import training
+from gnolr.data import DataConfig, build_bundle
 from gnolr.errors import DimensionError
-from gnolr.models import ModelConfig, make_model
+from gnolr.models import (
+    Batch,
+    ModelConfig,
+    _RowGroups,
+    _TwinBase,
+    distinct_rows,
+    make_model,
+    row_numbers,
+)
 from gnolr.tensor import DegenerateVectorWarning
-from gnolr.training import evaluate
-from tests.helpers import forward_embeddings, forward_task_scores, synthetic_bundle
+from gnolr.training import TrainConfig, evaluate, train
+from tests.helpers import (
+    checked_gradients,
+    forward_embeddings,
+    forward_task_scores,
+    per_sample_loss_and_grad,
+    synthetic_bundle,
+    write_synthetic_csv,
+)
 
 VOCABS_U = {"__user_id": 10, "uf_a": 6}
 VOCABS_I = {"__item_id": 12, "if_b": 5}
@@ -196,3 +219,215 @@ def test_evaluate_memory_follows_the_distinct_rows(tmp_path, monkeypatch):
         lambda model, split: forward_task_scores(model, split.user_features, split.item_features),
     )
     assert peak_bytes(lambda: evaluate(model, bundle)) > 3 * bound
+
+
+# ---------------------------------------------------------------------------
+# The training step on distinct rows
+# ---------------------------------------------------------------------------
+
+
+def all_distinct_rows(rng):
+    n = 40
+    users = np.stack(np.unravel_index(rng.permutation(60)[:n], (10, 6)), axis=1)
+    items = np.stack(np.unravel_index(rng.permutation(60)[:n], (12, 5)), axis=1)
+    return users, items
+
+
+def one_row_each(rng):
+    return np.tile([[3, 2]], (30, 1)), np.tile([[7, 1]], (30, 1))
+
+
+STEP_ROWS = {
+    "distinct": all_distinct_rows,
+    "one-row": one_row_each,
+    "duplicates": lambda rng: tuple(rows[:120] for rows in duplicate_rows(rng)),
+    "oov": lambda rng: tuple(rows[:120] for rows in oov_rows(rng)),
+}
+
+
+def step_batch(rows, numbered=False):
+    """A batch over ``STEP_ROWS[rows]`` with one list per user id, as listwise batches hold.
+
+    ``numbered`` passes row numbers that are not 0..D-1, as a split's are.
+    """
+    rng = np.random.default_rng(11)
+    users, items = STEP_ROWS[rows](rng)
+    order = np.argsort(users[:, 0], kind="stable")
+    users, items = users[order], items[order]
+    heads = np.flatnonzero(np.diff(users[:, 0], prepend=users[0, 0] - 1))
+    bounds = list(zip(heads.tolist(), np.append(heads[1:], len(users)).tolist()))
+    bits = rng.integers(0, 2, size=(len(users), 3))
+    deepest = np.max(np.where(bits > 0, np.arange(1, 4), 0), axis=1)
+    numbers = {}
+    if numbered:
+        for side, feature_rows in (("user_numbers", users), ("item_numbers", items)):
+            _, inverse = np.unique(feature_rows, axis=0, return_inverse=True)
+            numbers[side] = 1000 - 7 * inverse.reshape(-1)
+    return Batch(
+        user_features=users,
+        item_features=items,
+        labels=np.where(deepest > 0, deepest + 1, 1).astype(np.int64),
+        bits=bits.astype(np.int8),
+        list_bounds=bounds,
+        **numbers,
+    )
+
+
+def test_step_fixtures_cover_the_edge_cases():
+    def distinct(rows):
+        return len(np.unique(rows, axis=0))
+
+    batch = step_batch("distinct")
+    assert distinct(batch.user_features) == distinct(batch.item_features) == 40
+    batch = step_batch("one-row")
+    assert distinct(batch.user_features) == distinct(batch.item_features) == 1
+    assert len(batch.list_bounds) == 1
+    batch = step_batch("duplicates")
+    assert distinct(batch.user_features) < 15 and distinct(batch.item_features) < 15
+    assert len(np.unique(batch.user_features[:, 0])) < distinct(batch.user_features)
+    batch = step_batch("oov")
+    assert (batch.user_features < 0).any() and (batch.item_features >= 12).any()
+    # Mostly distinct rows, a few repeated.
+    assert 60 < distinct(batch.user_features) < 120 and 60 < distinct(batch.item_features) < 120
+
+
+@pytest.mark.parametrize("numbered", [False, True], ids=["self-numbered", "numbered"])
+@pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
+@pytest.mark.parametrize("rows", list(STEP_ROWS))
+@pytest.mark.parametrize("name", list(KINDS))
+def test_step_matches_the_per_sample_step(name, rows, zero_norm, numbered):
+    batch = step_batch(rows, numbered)
+    models = [make(name), make(name)]
+    if zero_norm:
+        for model in models:
+            zero_last_layers(model)
+    got = models[0].loss_and_grad(batch)
+    want = per_sample_loss_and_grad(models[1], batch)
+    if rows == "one-row":
+        # One distinct row runs as a BLAS gemv, whose sums round differently.
+        assert got == pytest.approx(want, rel=1e-12)
+    else:
+        # Every other row subset runs as a gemm: the dots, so the loss, are exact.
+        assert got == want
+    for p, q in zip(models[0].params, models[1].params):
+        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-10, err_msg=p.name)
+    for tables in ("tables_user", "tables_item"):
+        for (_, got_rows), (_, want_rows) in zip(
+            getattr(models[0], tables).take_touched(), getattr(models[1], tables).take_touched()
+        ):
+            np.testing.assert_array_equal(got_rows, want_rows)
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_step_gradients_match_finite_differences(name):
+    batch = step_batch("duplicates")
+    report = checked_gradients(make(name), batch, num_samples=80)
+    assert report.passed, (
+        f"{name}: rel err {report.max_rel_error:.2e} at "
+        f"{report.worst_param}[{report.worst_index}]"
+    )
+
+
+@pytest.mark.parametrize("rows", list(STEP_ROWS))
+def test_towers_run_once_per_distinct_row(monkeypatch, rows):
+    model = make("gnolr-listwise")
+    batch = step_batch(rows)
+    looked_up = []
+
+    def counting(side, lookup):
+        def counted(ids):
+            looked_up.append((side, len(ids)))
+            return lookup(ids)
+
+        return counted
+
+    for side in ("user", "item"):
+        tables = getattr(model, f"tables_{side}")
+        monkeypatch.setattr(tables, "lookup", counting(side, tables.lookup))
+    model.loss_and_grad(batch)
+    assert looked_up == [
+        ("user", len(np.unique(batch.user_features, axis=0))),
+        ("item", len(np.unique(batch.item_features, axis=0))),
+    ]
+
+
+def test_row_numbers_equal_the_row_wise_unique():
+    rng = np.random.default_rng(4)
+    for rows in (
+        rng.integers(-3, 3, size=(500, 4)),
+        rng.integers(-(2**62), 2**62, size=(50, 3)),
+        np.repeat(rng.integers(0, 9, size=(20, 2)), 3, axis=0),
+        rng.integers(0, 2, size=(9, 1)),
+        np.zeros((0, 3), dtype=np.int64),
+    ):
+        want_rows, want = np.unique(rows, axis=0, return_inverse=True)
+        got_rows, got = distinct_rows(rows)
+        np.testing.assert_array_equal(got, want.reshape(-1))
+        np.testing.assert_array_equal(row_numbers(rows), want.reshape(-1))
+        np.testing.assert_array_equal(got_rows, want_rows)
+
+
+def test_row_groups_sum_each_rows_samples():
+    rng = np.random.default_rng(3)
+    for numbers in (
+        rng.integers(0, 5, size=200),
+        rng.permutation(50) * 3 - 60,
+        np.full(9, 4),
+        np.zeros(0, dtype=np.int64),
+    ):
+        groups = _RowGroups(numbers)
+        rows = groups.distinct(numbers)
+        np.testing.assert_array_equal(np.sort(rows), np.unique(numbers))
+        np.testing.assert_array_equal(groups.samples(rows), numbers)
+        values = rng.normal(size=(len(numbers), 2, 3))
+        want = np.zeros((len(rows), 2, 3))
+        for k, row in enumerate(rows):
+            want[k] = values[numbers == row].sum(axis=0)
+        np.testing.assert_allclose(groups.sum(values), want, rtol=1e-12, atol=1e-12)
+
+
+def sample_feature_bundle(tmp_path):
+    """Synthetic data plus a user feature drawn per sample, not per user."""
+    rng = np.random.default_rng(5)
+    base = write_synthetic_csv(tmp_path / "base.csv", n_rows=1500, seed=4)
+    lines = pathlib.Path(base).read_text().splitlines()
+    rows = [lines[0] + ",uf_mood"]
+    rows += [f"{line},m{rng.integers(0, 3)}" for line in lines[1:]]
+    csv_path = tmp_path / "moods.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    return build_bundle(DataConfig(csv_path=str(csv_path), feedback=("click", "pay")))
+
+
+@pytest.mark.parametrize("listwise", [False, True], ids=["pointwise", "listwise"])
+def test_train_numbers_rows_by_features(tmp_path, monkeypatch, listwise):
+    """``train`` numbers feature rows, not entities, and its epochs match the per-sample step."""
+    bundle = sample_feature_bundle(tmp_path)
+    config = TrainConfig(
+        kind="gnolr", listwise=listwise, epochs=2, batch_size=64, list_batch_size=4,
+        embedding_dim=4, hidden_sizes=(8, 4), learning_rate=0.01, seed=2,
+    )
+    seen = []
+    step = _TwinBase.loss_and_grad
+
+    def recording_step(model, batch):
+        seen.append(batch)
+        return step(model, batch)
+
+    monkeypatch.setattr(_TwinBase, "loss_and_grad", recording_step)
+    result = train(bundle, config)
+    for batch in seen:
+        for features, numbers in (
+            (batch.user_features, batch.user_numbers),
+            (batch.item_features, batch.item_numbers),
+        ):
+            same_number = numbers[:, None] == numbers[None, :]
+            same_row = (features[:, None, :] == features[None, :, :]).all(axis=2)
+            np.testing.assert_array_equal(same_number, same_row)
+    moods = bundle.train.user_features
+    assert len(np.unique(moods, axis=0)) > len(np.unique(moods[:, 0]))
+
+    monkeypatch.setattr(_TwinBase, "loss_and_grad", per_sample_loss_and_grad)
+    oracle = train(bundle, config)
+    assert result.log_lines == oracle.log_lines
+    for name, value in result.checkpoint.params.items():
+        np.testing.assert_allclose(value, oracle.checkpoint.params[name], rtol=1e-7, atol=1e-9)
