@@ -18,7 +18,7 @@ import numpy as np
 
 from . import training
 from .data import DataConfig, build_bundle, load_bundle, save_bundle
-from .encoders import write_embeddings
+from .encoders import check_tsv_ids, write_embeddings
 from .errors import ArgumentError, ConfigError, GnolrError
 from .feedback import estimate_thresholds
 from .metrics import (
@@ -334,6 +334,8 @@ def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
     out_path = cfg.get("eval", "retrieve_out")
     index = training.unified_index(model, bundle)
     user_ids = np.unique(split.user_index)
+    check_tsv_ids([bundle.users[uid] for uid in user_ids.tolist()])
+    check_tsv_ids(index.item_ids)
     user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
     lines: list[str] = []
     for uid, top in zip(user_ids.tolist(), topk_retrieve_batch(user_vectors, index, k)):
@@ -356,10 +358,10 @@ def cmd_angles(cfg: RunConfig) -> int:
     level = cfg.get_int("eval", "angle_level", bundle.num_feedbacks)
     if not 1 <= level <= bundle.num_feedbacks:
         raise ConfigError(f"angle_level outside 1..{bundle.num_feedbacks}")
-    # Each sample's pair of unified vectors, gathered from its distinct feature rows.
+    # Each sample's pair of unified vectors, read from its distinct feature rows.
     users, user_of = model.embed_distinct("user", split.user_features)
     items, item_of = model.embed_distinct("item", split.item_features)
-    table = angle_histogram(users[user_of], items[item_of], split.labels > level)
+    table = angle_histogram(users, items, split.labels > level, user_of=user_of, item_of=item_of)
     out_path = cfg.get("eval", "angles_out")
     if out_path:
         write_angle_csv(out_path, table)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ArgumentError, DimensionError
 from .tensor import (
     Parameter,
+    block_rows,
     embedding_init,
     glorot_uniform,
     l2_normalize,
@@ -318,21 +319,110 @@ class NestedTwinEncoder:
 
 EMBEDDING_HEADER_PREFIX = "#gnolr-emb v1"
 
+# Most components of a unit sub-embedding satisfy 1e-4 <= |v| < 1, and their
+# "%.9g" text is built in numpy.  Each value gets a 16-byte slot, written as
+# two little-endian words: the head holds a tab, the sign, "0.", up to three
+# zeros and the first digit; the tail holds the other eight digits.  A byte
+# the text does not use is NUL, removed afterwards.
+_SLOT = 16
+# Head words by (negative, zeros after "0."), first digit left NUL.
+_HEADS = np.frombuffer(
+    b"".join(
+        (b"\t" + sign + b"0." + b"0" * zeros).ljust(8, b"\0")
+        for sign in (b"\0", b"-")
+        for zeros in range(4)
+    ),
+    dtype="<u8",
+)
+# Tail keep masks by the number of trailing zero digits to drop (0..8).
+_TAILS = np.frombuffer(
+    b"".join((b"\xff" * (8 - n)).ljust(8, b"\0") for n in range(9)), dtype="<u8"
+)
+# The four ASCII digits of 0000..9999, in the low half of a word.
+_DIGITS4 = np.frombuffer(b"".join(b"%04d" % n for n in range(10000)), dtype="<u4").astype("<u8")
+# Trailing zeros of each 4-digit group; "0000" counts 4.
+_TRAILING_ZEROS4 = np.array(
+    [4] + [len(s) - len(s.rstrip("0")) for s in map(str, range(1, 10000))], dtype=np.intp
+)
+# 10^(8 - E) for the decades E = -1, -2, -3, -4: nine digits before the point.
+_DIGIT_SCALE = np.array([1e9, 1e10, 1e11, 1e12])
+
+
+def _value_slots(values: np.ndarray) -> np.ndarray:
+    """``"\\t%.9g"`` of every float32 value, row-major: (n, ``_SLOT``) bytes, NUL-padded.
+
+    For 1e-4 <= |v| < 1 the text is "0.", -E - 1 zeros and v's nine
+    significant digits without their trailing zeros, E being v's decade.
+    Comparing v with the float64 nearest to 0.1, 0.01 or 0.001 gives E
+    exactly: no float32 lies between a power of ten and its float64.  The
+    digits are rint(|v| * 10^(8 - E)); that product is exact in float64
+    (24 + 28 bits), so rint rounds the exact value half to even, as "%.9g"
+    does, and a float32 is too far from any power of ten to round up into
+    the next decade.  Zeros, other magnitudes, non-finite values and
+    products within 2^-20 of a tie take Python's "%.9g"; its text of any
+    float32 fits in a slot.
+    """
+    flat = values.ravel()
+    magnitude = np.abs(flat).astype(np.float64)
+    fast = (magnitude >= 1e-4) & (magnitude < 1.0)
+    magnitude[~fast] = 0.5
+    zeros = (magnitude < 0.1).astype(np.intp)
+    zeros += magnitude < 0.01
+    zeros += magnitude < 0.001
+    scaled = magnitude * _DIGIT_SCALE[zeros]
+    fast &= np.abs(scaled - np.floor(scaled) - 0.5) >= 2.0**-20
+    upper, low = np.divmod(np.rint(scaled).astype(np.int64), 10000)
+    first, mid = np.divmod(upper, 10000)
+    trailing = _TRAILING_ZEROS4[low]
+    round_low = low == 0
+    trailing[round_low] += _TRAILING_ZEROS4[mid[round_low]]
+    head = zeros + 4 * np.signbit(flat)
+    words = np.empty((len(flat), 2), dtype="<u8")
+    words[:, 0] = _HEADS[head] | (first.astype("<u8") + ord("0")) << 56
+    words[:, 1] = (_DIGITS4[mid] | _DIGITS4[low] << 32) & _TAILS[trailing]
+    slots = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = b"".join([(b"\t%.9g" % v).ljust(_SLOT, b"\0") for v in flat[slow].tolist()])
+        slots[slow] = np.frombuffer(text, dtype=np.uint8).reshape(-1, _SLOT)
+    return slots
+
+
+def check_tsv_ids(ids: Sequence[str]) -> None:
+    """Refuse an id that holds a tab or a line break: no TSV row can hold it."""
+    if any(c in "".join(ids) for c in "\t\r\n"):
+        bad = next(i for i in ids if any(c in i for c in "\t\r\n"))
+        raise ArgumentError(f"id {bad!r} holds a tab or line break, which a TSV field cannot")
+
 
 def write_embeddings(path, entity_ids: Sequence[str], matrix: np.ndarray, num_levels: int) -> None:
     """UTF-8 TSV: header line, then one `id<TAB>v1..vD` row per entity.
 
     Export downcasts to float32; values are printed with 9 significant
-    digits so a float32 round-trips exactly.
+    digits ("%.9g") so a float32 round-trips exactly.  The text is built a
+    block of rows at a time (``_value_slots``); ids join each row as they
+    are, since they may hold a NUL.
     """
-    matrix = np.asarray(matrix, dtype=np.float32)
-    if matrix.ndim != 2 or matrix.shape[0] != len(entity_ids):
-        raise DimensionError(f"matrix shape {matrix.shape} does not match {len(entity_ids)} ids")
+    matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] != len(entity_ids) or matrix.shape[1] < 1:
+        raise DimensionError(
+            f"matrix shape {matrix.shape} does not give {len(entity_ids)} ids a row of values each"
+        )
+    ids = [str(eid) for eid in entity_ids]
+    check_tsv_ids(ids)
     dim = matrix.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{EMBEDDING_HEADER_PREFIX} dim={dim} T={num_levels}\n")
-        for eid, row in zip(entity_ids, matrix.tolist()):
-            fh.write(str(eid) + "\t" + "\t".join(map("{:.9g}".format, row)) + "\n")
+    step = block_rows(_SLOT * dim)
+    with open(path, "wb") as fh:
+        fh.write(f"{EMBEDDING_HEADER_PREFIX} dim={dim} T={num_levels}\n".encode())
+        for start in range(0, len(ids), step):
+            slots = _value_slots(matrix[start : start + step].astype(np.float32))
+            text = slots.tobytes().translate(None, b"\0")
+            ends = np.count_nonzero(slots.reshape(-1, _SLOT * dim), axis=1).cumsum().tolist()
+            parts, lo = [], 0
+            for eid, hi in zip(ids[start : start + step], ends):
+                parts += (eid.encode(), text[lo:hi], b"\n")
+                lo = hi
+            fh.write(b"".join(parts))
 
 
 def read_embeddings(path) -> tuple[list[str], np.ndarray, int]:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, UndefinedMetricError
+from .tensor import block_rows
 
 
 def auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -127,17 +128,14 @@ class RetrievalIndex:
         return len(self.item_ids)
 
 
-# Users per block are chosen so one block holds about this many scores (8 MiB).
-_BLOCK_SCORES = 1 << 20
-
-
 def topk_retrieve_batch(
     user_embeddings: np.ndarray, index: RetrievalIndex, k: int
 ) -> list[list[str]]:
     """Exact K nearest item ids for every query row: Euclidean distance, ties by id.
 
-    Returns one ranked list per row.  Each block of users is scored with one
-    GEMM, ``|v|^2 - 2 u.v + |u|^2``.  That value is within a proven rounding
+    Returns one ranked list per row.  Each block of users (``block_rows``
+    for a row of scores against every item) is scored with one GEMM,
+    ``|v|^2 - 2 u.v + |u|^2``.  That value is within a proven rounding
     margin of the exact distance, so every item within twice the margin of
     the row's approximate K-th distance is a candidate, and every true
     top-K item is among them.  The candidates are re-scored exactly (the sum
@@ -161,7 +159,7 @@ def topk_retrieve_batch(
     margin_coef = 2.0 * (dim + 4) * np.finfo(np.float64).eps
     max_item_norm = np.sqrt(index.sq_norms.max())
     out: list[list[str]] = []
-    step = max(1, _BLOCK_SCORES // n_items)
+    step = block_rows(8 * n_items)
     for start in range(0, users.shape[0], step):
         block = users[start : start + step]
         u_sq = np.einsum("ij,ij->i", block, block)
@@ -204,8 +202,15 @@ def angle_histogram(
     item_embeddings: np.ndarray,
     labels: np.ndarray,
     bin_width_deg: float = 1.0,
+    user_of: np.ndarray | None = None,
+    item_of: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-pair angle counts split by label class.
+
+    Pair n is row n of both matrices, or with ``user_of`` and ``item_of``
+    (user_embeddings[user_of[n]], item_embeddings[item_of[n]]), so that
+    distinct rows need not be repeated per pair.  Cosines are taken a block
+    of pairs at a time (``block_rows``).
 
     Returns an array of rows (bin_start_deg, count_pos, count_neg); the
     angle is arccos of the pair cosine, clamped into [-1, 1], and the top
@@ -216,11 +221,19 @@ def angle_histogram(
     u = np.asarray(user_embeddings, dtype=np.float64)
     v = np.asarray(item_embeddings, dtype=np.float64)
     labels = np.asarray(labels)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != labels.shape[0]:
+    user_of = np.arange(len(u)) if user_of is None else np.asarray(user_of)
+    item_of = np.arange(len(v)) if item_of is None else np.asarray(item_of)
+    n = labels.shape[0]
+    if u.ndim != 2 or v.shape[1:] != u.shape[1:] or not len(user_of) == len(item_of) == n:
         raise DimensionError("user/item embedding shapes and labels must align")
-    dots = np.einsum("ij,ij->i", u, v)
-    norms = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1)
-    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+    cos = np.zeros(n)
+    step = block_rows(u.itemsize * u.shape[1])
+    for start in range(0, n, step):
+        pu = u[user_of[start : start + step]]
+        pv = v[item_of[start : start + step]]
+        dots = np.einsum("ij,ij->i", pu, pv)
+        norms = np.linalg.norm(pu, axis=1) * np.linalg.norm(pv, axis=1)
+        np.divide(dots, norms, out=cos[start : start + step], where=norms > 0.0)
     theta = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
     n_bins = int(math.ceil(180.0 / bin_width_deg))
     bins = np.minimum((theta / bin_width_deg).astype(np.int64), n_bins - 1)

@@ -40,14 +40,10 @@ from .losses import (
     listnet_list_batch,
     olr_batch,
 )
-from .tensor import Parameter, pack_parameters, stable_sigmoid
+from .tensor import Parameter, block_rows, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
 GNOLR_VARIANTS = ("nested", "v0", "v1")
-
-# Rows per tower pass and pairs per gathered block when scoring or embedding:
-# bounds the transient memory, whatever the number of rows.
-_SCORE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -297,17 +293,17 @@ class _TwinBase:
 
         A twin-tower score reads only the two tower outputs, so each
         distinct feature row is embedded once; the pairs' sub-embeddings
-        are gathered back ``_SCORE_CHUNK`` pairs at a time and dotted per
-        level.  The scores equal the training forward's bit for bit.
+        are gathered back a block of pairs at a time (``block_rows``) and
+        dotted per level.  The scores equal the training forward's bit for bit.
         """
         if len(user_rows) != len(item_rows):
             raise DimensionError(f"{len(user_rows)} user rows but {len(item_rows)} item rows")
         subs = (self.encoder.num_levels, self.encoder.cfg.output_dim)
         users, user_of = self.embed_distinct("user", user_rows)
         items, item_of = self.embed_distinct("item", item_rows)
+        step = block_rows(users.itemsize * users.shape[1])
         users = users.reshape(len(users), *subs)
         items = items.reshape(len(items), *subs)
-        step = _SCORE_CHUNK
         dots = [
             np.einsum(
                 "btd,btd->bt",
@@ -324,12 +320,15 @@ class _TwinBase:
         return self._embed(side, distinct), inverse
 
     def _embed(self, side: str, feature_rows: np.ndarray) -> np.ndarray:
-        """Unified embeddings (B, T * dim), ``_SCORE_CHUNK`` rows per tower pass.
+        """Unified embeddings (B, T * dim), a block of rows per tower pass.
 
-        No rows still make one (empty) pass, so the result has the embedding width.
+        A block holds about ``BLOCK_BYTES`` in its widest array: the input,
+        a hidden layer or the unified output.  No rows still make one
+        (empty) pass, so the result has the embedding width.
         """
         tables = self.tables_user if side == "user" else self.tables_item
-        step = _SCORE_CHUNK
+        unified = self.encoder.num_levels * self.encoder.cfg.output_dim
+        step = block_rows(8 * max(tables.output_dim, *self.cfg.hidden_sizes, unified))
         chunks = [
             self.encoder.embed_entities(tables.lookup(feature_rows[start : start + step]), side)
             for start in range(0, max(len(feature_rows), 1), step)

@@ -19,6 +19,17 @@ from .errors import DimensionError, OptimizerError
 
 NORM_EPS = 1e-12
 
+# Bytes per temporary array in a blocked inference pass: tower passes, pair
+# gathers, retrieval score blocks and export text.  Arrays this size stay in
+# glibc's heap once its mmap threshold has adapted; 8 MiB arrays were mapped
+# and unmapped on every call, costing thousands of page faults per pass.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """Rows per block, so that an array of ``row_bytes``-byte rows holds about ``BLOCK_BYTES``."""
+    return max(1, BLOCK_BYTES // max(1, row_bytes))
+
 
 class DegenerateVectorWarning(RuntimeWarning):
     """A vector with (near-)zero norm hit a normalization or kernel."""

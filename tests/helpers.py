@@ -198,6 +198,16 @@ def forward_embeddings(model, side, feature_rows):
     return np.concatenate([tower.forward(x)[0] for tower in towers], axis=1)
 
 
+def loop_write_embeddings(path, entity_ids, matrix, num_levels):
+    """Oracle for ``write_embeddings``: every value formatted on its own with "{:.9g}"."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    dim = matrix.shape[1]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#gnolr-emb v1 dim={dim} T={num_levels}\n")
+        for eid, row in zip(entity_ids, matrix.tolist()):
+            fh.write(str(eid) + "\t" + "\t".join(map("{:.9g}".format, row)) + "\n")
+
+
 def loop_build_lists(user_index, max_len=500, rng=None):
     """Oracle for ``build_lists``: per-row dict grouping, then chunking."""
     if rng is None:

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import pathlib
 import subprocess
 import sys
 
@@ -602,3 +603,33 @@ class TestConsoleScript:
             text=True,
         )
         assert proc.returncode == 2
+
+
+@pytest.fixture(scope="module")
+def awkward_ids(tmp_path_factory):
+    """A trained workspace whose CSV quotes item ids holding a tab and a line feed."""
+    tmp_path = tmp_path_factory.mktemp("awkward")
+    csv_path = write_synthetic_csv(tmp_path / "data.csv", n_rows=400, seed=6)
+    text = pathlib.Path(csv_path).read_text()
+    text = text.replace(",i3,", ',"i\t3",').replace(",i5,", ',"i5\nx",')
+    pathlib.Path(csv_path).write_text(text)
+    cfg = write_config(tmp_path, csv_path)
+    assert main(["prepare", cfg]) == 0
+    assert main(["train", cfg]) == 0
+    return tmp_path, cfg
+
+
+class TestIdsATsvCannotHold:
+    def test_eval_export_refuses_them(self, awkward_ids, capsys):
+        tmp_path, cfg = awkward_ids
+        out_file = tmp_path / "items.tsv"
+        assert main(["eval", cfg, "--set", f"eval.embeddings_item={out_file}"]) == 1
+        assert "error: id 'i\\t3' holds a tab or line break" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_retrieve_refuses_them(self, awkward_ids, capsys):
+        tmp_path, cfg = awkward_ids
+        out_file = tmp_path / "topk.tsv"
+        assert main(["retrieve", cfg, "--set", f"eval.retrieve_out={out_file}"]) == 1
+        assert "error: id 'i\\t3' holds a tab or line break" in capsys.readouterr().err
+        assert not out_file.exists()

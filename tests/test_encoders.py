@@ -1,7 +1,12 @@
 """Embedding tables, towers, nested embeddings, and the export format."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from gnolr import tensor
 
 from gnolr.encoders import (
     EmbeddingTableSet,
@@ -14,7 +19,8 @@ from gnolr.encoders import (
     write_embeddings,
 )
 from gnolr.errors import ArgumentError, DimensionError
-from gnolr.tensor import DegenerateVectorWarning, l2_normalize
+from gnolr.tensor import DegenerateVectorWarning, block_rows, l2_normalize
+from tests.helpers import loop_write_embeddings
 
 
 def tables_fixture(rng, vocabs=None, dim=16):
@@ -309,3 +315,136 @@ class TestEmbeddingExport:
         path.write_text("#gnolr-emb v1 dim=2 T=1\na\t0.5\t0.25\nb\t0.5\tnan?\n")
         with pytest.raises(ArgumentError, match="non-numeric embedding value for 'b'"):
             read_embeddings(path)
+
+
+def float32_run(center, before, after):
+    """The consecutive float32 values from ``before`` below to ``after`` above ``center``."""
+    start = np.float32(center).view(np.int32) - before
+    return (start + np.arange(before + after + 1, dtype=np.int32)).view(np.float32)
+
+
+def near_powers_of_ten(ulps=40):
+    """The float32 values within ``ulps`` of every float32 power of ten, 1e-45..1e38."""
+    runs = [float32_run(10.0**p, ulps, ulps) for p in range(-44, 39)]
+    runs.append(float32_run(np.float32(1.4e-45), 0, ulps))
+    return np.concatenate(runs)
+
+
+def ninth_digit_ties():
+    """Every float32 j * 2^-(10 + z) in decade -1 - z (z = 0..3), j odd: exact halves
+    at the ninth significant digit."""
+    ties = []
+    for z in range(4):
+        scale = 2.0 ** -(10 + z)
+        j = np.arange(1, 2 ** (10 + z), 2)
+        values = j * scale
+        ties.append(values[(values >= 10.0 ** (-1 - z)) & (values < 10.0**-z)])
+    return np.concatenate(ties).astype(np.float32)
+
+
+def assert_export_matches_oracle(tmp_path, ids, matrix, num_levels=1):
+    write_embeddings(tmp_path / "new.tsv", ids, matrix, num_levels)
+    loop_write_embeddings(tmp_path / "oracle.tsv", ids, matrix, num_levels)
+    assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
+
+
+def as_rows(values, dim):
+    values = np.concatenate([values, -values])
+    values = np.resize(values, (-(-len(values) // dim), dim))
+    return [f"e{r}" for r in range(len(values))], values
+
+
+class TestExportOracle:
+    """``write_embeddings`` against the per-value "{:.9g}" writer, byte for byte."""
+
+    def test_signed_zeros_subnormals_units_and_non_finite(self, tmp_path):
+        tiny = np.finfo(np.float32).tiny
+        values = np.array(
+            [0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 1.4e-45, -1.4e-45,
+             tiny, -tiny, tiny * (1 - 2.0**-23), 3e-41, np.finfo(np.float32).max, 0.5, -0.25],
+            dtype=np.float32,
+        )
+        assert np.signbit(values[5])
+        assert_export_matches_oracle(tmp_path, ["a", "b"], values[:16].reshape(2, 8))
+        assert_export_matches_oracle(tmp_path, [f"v{i}" for i in range(17)], values[:, None])
+
+    def test_zero_norm_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+        matrix = l2_normalize(rng.normal(size=(6, 12)))
+        matrix[[1, 4]] = 0.0
+        matrix[5] = -0.0
+        assert_export_matches_oracle(tmp_path, list("abcdef"), matrix, num_levels=3)
+
+    def test_values_next_to_every_power_of_ten(self, tmp_path):
+        values = near_powers_of_ten()
+        assert np.float32(1e-4) in values and np.float32(0.1) in values
+        assert_export_matches_oracle(tmp_path, *as_rows(values, 32))
+
+    def test_exact_ties_at_the_ninth_digit(self, tmp_path):
+        values = ninth_digit_ties()
+        exact = values.astype(np.float64)
+        scaled = exact * 10.0 ** (8 - np.floor(np.log10(exact)))
+        assert len(values) > 500 and np.all(scaled - np.floor(scaled) == 0.5)
+        assert_export_matches_oracle(tmp_path, *as_rows(values, 7))
+
+    def test_dense_sweep_across_a_power_of_ten(self, tmp_path):
+        values = float32_run(0.1, 1 << 19, 1 << 19)
+        assert values.min() < 0.1 < values.max()
+        assert_export_matches_oracle(tmp_path, *as_rows(values, 96))
+
+    def test_unit_sub_embeddings_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(4)
+        dim = 96
+        rows = 2 * block_rows(16 * dim) + 7
+        subs = np.split(rng.normal(size=(rows, dim)), 3, axis=1)
+        matrix = np.concatenate([l2_normalize(sub) for sub in subs], axis=1)
+        assert_export_matches_oracle(tmp_path, [f"i{r}" for r in range(rows)], matrix, 3)
+
+    def test_awkward_ids_dim_one_and_no_rows(self, tmp_path):
+        ids = ["ünï", "emoji-\U0001f600", "nul\x00", "a\x1fb", "", " spaced "]
+        assert_export_matches_oracle(tmp_path, ids, np.linspace(-1.5, 1.5, 6)[:, None])
+        assert_export_matches_oracle(tmp_path, [], np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4])
+    def test_row_counts_around_a_block(self, tmp_path, monkeypatch, extra):
+        dim = 5
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 16 * dim * 3)
+        rows = 2 * block_rows(16 * dim) + extra
+        matrix = np.random.default_rng(extra + 9).normal(scale=0.3, size=(rows, dim))
+        assert_export_matches_oracle(tmp_path, [f"r{i}" for i in range(rows)], matrix)
+
+    def test_float64_input_is_rounded_to_float32_first(self, tmp_path):
+        matrix = np.array([[0.1, 1 / 3, 0.30000001192092896 + 1e-12, 2.0**-13]])
+        assert_export_matches_oracle(tmp_path, ["x"], matrix)
+
+    @pytest.mark.parametrize("bad", ["i\t3", "i5\nx", "r\r"])
+    def test_ids_a_tsv_row_cannot_hold_are_refused(self, tmp_path, bad):
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ArgumentError, match=re.escape(repr(bad))):
+            write_embeddings(path, ["ok", bad], np.ones((2, 3)), 1)
+        assert not path.exists()
+
+    def test_a_row_needs_at_least_one_value(self, tmp_path):
+        with pytest.raises(DimensionError):
+            write_embeddings(tmp_path / "x.tsv", ["a"], np.zeros((1, 0)), 1)
+
+
+class TestExportMemory:
+    @staticmethod
+    def traced_peak(tmp_path, rows, dim=96):
+        matrix = np.random.default_rng(rows).normal(scale=0.1, size=(rows, dim))
+        ids = [f"item{r}" for r in range(rows)]
+        tracemalloc.start()
+        try:
+            write_embeddings(tmp_path / "emb.tsv", ids, matrix, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_a_few_blocks_whatever_the_row_count(self, tmp_path):
+        # A per-value writer holds every value as a Python float: about 60
+        # blocks of memory for 20,000 x 96 values.
+        small = self.traced_peak(tmp_path, 3 * block_rows(16 * 96))
+        large = self.traced_peak(tmp_path, 20_000)
+        assert large < 12 * tensor.BLOCK_BYTES
+        assert large < small + tensor.BLOCK_BYTES / 2

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnolr import metrics
+from gnolr import tensor
 from gnolr.errors import ArgumentError, DimensionError, UndefinedMetricError
 from gnolr.metrics import (
     RetrievalIndex,
@@ -333,10 +333,10 @@ class TestBlockedTopk:
         assert topk_retrieve_batch(np.zeros((0, 3)), index, 5) == []
 
     def test_more_users_than_one_block(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_BLOCK_SCORES", 64)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 64)
         rng = np.random.default_rng(14)
         index = RetrievalIndex([f"i{j:02d}" for j in range(25)], unit_blocks(rng, 25, 2, 0.2))
-        users = unit_blocks(rng, 37, 2, 0.2)  # 64 // 25 = 2 users per block
+        users = unit_blocks(rng, 37, 2, 0.2)  # (8 * 64) // (8 * 25) = 2 users per block
         assert_matches_oracle(users, index, (1, 5, 24, 25))
 
     def test_id_string_order_differs_from_index_order(self):
@@ -474,6 +474,28 @@ class TestAngleHistogram:
         assert lines[91] == "90,1,0"
         assert len(lines) == 181
 
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 13])
+    def test_indexed_pairs_in_blocks_equal_the_gathered_pairs(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        users, items = rng.normal(size=(4, 12)), rng.normal(size=(9, 12))
+        users[1] = 0.0
+        items[[0, 3]] = items[5]
+        user_of, item_of = rng.integers(0, 4, size=n), rng.integers(0, 9, size=n)
+        labels = rng.integers(0, 2, size=n)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 1 << 40)
+        want = angle_histogram(users[user_of], items[item_of], labels, 0.5)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 6 * 8 * 12)  # 6 pairs per block
+        got = angle_histogram(users, items, labels, 0.5, user_of=user_of, item_of=item_of)
+        np.testing.assert_array_equal(got, want)
+        assert got[:, 1:].sum() == n
+
+    def test_pair_indices_must_match_the_labels(self):
+        u = np.ones((3, 2))
+        with pytest.raises(DimensionError):
+            angle_histogram(u, u, np.ones(2), user_of=np.arange(3), item_of=np.arange(3))
+        with pytest.raises(DimensionError):
+            angle_histogram(u, np.ones((3, 3)), np.ones(3))
 
 class TestReports:
     def test_flat_lines_sorted(self):

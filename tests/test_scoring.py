@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnolr import training
+from gnolr import tensor, training
 from gnolr.data import DataConfig, build_bundle
 from gnolr.errors import DimensionError
 from gnolr.models import (
@@ -32,7 +32,8 @@ from gnolr.models import (
     make_model,
     row_numbers,
 )
-from gnolr.tensor import DegenerateVectorWarning
+from gnolr.metrics import RetrievalIndex, topk_retrieve_batch
+from gnolr.tensor import DegenerateVectorWarning, l2_normalize
 from gnolr.training import TrainConfig, evaluate, train
 from tests.helpers import (
     checked_gradients,
@@ -192,8 +193,8 @@ def test_evaluate_memory_follows_the_distinct_rows(tmp_path, monkeypatch):
 
     The per-sample caching forward held every tower layer of 8,192 rows at
     once, over 300 times the distinct-row embedding matrices here; scoring
-    from distinct rows stays near 30 times, most of it the gathered
-    8,192-pair blocks and the metrics' per-row arrays.
+    from distinct rows stays near 30 times, most of it the gathered pair
+    blocks and the metrics' per-row arrays.
     """
     bundle = synthetic_bundle(tmp_path, n_users=300, n_items=300, n_rows=6000, seed=8)
     test = tile_split(bundle.test, -(-20000 // bundle.test.num_samples))
@@ -219,6 +220,82 @@ def test_evaluate_memory_follows_the_distinct_rows(tmp_path, monkeypatch):
         lambda model, split: forward_task_scores(model, split.user_features, split.item_features),
     )
     assert peak_bytes(lambda: evaluate(model, bundle)) > 3 * bound
+
+
+# ---------------------------------------------------------------------------
+# Block boundaries: any block size gives the bits of one unblocked pass
+# ---------------------------------------------------------------------------
+
+BLOCK = 6
+
+
+def blocked(monkeypatch, row_bytes):
+    """Make blocks of ``row_bytes``-byte rows hold ``BLOCK`` rows."""
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", BLOCK * row_bytes)
+    assert tensor.block_rows(row_bytes) == BLOCK
+
+
+def unblocked(monkeypatch):
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 1 << 40)
+
+
+def pass_sizes(monkeypatch, model):
+    sizes: list[int] = []
+    embed = model.encoder.embed_entities
+
+    def counted(x, side):
+        sizes.append(len(x))
+        return embed(x, side)
+
+    monkeypatch.setattr(model.encoder, "embed_entities", counted)
+    return sizes
+
+
+AROUND_A_BLOCK = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", AROUND_A_BLOCK)
+def test_item_embeddings_equal_one_unblocked_pass(monkeypatch, n):
+    model = make("gnolr")
+    rows = np.random.default_rng(n).integers(0, 12, size=(n, 2))
+    unblocked(monkeypatch)
+    want = model.item_embeddings(rows)
+    # The widest array of a tower pass: the input, a hidden layer or the output.
+    unified = model.encoder.num_levels * model.cfg.hidden_sizes[-1]
+    blocked(monkeypatch, 8 * max(model.tables_item.output_dim, *model.cfg.hidden_sizes, unified))
+    sizes = pass_sizes(monkeypatch, model)
+    got = model.item_embeddings(rows)
+    assert sizes == [BLOCK] * (n // BLOCK) + [n % BLOCK] * (n % BLOCK > 0)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
+@pytest.mark.parametrize("n", AROUND_A_BLOCK)
+def test_task_scores_equal_one_unblocked_pass(monkeypatch, n, zero_norm):
+    model = make("gnolr")
+    if zero_norm:
+        zero_last_layers(model)
+    rng = np.random.default_rng(n)
+    users, items = rng.integers(0, 10, size=(n, 2)), rng.integers(0, 12, size=(n, 2))
+    unblocked(monkeypatch)
+    want = model.task_scores_all(users, items)
+    # A block of gathered pairs holds T sub-embeddings per side.
+    blocked(monkeypatch, 8 * model.encoder.num_levels * model.cfg.hidden_sizes[-1])
+    np.testing.assert_array_equal(model.task_scores_all(users, items), want)
+
+
+@pytest.mark.parametrize("n", AROUND_A_BLOCK)
+def test_topk_equals_one_unblocked_pass(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    vectors = np.concatenate([l2_normalize(rng.normal(size=(40, 4))) for _ in range(3)], axis=1)
+    vectors[::7] = vectors[1]  # tied distances, broken by id
+    index = RetrievalIndex([f"i{j}" for j in rng.permutation(40)], vectors)
+    users = np.concatenate([l2_normalize(rng.normal(size=(n, 4))) for _ in range(3)], axis=1)
+    users[0, :4] = 0.0
+    unblocked(monkeypatch)
+    want = topk_retrieve_batch(users, index, 9)
+    blocked(monkeypatch, 8 * len(index))
+    assert topk_retrieve_batch(users, index, 9) == want
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gnolr import metrics, models, training
+from gnolr import metrics, tensor, training
 from gnolr.data import DataConfig, build_bundle, make_batches
 from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
@@ -510,7 +510,7 @@ def tied_bundle(tmp_path_factory):
 
 class TestOnePassScoringAndRanking:
     def test_evaluate_scores_the_split_in_one_call(self, bundle, monkeypatch):
-        monkeypatch.setattr(models, "_SCORE_CHUNK", 64)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 4096)
         model = untrained_model(bundle)
         uf, itf = bundle.test.user_features, bundle.test.item_features
         scores = forward_task_scores(model, uf, itf)
@@ -529,7 +529,8 @@ class TestOnePassScoringAndRanking:
         assert len(calls) == 1
         # Each distinct user and item feature row went through the towers once.
         assert sum(embedded_rows) == len(np.unique(uf, axis=0)) + len(np.unique(itf, axis=0))
-        assert len(uf) > 64  # the pairs were gathered in several blocks
+        pair_bytes = 8 * model.encoder.num_levels * model.encoder.cfg.output_dim
+        assert len(uf) > tensor.block_rows(pair_bytes)  # the pairs were gathered in several blocks
         for level in (1, 2):
             assert metrics_out[f"auc_t{level}"] == expected[level]
 
