@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import logging
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,61 +24,110 @@ from .encoders import check_tsv_ids, write_embeddings
 from .errors import ArgumentError, ConfigError, GnolrError
 from .feedback import estimate_thresholds
 from .metrics import (
+    angle_csv,
     angle_histogram,
     format_report,
     topk_retrieve_batch,
     write_angle_csv,
     write_report,
 )
+from .models import ModelConfig
 from .training import TrainConfig, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("gnolr")
 
-_KNOWN_KEYS = {
-    "data": {
-        "csv", "bundle", "feedback", "numeric_features", "binarize_feedback",
-        "rating_threshold", "user_key_columns", "embed_user_id", "embed_item_id",
-        "n_bins", "max_list_len", "train_fraction", "validation_fraction_of_train",
-        "seed",
-    },
-    "model": {
-        "kind", "variant", "listwise", "listnet_use_log", "thresholds",
-        "thresholds_population", "gamma", "clip_floor", "embedding_dim",
-        "hidden_sizes", "activation_slope", "positive_weights", "bce_raw_cosine",
-        "bce_target_level",
-    },
-    "train": {
-        "learning_rate", "epochs", "batch_size", "list_batch_size", "seed",
-        "patience", "checkpoint",
-    },
-    "eval": {
-        "split", "recall_ks", "gauc", "report", "retrieve_k", "retrieve_out",
-        "angles_out", "angle_level", "embeddings_user", "embeddings_item",
-    },
-}
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The [eval] section: the split to score, metric options and output paths ("" = none).
+
+    ``angle_level`` None means the sparsest level.
+    """
+
+    split: str = "test"
+    recall_ks: tuple[int, ...] = ()
+    gauc: str = "pairs"
+    report: str = ""
+    retrieve_k: int = 10
+    retrieve_out: str = ""
+    angles_out: str = ""
+    angle_level: int | None = None
+    embeddings_user: str = ""
+    embeddings_item: str = ""
+
+    def __post_init__(self) -> None:
+        if self.split not in ("train", "validation", "test"):
+            raise ConfigError(f"unknown split '{self.split}'")
+        if self.recall_ks and min(self.recall_ks) < 0:
+            raise ConfigError(f"recall needs one or more K >= 0, got {self.recall_ks}")
+        if self.gauc not in ("pairs", "uniform", "off"):
+            raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {self.gauc!r}")
+        if self.retrieve_k < 0:
+            raise ConfigError(f"retrieve depth K must be >= 0, got {self.retrieve_k}")
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    low = raw.strip().lower()
+def _parse_bool(raw: str) -> bool:
+    low = raw.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(raw)
 
 
-def _split_list(raw: str) -> list[str]:
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _split_list(raw: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in raw.split(",") if part.strip())
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(map(float, _split_list(raw)))
+
+
+# A field's annotation (a string: annotations are postponed) -> its value
+# parser and, for the error message, what a value it rejects should be.
+_PARSERS = {
+    "str": (str, None),
+    "bool": (_parse_bool, "a boolean"),
+    "int": (int, "an integer"),
+    "int | None": (int, "an integer"),
+    "float": (float, "a number"),
+    "tuple[str, ...]": (_split_list, None),
+    "tuple[int, ...]": (lambda raw: tuple(map(int, _split_list(raw))), "comma-separated integers"),
+    "tuple[float, ...]": (_floats, "comma-separated numbers"),
+    "tuple[float, ...] | None": (
+        lambda raw: None if raw.lower() == "auto" else _floats(raw),
+        "comma-separated numbers",
+    ),
+}
+
+# [model] holds the TrainConfig fields that ModelConfig shares, plus the
+# population auto thresholds are estimated on; [train] holds the rest.
+_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)} | {"thresholds_population"}
+_KEY_OF_FIELD = {"csv_path": "csv"}
+
+
+def _keys(cls, keep=lambda name: True) -> dict:
+    return {_KEY_OF_FIELD.get(f.name, f.name): f for f in dataclasses.fields(cls) if keep(f.name)}
+
+
+# Each section's keys and the dataclass field each sets.  None marks an
+# artifact path that no dataclass holds.
+_SECTIONS = {
+    "data": {**_keys(DataConfig), "bundle": None},
+    "model": _keys(TrainConfig, lambda name: name in _MODEL_FIELDS),
+    "train": {**_keys(TrainConfig, lambda name: name not in _MODEL_FIELDS), "checkpoint": None},
+    "eval": _keys(EvalConfig),
+}
 
 
 class RunConfig:
-    """Validated view over the INI sections with typed accessors."""
+    """The INI sections as raw strings, checked against the known keys."""
 
     def __init__(self, sections: dict[str, dict[str, str]]) -> None:
         for section, keys in sections.items():
-            if section not in _KNOWN_KEYS:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section [{section}]")
-            unknown = set(keys) - _KNOWN_KEYS[section]
+            unknown = set(keys) - set(_SECTIONS[section])
             if unknown:
                 raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
         self.sections = sections
@@ -99,74 +150,42 @@ class RunConfig:
             sections.setdefault(section.strip(), {})[key.strip()] = value.strip()
         return cls(sections)
 
-    def get(self, section: str, key: str, default=None) -> str | None:
-        return self.sections.get(section, {}).get(key, default)
-
     def require(self, section: str, key: str) -> str:
-        value = self.get(section, key)
+        value = self.sections.get(section, {}).get(key)
         if value is None:
             raise ConfigError(f"missing required config key [{section}] {key}")
         return value
 
-    def get_int(self, section: str, key: str, default: int | None) -> int | None:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+    def values(self, *sections: str) -> dict:
+        """The set keys of ``sections`` by field name, each parsed by its field's annotation.
 
-    def get_float(self, section: str, key: str, default: float) -> float:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
-
-    def get_list(self, section: str, key: str, default: str, cast=float) -> tuple:
-        """Comma-separated values parsed with ``cast`` (int or float)."""
-        raw = self.get(section, key) or default
-        try:
-            return tuple(cast(v) for v in _split_list(raw))
-        except ValueError:
-            noun = "integers" if cast is int else "numbers"
-            raise ConfigError(
-                f"[{section}] {key}: expected comma-separated {noun}, got {raw!r}"
-            ) from None
-
-    def get_bool(self, section: str, key: str, default: bool) -> bool:
-        raw = self.get(section, key)
-        if raw is None:
-            return default
-        return _parse_bool(raw, f"[{section}] {key}")
+        An empty string or list value leaves the field's default; an empty
+        number or boolean is an error, and so is a required field left out.
+        """
+        out = {}
+        for section in sections:
+            for key, f in _SECTIONS[section].items():
+                if f is None:
+                    continue
+                if f.default is dataclasses.MISSING:
+                    raw = self.require(section, key)
+                else:
+                    raw = self.sections.get(section, {}).get(key)
+                    if raw is None or (raw == "" and f.type.startswith(("str", "tuple"))):
+                        continue
+                parse, expected = _PARSERS[f.type]
+                try:
+                    out[f.name] = parse(raw)
+                except ValueError:
+                    message = f"[{section}] {key}: expected {expected}, got {raw!r}"
+                    raise ConfigError(message) from None
+        return out
 
 
 def _data_config(cfg: RunConfig) -> DataConfig:
     """The [data] section; any value ``DataConfig`` rejects is a config error."""
-    csv_path = cfg.require("data", "csv")
     try:
-        return DataConfig(
-            csv_path=csv_path,
-            feedback=tuple(_split_list(cfg.require("data", "feedback"))),
-            numeric_features=tuple(_split_list(cfg.get("data", "numeric_features", "") or "")),
-            binarize_feedback=tuple(_split_list(cfg.get("data", "binarize_feedback", "") or "")),
-            rating_threshold=cfg.get_float("data", "rating_threshold", 4.0),
-            user_key_columns=tuple(
-                _split_list(cfg.get("data", "user_key_columns", "user_id") or "user_id")
-            ),
-            embed_user_id=cfg.get_bool("data", "embed_user_id", True),
-            embed_item_id=cfg.get_bool("data", "embed_item_id", True),
-            n_bins=cfg.get_int("data", "n_bins", 50),
-            max_list_len=cfg.get_int("data", "max_list_len", 500),
-            train_fraction=cfg.get_float("data", "train_fraction", 0.7),
-            validation_fraction_of_train=cfg.get_float(
-                "data", "validation_fraction_of_train", 0.1
-            ),
-            seed=cfg.get_int("data", "seed", 0),
-        )
+        return DataConfig(**cfg.values("data"))
     except ArgumentError as exc:
         raise ConfigError(f"[data] {exc}") from None
 
@@ -181,33 +200,20 @@ _KIND_ALIASES = {
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    auto = (cfg.get("model", "thresholds") or "auto").strip().lower() == "auto"
-    kind = (cfg.get("model", "kind", "gnolr") or "gnolr").strip().lower()
-    implied: dict = {}
-    if kind in _KIND_ALIASES:
-        kind, implied = _KIND_ALIASES[kind]
-    return TrainConfig(
-        kind=kind,
-        variant=implied.get("variant", cfg.get("model", "variant", "nested") or "nested"),
-        listwise=implied.get("listwise", cfg.get_bool("model", "listwise", False)),
-        listnet_use_log=cfg.get_bool("model", "listnet_use_log", True),
-        thresholds=None if auto else cfg.get_list("model", "thresholds", ""),
-        thresholds_population=cfg.get("model", "thresholds_population", "train") or "train",
-        gamma=cfg.get_float("model", "gamma", 1.0),
-        clip_floor=cfg.get_float("model", "clip_floor", 1e-6),
-        embedding_dim=cfg.get_int("model", "embedding_dim", 16),
-        hidden_sizes=cfg.get_list("model", "hidden_sizes", "128,64,32", int),
-        activation_slope=cfg.get_float("model", "activation_slope", 0.01),
-        positive_weights=cfg.get_list("model", "positive_weights", ""),
-        bce_raw_cosine=cfg.get_bool("model", "bce_raw_cosine", False),
-        bce_target_level=cfg.get_int("model", "bce_target_level", 1),
-        learning_rate=cfg.get_float("train", "learning_rate", 0.05),
-        epochs=cfg.get_int("train", "epochs", 10),
-        batch_size=cfg.get_int("train", "batch_size", 1024),
-        list_batch_size=cfg.get_int("train", "list_batch_size", 32),
-        seed=cfg.get_int("train", "seed", 0),
-        patience=cfg.get_int("train", "patience", None),
-    )
+    """The [model] and [train] sections; ``kind`` is case-blind and may be an alias."""
+    values = cfg.values("model", "train")
+    if "kind" in values:
+        kind = values["kind"].lower()
+        kind, implied = _KIND_ALIASES.get(kind, (kind, {}))
+        values.update(kind=kind, **implied)
+    return TrainConfig(**values)
+
+
+def _print_seed(cfg: RunConfig) -> TrainConfig:
+    """The checked [model] and [train] settings, after printing their seed line."""
+    train_cfg = _train_config(cfg)
+    print(f"seed={train_cfg.seed}")
+    return train_cfg
 
 
 def _load_bundle(cfg: RunConfig):
@@ -217,18 +223,17 @@ def _load_bundle(cfg: RunConfig):
     return load_bundle(path)
 
 
-def _load_model(cfg: RunConfig, bundle):
-    """The checkpoint's model, once the checkpoint is known to fit ``bundle``."""
+def _load_for_eval(cfg: RunConfig):
+    """The [eval] settings, the bundle and the checkpoint's model, once it fits the bundle."""
+    _print_seed(cfg)
+    settings = EvalConfig(**cfg.values("eval"))
+    bundle = _load_bundle(cfg)
     path = cfg.require("train", "checkpoint")
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint does not exist: {path} (run `gnolr train` first)")
     checkpoint = load_checkpoint(path)
     checkpoint.check_bundle(bundle)
-    return checkpoint.build_model()
-
-
-def _print_seed(cfg: RunConfig) -> None:
-    print(f"seed={cfg.get_int('train', 'seed', 0)}")
+    return settings, bundle, checkpoint.build_model()
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
@@ -256,11 +261,8 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_thresholds(cfg: RunConfig) -> int:
-    _print_seed(cfg)
+    population = _print_seed(cfg).thresholds_population
     bundle = _load_bundle(cfg)
-    population = cfg.get("model", "thresholds_population", "train") or "train"
-    if population not in ("train", "all"):
-        raise ConfigError(f"thresholds_population must be train|all, got {population!r}")
     labels = bundle.train.labels if population == "train" else bundle.all_labels()
     thresholds = estimate_thresholds(labels, bundle.num_feedbacks)
     for c, value in enumerate(thresholds.values, start=1):
@@ -270,9 +272,8 @@ def cmd_thresholds(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _print_seed(cfg)
+    train_cfg = _print_seed(cfg)
     bundle = _load_bundle(cfg)
-    train_cfg = _train_config(cfg)
     result = training.train(bundle, train_cfg)
     for line in result.log_lines:
         print(line)
@@ -289,32 +290,24 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    _print_seed(cfg)
-    bundle = _load_bundle(cfg)
-    model = _load_model(cfg, bundle)
-    recall_ks = cfg.get_list("eval", "recall_ks", "", int)
-    gauc_mode = cfg.get("eval", "gauc", "pairs") or "pairs"
-    if gauc_mode not in ("pairs", "uniform", "off"):
-        raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {gauc_mode!r}")
-    user_out = cfg.get("eval", "embeddings_user")
-    item_out = cfg.get("eval", "embeddings_item")
+    settings, bundle, model = _load_for_eval(cfg)
+    user_out, item_out = settings.embeddings_user, settings.embeddings_item
     # One item matrix and one user matrix serve both recall and the export.
     index = training.unified_index(model, bundle) if item_out else None
     users = model.user_embeddings(bundle.user_feature_table) if user_out else None
     metrics = training.evaluate(
         model,
         bundle,
-        split_name=cfg.get("eval", "split", "test") or "test",
-        recall_ks=recall_ks,
-        gauc_weighting=gauc_mode if gauc_mode != "off" else "pairs",
-        with_gauc=gauc_mode != "off",
+        split_name=settings.split,
+        recall_ks=settings.recall_ks,
+        gauc_weighting=settings.gauc if settings.gauc != "off" else "pairs",
+        with_gauc=settings.gauc != "off",
         index=index,
         user_vectors=users,
     )
     sys.stdout.write(format_report(metrics))
-    report_path = cfg.get("eval", "report")
-    if report_path:
-        write_report(report_path, metrics)
+    if settings.report:
+        write_report(settings.report, metrics)
     num_levels = model.encoder.num_levels
     if user_out:
         write_embeddings(user_out, bundle.users, users, num_levels)
@@ -323,27 +316,22 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
-    _print_seed(cfg)
-    k = k_override if k_override is not None else cfg.get_int("eval", "retrieve_k", 10)
-    if k < 0:
-        raise ConfigError(f"retrieve depth K must be >= 0, got {k}")
-    bundle = _load_bundle(cfg)
-    model = _load_model(cfg, bundle)
-    split = bundle.split(cfg.get("eval", "split", "test") or "test")
-    out_path = cfg.get("eval", "retrieve_out")
+def cmd_retrieve(cfg: RunConfig) -> int:
+    settings, bundle, model = _load_for_eval(cfg)
+    split = bundle.split(settings.split)
     index = training.unified_index(model, bundle)
     user_ids = np.unique(split.user_index)
     check_tsv_ids([bundle.users[uid] for uid in user_ids.tolist()])
     check_tsv_ids(index.item_ids)
     user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
+    ranked = topk_retrieve_batch(user_vectors, index, settings.retrieve_k)
     lines: list[str] = []
-    for uid, top in zip(user_ids.tolist(), topk_retrieve_batch(user_vectors, index, k)):
+    for uid, top in zip(user_ids.tolist(), ranked):
         for rank, item in enumerate(top, start=1):
             lines.append(f"{bundle.users[uid]}\t{item}\t{rank}")
     text = "\n".join(lines) + ("\n" if lines else "")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if settings.retrieve_out:
+        with open(settings.retrieve_out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -351,25 +339,30 @@ def cmd_retrieve(cfg: RunConfig, k_override: int | None = None) -> int:
 
 
 def cmd_angles(cfg: RunConfig) -> int:
-    _print_seed(cfg)
-    bundle = _load_bundle(cfg)
-    model = _load_model(cfg, bundle)
-    split = bundle.split(cfg.get("eval", "split", "test") or "test")
-    level = cfg.get_int("eval", "angle_level", bundle.num_feedbacks)
+    settings, bundle, model = _load_for_eval(cfg)
+    split = bundle.split(settings.split)
+    level = bundle.num_feedbacks if settings.angle_level is None else settings.angle_level
     if not 1 <= level <= bundle.num_feedbacks:
         raise ConfigError(f"angle_level outside 1..{bundle.num_feedbacks}")
     # Each sample's pair of unified vectors, read from its distinct feature rows.
     users, user_of = model.embed_distinct("user", split.user_features)
     items, item_of = model.embed_distinct("item", split.item_features)
     table = angle_histogram(users, items, split.labels > level, user_of=user_of, item_of=item_of)
-    out_path = cfg.get("eval", "angles_out")
-    if out_path:
-        write_angle_csv(out_path, table)
+    if settings.angles_out:
+        write_angle_csv(settings.angles_out, table)
     else:
-        sys.stdout.write("bin_deg,pos,neg\n")
-        for bin_start, n_pos, n_neg in table:
-            sys.stdout.write(f"{bin_start:g},{int(n_pos)},{int(n_neg)}\n")
+        sys.stdout.write(angle_csv(table))
     return 0
+
+
+_COMMANDS = {
+    "prepare": cmd_prepare,
+    "thresholds": cmd_thresholds,
+    "train": cmd_train,
+    "eval": cmd_eval,
+    "retrieve": cmd_retrieve,
+    "angles": cmd_angles,
+}
 
 
 def _setup_logging() -> None:
@@ -386,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-feedback ordinal twin-tower training, evaluation, and retrieval",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("prepare", "thresholds", "train", "eval", "retrieve", "angles"):
+    for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="INI config file")
         cmd.add_argument(
@@ -410,20 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             overrides.append(f"train.seed={args.seed}")
             overrides.append(f"data.seed={args.seed}")
-        cfg = RunConfig.load(args.config, overrides)
-        if args.command == "prepare":
-            return cmd_prepare(cfg)
-        if args.command == "thresholds":
-            return cmd_thresholds(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "retrieve":
-            return cmd_retrieve(cfg, args.k)
-        if args.command == "angles":
-            return cmd_angles(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if getattr(args, "k", None) is not None:
+            overrides.append(f"eval.retrieve_k={args.k}")
+        return _COMMANDS[args.command](RunConfig.load(args.config, overrides))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

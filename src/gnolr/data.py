@@ -16,7 +16,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
@@ -496,6 +496,12 @@ _SPLIT_ARRAYS = (
     ("labels", "<i8"),
 )
 _LIST_ARRAYS = (("offsets", "<i8"), ("sample_idx", "<i8"), ("list_user", "<i8"))
+# The DatasetBundle fields the JSON header holds as they are; the header also
+# holds the schema, the binning and the array specs.
+_HEADER_FIELDS = (
+    "user_feature_names", "item_feature_names", "user_vocab_sizes", "item_vocab_sizes",
+    "users", "items",
+)
 
 
 def _bundle_arrays(bundle: DatasetBundle) -> list[tuple[str, np.ndarray, str]]:
@@ -515,24 +521,12 @@ def _bundle_arrays(bundle: DatasetBundle) -> list[tuple[str, np.ndarray, str]]:
 def save_bundle(bundle: DatasetBundle, path) -> None:
     """Atomic write of the GNB1 cache; identical bundles produce identical bytes."""
     arrays = _bundle_arrays(bundle)
-    meta = {
-        "schema": {
-            "names": list(bundle.schema.names),
-            "positive_counts": list(bundle.schema.positive_counts),
-            "order": list(bundle.schema.order),
-        },
-        "user_feature_names": bundle.user_feature_names,
-        "item_feature_names": bundle.item_feature_names,
-        "user_vocab_sizes": bundle.user_vocab_sizes,
-        "item_vocab_sizes": bundle.item_vocab_sizes,
-        "binning": {k: v.tolist() for k, v in sorted(bundle.binning.items())},
-        "users": bundle.users,
-        "items": bundle.items,
-        "arrays": [
-            {"name": name, "dtype": dtype, "shape": list(arr.shape)}
-            for name, arr, dtype in arrays
-        ],
-    }
+    meta = {name: getattr(bundle, name) for name in _HEADER_FIELDS}
+    meta["schema"] = asdict(bundle.schema)
+    meta["binning"] = {k: v.tolist() for k, v in sorted(bundle.binning.items())}
+    meta["arrays"] = [
+        {"name": name, "dtype": dtype, "shape": list(arr.shape)} for name, arr, dtype in arrays
+    ]
     write_artifact(
         path, BUNDLE_MAGIC, BUNDLE_VERSION, meta, [(arr, dtype) for _, arr, dtype in arrays]
     )
@@ -624,21 +618,12 @@ def load_bundle(path) -> DatasetBundle:
                 for name in ("train", "validation", "test")
             }
             return DatasetBundle(
-                schema=FeedbackSchema(
-                    names=tuple(meta["schema"]["names"]),
-                    positive_counts=tuple(meta["schema"]["positive_counts"]),
-                    order=tuple(meta["schema"]["order"]),
-                ),
-                user_feature_names=list(meta["user_feature_names"]),
-                item_feature_names=list(meta["item_feature_names"]),
-                user_vocab_sizes=list(meta["user_vocab_sizes"]),
-                item_vocab_sizes=list(meta["item_vocab_sizes"]),
+                schema=FeedbackSchema(**{k: tuple(v) for k, v in meta["schema"].items()}),
                 binning={k: np.asarray(v, dtype=np.float64) for k, v in meta["binning"].items()},
-                users=list(meta["users"]),
-                items=list(meta["items"]),
                 user_feature_table=loaded["user_feature_table"],
                 item_feature_table=loaded["item_feature_table"],
+                **{name: list(meta[name]) for name in _HEADER_FIELDS},
                 **splits,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"{path}: malformed bundle cache: {exc!r}") from None

@@ -245,11 +245,15 @@ def angle_histogram(
     return table
 
 
+def angle_csv(table: np.ndarray) -> str:
+    """The ``angle_histogram`` table as CSV text with a ``bin_deg,pos,neg`` header."""
+    rows = "".join(f"{start:g},{int(n_pos)},{int(n_neg)}\n" for start, n_pos, n_neg in table)
+    return "bin_deg,pos,neg\n" + rows
+
+
 def write_angle_csv(path, table: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_deg,pos,neg\n")
-        for bin_start, n_pos, n_neg in table:
-            fh.write(f"{bin_start:g},{int(n_pos)},{int(n_neg)}\n")
+        fh.write(angle_csv(table))
 
 
 def format_report(metrics: dict) -> str:

@@ -69,6 +69,16 @@ class TrainConfig:
             raise ConfigError(
                 f"thresholds_population must be train|all, got {self.thresholds_population}"
             )
+        if self.patience is not None and self.patience < 1:
+            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+        # Settings the chosen kind would silently ignore.  Checked here, not in
+        # ModelConfig, so that checkpoints saved before the check still load.
+        if self.listwise and self.kind != "gnolr":
+            raise ConfigError(f"listwise applies to kind gnolr only, not {self.kind}")
+        if self.variant != "nested" and self.kind != "gnolr":
+            raise ConfigError(f"variant {self.variant} applies to kind gnolr only, not {self.kind}")
+        if self.positive_weights and self.kind in ("gnolr", "neural_olr"):
+            raise ConfigError(f"positive_weights apply to kinds bce and nsb, not {self.kind}")
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -475,25 +485,11 @@ def multi_run(bundle: DatasetBundle, config: TrainConfig, n_seeds: int, **eval_k
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Atomic write of the GNC1 file: every Checkpoint field in the header, then the params."""
     names = sorted(checkpoint.params)
-    meta = {
-        "model_config": checkpoint.model_config.to_dict(),
-        "train_config": checkpoint.train_config,
-        "schema_names": checkpoint.schema_names,
-        "schema_counts": checkpoint.schema_counts,
-        "schema_order": checkpoint.schema_order,
-        "user_feature_names": checkpoint.user_feature_names,
-        "item_feature_names": checkpoint.item_feature_names,
-        "user_vocab_sizes": checkpoint.user_vocab_sizes,
-        "item_vocab_sizes": checkpoint.item_vocab_sizes,
-        "binning": checkpoint.binning,
-        "best_metric": checkpoint.best_metric,
-        "best_epoch": checkpoint.best_epoch,
-        "config_hash": checkpoint.config_hash,
-        "params": [
-            {"name": n, "shape": list(checkpoint.params[n].shape)} for n in names
-        ],
-    }
+    meta = {f.name: getattr(checkpoint, f.name) for f in dataclasses.fields(Checkpoint)}
+    meta["model_config"] = checkpoint.model_config.to_dict()
+    meta["params"] = [{"name": n, "shape": list(checkpoint.params[n].shape)} for n in names]
     write_artifact(
         path,
         CHECKPOINT_MAGIC,
@@ -507,25 +503,12 @@ def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         meta = read_header(fh, path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
         try:
-            params = {
+            values = {f.name: meta[f.name] for f in dataclasses.fields(Checkpoint)}
+            values["params"] = {
                 spec["name"]: read_array(fh, path, spec["shape"], "<f8")
                 for spec in meta["params"]
             }
-            return Checkpoint(
-                model_config=ModelConfig.from_dict(meta["model_config"]),
-                train_config=meta["train_config"],
-                schema_names=meta["schema_names"],
-                schema_counts=meta["schema_counts"],
-                schema_order=meta["schema_order"],
-                user_feature_names=meta["user_feature_names"],
-                item_feature_names=meta["item_feature_names"],
-                user_vocab_sizes=meta["user_vocab_sizes"],
-                item_vocab_sizes=meta["item_vocab_sizes"],
-                binning=meta["binning"],
-                best_metric=meta["best_metric"],
-                best_epoch=meta["best_epoch"],
-                config_hash=meta["config_hash"],
-                params=params,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            values["model_config"] = ModelConfig.from_dict(meta["model_config"])
+            return Checkpoint(**values)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"{path}: malformed checkpoint: {exc!r}") from None

@@ -361,6 +361,16 @@ class TestAngles:
         assert lines[0] == "bin_deg,pos,neg"
         assert len(lines) == 181
 
+    def test_stdout_matches_the_csv_file(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        out_file = tmp_path / "angles_stdout.csv"
+        assert main(["angles", cfg, "--set", f"eval.angles_out={out_file}"]) == 0
+        capsys.readouterr()
+        assert main(["angles", cfg]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("seed=1\nbin_deg,pos,neg\n")
+        assert out.split("\n", 1)[1] == out_file.read_text()
+
 
 class TestConfigValidation:
     def test_unknown_key_exits_two(self, workspace, capsys):
@@ -410,6 +420,10 @@ class TestConfigValidation:
             ("train", "model.hidden_sizes=16,x"),
             ("train", "model.positive_weights=heavy"),
             ("eval", "eval.recall_ks=5,ten"),
+            ("train", "train.epochs="),
+            ("train", "model.gamma="),
+            ("train", "model.listwise="),
+            ("retrieve", "eval.retrieve_k="),
         ],
     )
     def test_malformed_number_list_exits_two(self, workspace, capsys, command, override):
@@ -433,6 +447,16 @@ class TestConfigValidation:
             ["model.kind=nsb", "model.positive_weights=2,3,4"],
             ["train.learning_rate=0"],
             ["train.batch_size=0"],
+            ["train.patience=0"],
+            ["train.patience=-3"],
+            ["model.kind=bce", "model.listwise=true"],
+            ["model.kind=nsb", "model.listwise=true"],
+            ["model.kind=neural_olr", "model.listwise=true"],
+            ["model.positive_weights=5"],
+            ["model.kind=neural_olr", "model.positive_weights=5"],
+            ["model.kind=bce", "model.variant=v1"],
+            ["model.kind=nsb", "model.variant=v0"],
+            ["model.kind=neural_olr", "model.variant=v1"],
         ],
         ids=lambda overrides: overrides[-1],
     )
@@ -443,6 +467,32 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "epoch=" not in captured.out
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve", "angles"])
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("eval.split=tset", "unknown split 'tset'"),
+            ("eval.recall_ks=-1", "recall needs one or more K >= 0, got (-1,)"),
+            ("eval.recall_ks=5,-1", "recall needs one or more K >= 0, got (5, -1)"),
+            ("eval.gauc=Pairs", "[eval] gauc must be pairs|uniform|off, got 'Pairs'"),
+            ("eval.retrieve_k=-2", "retrieve depth K must be >= 0, got -2"),
+            ("eval.angle_level=x", "[eval] angle_level: expected an integer, got 'x'"),
+        ],
+    )
+    def test_bad_eval_value_exits_two_before_loading(
+        self, workspace, capsys, monkeypatch, command, override, message
+    ):
+        from gnolr import cli
+
+        def refuse(path):
+            raise AssertionError(f"{path} loaded before [eval] was checked")
+
+        monkeypatch.setattr(cli, "load_bundle", refuse)
+        monkeypatch.setattr(cli, "load_checkpoint", refuse)
+        tmp_path, cfg = workspace
+        assert main([command, cfg, "--set", override]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "override",
@@ -490,6 +540,184 @@ class TestConfigValidation:
             assert getattr(loaded.model_config, field) == expected
         # The module-scoped checkpoint that later tests read is left alone.
         assert (tmp_path / "model.gnc").read_bytes() == shared
+
+
+class TestConfigDeclarations:
+    """Each INI section reads its keys, types and defaults from one dataclass."""
+
+    KEYS = {
+        "data": {
+            "csv", "bundle", "feedback", "numeric_features", "binarize_feedback",
+            "rating_threshold", "user_key_columns", "embed_user_id", "embed_item_id",
+            "n_bins", "max_list_len", "train_fraction", "validation_fraction_of_train",
+            "seed",
+        },
+        "model": {
+            "kind", "variant", "listwise", "listnet_use_log", "thresholds",
+            "thresholds_population", "gamma", "clip_floor", "embedding_dim",
+            "hidden_sizes", "activation_slope", "positive_weights", "bce_raw_cosine",
+            "bce_target_level",
+        },
+        "train": {
+            "learning_rate", "epochs", "batch_size", "list_batch_size", "seed",
+            "patience", "checkpoint",
+        },
+        "eval": {
+            "split", "recall_ks", "gauc", "report", "retrieve_k", "retrieve_out",
+            "angles_out", "angle_level", "embeddings_user", "embeddings_item",
+        },
+    }
+
+    # Every key set to a value other than its default, as INI text and as read back.
+    EVERY_KEY = {
+        "data": {
+            "csv": ("in.csv", "in.csv"),
+            "bundle": ("b.gnb", None),
+            "feedback": ("click, pay", ("click", "pay")),
+            "numeric_features": ("uf_age,if_price", ("uf_age", "if_price")),
+            "binarize_feedback": ("pay", ("pay",)),
+            "rating_threshold": ("3.5", 3.5),
+            "user_key_columns": ("user_id,uf_city", ("user_id", "uf_city")),
+            "embed_user_id": ("no", False),
+            "embed_item_id": ("off", False),
+            "n_bins": ("7", 7),
+            "max_list_len": ("9", 9),
+            "train_fraction": ("0.6", 0.6),
+            "validation_fraction_of_train": ("0.2", 0.2),
+            "seed": ("4", 4),
+        },
+        "model": {
+            "kind": ("nsb", "nsb"),
+            "variant": ("v1", "v1"),
+            "listwise": ("true", True),
+            "listnet_use_log": ("false", False),
+            "thresholds": ("0.5,1.5", (0.5, 1.5)),
+            "thresholds_population": ("all", "all"),
+            "gamma": ("2.5", 2.5),
+            "clip_floor": ("1e-5", 1e-5),
+            "embedding_dim": ("6", 6),
+            "hidden_sizes": ("12,6", (12, 6)),
+            "activation_slope": ("0.2", 0.2),
+            "positive_weights": ("2,3", (2.0, 3.0)),
+            "bce_raw_cosine": ("yes", True),
+            "bce_target_level": ("2", 2),
+        },
+        "train": {
+            "learning_rate": ("0.01", 0.01),
+            "epochs": ("3", 3),
+            "batch_size": ("64", 64),
+            "list_batch_size": ("5", 5),
+            "seed": ("8", 8),
+            "patience": ("2", 2),
+            "checkpoint": ("m.gnc", None),
+        },
+        "eval": {
+            "split": ("validation", "validation"),
+            "recall_ks": ("5,20", (5, 20)),
+            "gauc": ("uniform", "uniform"),
+            "report": ("r.json", "r.json"),
+            "retrieve_k": ("3", 3),
+            "retrieve_out": ("top.tsv", "top.tsv"),
+            "angles_out": ("a.csv", "a.csv"),
+            "angle_level": ("1", 1),
+            "embeddings_user": ("u.tsv", "u.tsv"),
+            "embeddings_item": ("i.tsv", "i.tsv"),
+        },
+    }
+
+    @staticmethod
+    def run_config(tmp_path, sections):
+        from gnolr.cli import RunConfig
+
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{key} = {raw}\n" for key, raw in keys.items())
+            for name, keys in sections.items()
+        )
+        (tmp_path / "run.ini").write_text(text)
+        return RunConfig.load(str(tmp_path / "run.ini"), [])
+
+    def test_accepted_keys_are_the_45_known_ones(self):
+        from gnolr import cli
+
+        assert {name: set(keys) for name, keys in cli._SECTIONS.items()} == self.KEYS
+        assert sum(map(len, self.KEYS.values())) == 45
+        assert set(self.EVERY_KEY) == set(self.KEYS)
+        for name, keys in self.KEYS.items():
+            assert set(self.EVERY_KEY[name]) == keys
+
+    def test_required_keys_alone_give_the_dataclass_defaults(self, tmp_path):
+        from gnolr.cli import EvalConfig, _data_config, _train_config
+        from gnolr.data import DataConfig
+        from gnolr.training import TrainConfig
+
+        cfg = self.run_config(tmp_path, {"data": {"csv": "in.csv", "feedback": "click"}})
+        assert _data_config(cfg) == DataConfig(csv_path="in.csv", feedback=("click",))
+        assert _train_config(cfg) == TrainConfig()
+        assert EvalConfig(**cfg.values("eval")) == EvalConfig()
+
+    def test_empty_string_or_list_values_leave_the_defaults(self, tmp_path):
+        from gnolr.cli import EvalConfig, _data_config, _train_config
+        from gnolr.data import DataConfig
+        from gnolr.training import TrainConfig
+
+        empty = ("user_key_columns", "numeric_features", "kind", "variant", "thresholds")
+        empty += ("hidden_sizes", "positive_weights", "split", "recall_ks", "report", "gauc")
+        sections = {"data": {"csv": "in.csv", "feedback": "click"}, "model": {}, "eval": {}}
+        for key in empty:
+            section = next(name for name, keys in self.KEYS.items() if key in keys)
+            sections[section][key] = ""
+        cfg = self.run_config(tmp_path, sections)
+        assert _data_config(cfg) == DataConfig(csv_path="in.csv", feedback=("click",))
+        assert _train_config(cfg) == TrainConfig()
+        assert EvalConfig(**cfg.values("eval")) == EvalConfig()
+
+    def test_every_key_reads_back(self, tmp_path):
+        from gnolr.cli import EvalConfig, _data_config
+        from gnolr.data import DataConfig
+        from gnolr.training import TrainConfig
+
+        ini = {
+            name: {key: raw for key, (raw, _) in keys.items()}
+            for name, keys in self.EVERY_KEY.items()
+        }
+        cfg = self.run_config(tmp_path, ini)
+        field_of = {"csv": "csv_path"}
+        defaults = {"data": DataConfig("", ("x",)), "model": TrainConfig(), "train": TrainConfig()}
+        defaults["eval"] = EvalConfig()
+        for name, keys in self.EVERY_KEY.items():
+            expected = {field_of.get(k, k): v for k, (_, v) in keys.items() if v is not None}
+            assert cfg.values(name) == expected
+            for field, value in expected.items():
+                assert getattr(defaults[name], field) != value, field
+        assert cfg.require("data", "bundle") == "b.gnb"
+        assert cfg.require("train", "checkpoint") == "m.gnc"
+        # [model] and [train] set every key, which no one kind accepts; the
+        # other two sections build their dataclasses with every value kept.
+        assert vars(_data_config(cfg)) == cfg.values("data")
+        assert vars(EvalConfig(**cfg.values("eval"))) == cfg.values("eval")
+
+    def test_kind_is_case_blind_and_auto_thresholds_any_case(self, tmp_path):
+        from gnolr.cli import _train_config
+
+        cfg = self.run_config(tmp_path, {"model": {"kind": "BCE", "thresholds": "AuTo"}})
+        train_cfg = _train_config(cfg)
+        assert train_cfg.kind == "bce" and train_cfg.thresholds is None
+
+    @pytest.mark.parametrize("name", ["tiny.gnb", "tiny.gnc"])
+    def test_committed_artifacts_load_and_save_back_byte_identical(self, tmp_path, name):
+        """``tests/fixtures`` holds a GNB1 bundle with binned numeric features and a
+        GNC1 checkpoint trained on it, both written before the headers were built
+        from the dataclass fields (commit 9bd238c)."""
+        from gnolr.data import load_bundle, save_bundle
+        from gnolr.training import load_checkpoint, save_checkpoint
+
+        if name.endswith(".gnb"):
+            load, save = load_bundle, save_bundle
+        else:
+            load, save = load_checkpoint, save_checkpoint
+        original = pathlib.Path(__file__).parent / "fixtures" / name
+        save(load(original), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == original.read_bytes()
 
 
 class TestCheckpointBundleBinding:
