@@ -17,7 +17,7 @@ from gnolr import (
     nested_kernel,
     task_score,
 )
-from gnolr.losses import olr_batch
+from gnolr.losses import gnolr_batch
 from gnolr.tensor import l2_normalize
 
 rng = np.random.default_rng(7)
@@ -44,7 +44,7 @@ print("unified score P(k > 2):", round(task_score(2, kernels, hyper), 4))
 # Losses: the nested subtask sum vs the plain single-term ordinal NLL,
 # which scores every level with one shared kernel (batched: one row per label).
 labels = np.array([1, 2, 3])
-shared, _ = olr_batch(labels, np.full((3, 1), kernels[0]), hyper, prefix=False)
+shared, _ = gnolr_batch(labels, np.full((3, 1), kernels[0]), hyper, prefix=False, nested=False)
 for k, shared_k in zip(labels, shared):
     nested = gnolr_total_loss(int(k), kernels, hyper)
     print(f"label k={k}: nested loss {nested:.4f} | shared-encoder loss {shared_k:.4f}")

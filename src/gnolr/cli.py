@@ -22,7 +22,6 @@ from . import training
 from .data import DataConfig, build_bundle, load_bundle, save_bundle
 from .encoders import check_tsv_ids, write_embeddings
 from .errors import ArgumentError, ConfigError, GnolrError
-from .feedback import estimate_thresholds
 from .metrics import (
     angle_csv,
     angle_histogram,
@@ -41,7 +40,8 @@ logger = logging.getLogger("gnolr")
 class EvalConfig:
     """The [eval] section: the split to score, metric options and output paths ("" = none).
 
-    ``angle_level`` None means the sparsest level.
+    ``angle_level`` None means the sparsest level; its upper bound, the
+    bundle's level count, is checked once the bundle has loaded.
     """
 
     split: str = "test"
@@ -64,6 +64,8 @@ class EvalConfig:
             raise ConfigError(f"[eval] gauc must be pairs|uniform|off, got {self.gauc!r}")
         if self.retrieve_k < 0:
             raise ConfigError(f"retrieve depth K must be >= 0, got {self.retrieve_k}")
+        if self.angle_level is not None and self.angle_level < 1:
+            raise ConfigError(f"angle_level must be >= 1, got {self.angle_level}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -261,13 +263,11 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_thresholds(cfg: RunConfig) -> int:
-    population = _print_seed(cfg).thresholds_population
-    bundle = _load_bundle(cfg)
-    labels = bundle.train.labels if population == "train" else bundle.all_labels()
-    thresholds = estimate_thresholds(labels, bundle.num_feedbacks)
-    for c, value in enumerate(thresholds.values, start=1):
+    auto = dataclasses.replace(_print_seed(cfg), thresholds=None)
+    thresholds = training.resolve_thresholds(_load_bundle(cfg), auto)
+    for c, value in enumerate(thresholds, start=1):
         print(f"a_{c} = {value:.4f}")
-    print("thresholds = " + ",".join(f"{v:.4f}" for v in thresholds.values))
+    print("thresholds = " + ",".join(f"{v:.4f}" for v in thresholds))
     return 0
 
 
@@ -300,8 +300,7 @@ def cmd_eval(cfg: RunConfig) -> int:
         bundle,
         split_name=settings.split,
         recall_ks=settings.recall_ks,
-        gauc_weighting=settings.gauc if settings.gauc != "off" else "pairs",
-        with_gauc=settings.gauc != "off",
+        gauc_weighting=settings.gauc,
         index=index,
         user_vectors=users,
     )

@@ -148,14 +148,11 @@ class Tower:
             out.extend((w, b))
         return out
 
-    def _check_input(self, x: np.ndarray) -> None:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"tower '{self.name}' expects input (B, {self.input_dim}), got {x.shape}"
             )
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        self._check_input(x)
         slope = self.cfg.activation_slope
         h = x
         inputs = []
@@ -163,30 +160,12 @@ class Tower:
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            z = h @ w.value + b.value
+            z = h @ w.value
+            z += b.value
             pre_acts.append(z)
             h = z if li == last else leaky_relu(z, slope)
         out = l2_normalize(h)
         return out, {"inputs": inputs, "pre_acts": pre_acts, "final": h}
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """``forward``'s output, bit for bit, without the caches a backward needs.
-
-        Every row comes out as it would in any batch of two or more rows.
-        numpy sends a one-row product to BLAS gemv, whose sums round
-        differently from gemm's, so a single row runs as a duplicated pair.
-        """
-        self._check_input(x)
-        if x.shape[0] == 1:
-            return self.infer(np.repeat(x, 2, axis=0))[:1]
-        h = x
-        last = len(self.weights) - 1
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.value
-            h += b.value
-            if li != last:
-                h = leaky_relu(h, self.cfg.activation_slope)
-        return l2_normalize(h)
 
     def backward(self, upstream: np.ndarray, cache: dict) -> np.ndarray:
         """Accumulate parameter grads, return gradient w.r.t. the tower input."""
@@ -307,10 +286,14 @@ class NestedTwinEncoder:
     def embed_entities(self, x: np.ndarray, side: str) -> np.ndarray:
         """Unified embeddings (B, T * dim): concatenated unit sub-embeddings.
 
-        Inference only: no tower keeps a cache.
+        Every row comes out as it would in any batch of two or more rows.
+        numpy sends a one-row product to BLAS gemv, whose sums round
+        differently from gemm's, so a single row runs as a duplicated pair.
         """
+        n = len(x)
+        x = np.repeat(x, 2, axis=0) if n == 1 else x
         towers = self.user_towers if side == "user" else self.item_towers
-        return np.concatenate([t.infer(x) for t in towers], axis=1)
+        return np.concatenate([t.forward(x)[0][:n] for t in towers], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ sub-similarities, so all losses below are written in terms of those sums.
 The batch losses share one kernel map, ``cumulative_from_dots``: gamma
 times the prefix running sum (nested model, ``v1``) or c * gamma * dot per
 level (``v0`` and, with one broadcast column, the shared-encoder baseline).
-``gnolr_batch`` sums the subtask NLLs; ``olr_batch`` is the plain ordinal
-NLL for the ablations and the baseline.
+``gnolr_batch`` gives the subtask-summed NLL, or with ``nested=False`` the
+plain ordinal NLL of the ablations and the baseline.
 
 Every probability entering a log is clipped to [clip_floor, inf); a
 clipped term contributes exactly -log(clip_floor) and passes no gradient
@@ -194,62 +194,22 @@ def _dots_adjoint(dl_ds: np.ndarray, s: np.ndarray, hyper: GnolrHyper, prefix: b
 
 
 def gnolr_batch(
-    labels: np.ndarray, dots: np.ndarray, hyper: GnolrHyper
+    labels: np.ndarray,
+    dots: np.ndarray,
+    hyper: GnolrHyper,
+    prefix: bool = True,
+    nested: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nested subtask-summed loss for a batch.
+    """Ordinal NLL of a batch through the kernel map.
 
-    ``dots[:, j]`` is the level-(j+1) sub-embedding similarity; per sample
-    the loss is sum over subtasks t of -log P(min(k, t+1) | subtask t).
-    Returns per-sample losses (B,) and d(loss_i)/d(dots_i) (B, T).
-    """
-    dots = np.asarray(dots, dtype=np.float64)
-    big_t = hyper.num_levels
-    labels = _validate_batch(labels, big_t)
-    n = labels.shape[0]
-    if dots.shape != (n, big_t):
-        raise ArgumentError(f"dots must be ({n}, {big_t}), got {dots.shape}")
-    s = cumulative_from_dots(dots, hyper)
-    floor = hyper.clip_floor
-
-    losses = np.zeros(n)
-    dl_ds = np.zeros_like(s)
-    levels = np.arange(1, big_t + 1)[None, :]
-
-    # Subtasks t < k each see the sample at their own top category:
-    # one -log(1 - S_t) term per such t.
-    top_mask = levels < labels[:, None]
-    p_top = 1.0 - s
-    top_live = p_top > floor
-    losses += np.where(top_mask, -np.log(np.maximum(p_top, floor)), 0.0).sum(axis=1)
-    dl_ds += np.where(top_mask & top_live, 1.0 / np.maximum(p_top, floor), 0.0)
-
-    # Subtasks t >= k share the interior term -log(S_k - S_{k-1});
-    # there are T - k + 1 of them.
-    interior = labels <= big_t
-    idx = np.nonzero(interior)[0]
-    if idx.size:
-        k = labels[idx]
-        upper = s[idx, k - 1]
-        lower = np.where(k >= 2, s[idx, np.maximum(k - 2, 0)], 0.0)
-        p_int = upper - lower
-        copies = (big_t - k + 1).astype(np.float64)
-        live = p_int > floor
-        losses[idx] += copies * -np.log(np.maximum(p_int, floor))
-        coef = np.where(live, copies / np.maximum(p_int, floor), 0.0)
-        dl_ds[idx, k - 1] -= coef
-        two_up = idx[k >= 2]
-        dl_ds[two_up, k[k >= 2] - 2] += coef[k >= 2]
-    return losses, _dots_adjoint(dl_ds, s, hyper, True)
-
-
-def olr_batch(
-    labels: np.ndarray, dots: np.ndarray, hyper: GnolrHyper, prefix: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain (single-term) ordinal NLL through the kernel map.
-
-    ``prefix`` gives the ``v1`` ablation (nested prefix kernels); without
-    it each level sees only its own dot (``v0``), and dots of shape (B, 1)
-    are one shared kernel per sample (the shared-encoder baseline).
+    Every variant reads the interior term -log(S_k - S_{k-1}), with
+    S_0 = 0 and S_{T+1} = 1; without ``nested`` it is the whole loss, the
+    plain ordinal likelihood.  ``prefix`` picks the kernel map: ``v1``
+    with it, ``v0`` without, and without it dots of shape (B, 1) are one
+    shared kernel per sample (the shared-encoder baseline).  ``nested``
+    sums the T subtasks: each subtask t < k sees the sample at its top
+    category, one -log(1 - S_t) term, and the T - k + 1 subtasks t >= k
+    share the interior term.
     Returns per-sample losses (B,) and a gradient shaped like ``dots``.
     """
     dots = np.asarray(dots, dtype=np.float64)
@@ -265,15 +225,22 @@ def olr_batch(
     full = np.concatenate((np.zeros((n, 1)), s, np.ones((n, 1))), axis=1)
     rows = np.arange(n)
     p = full[rows, labels] - full[rows, labels - 1]
-    losses = -np.log(np.maximum(p, floor))
+    # The interior term's weight: 0 for label T + 1 when nested.
+    copies = (big_t + 1 - labels).astype(np.float64) if nested else 1.0
+    losses = copies * -np.log(np.maximum(p, floor))
+    coef = np.where(p > floor, copies / np.maximum(p, floor), 0.0)
     dl_ds = np.zeros_like(s)
-    coef = np.where(p > floor, 1.0 / np.maximum(p, floor), 0.0)
+    if nested:
+        top = np.arange(1, big_t + 1)[None, :] < labels[:, None]
+        p_top = 1.0 - s
+        losses += np.where(top, -np.log(np.maximum(p_top, floor)), 0.0).sum(axis=1)
+        dl_ds += np.where(top & (p_top > floor), 1.0 / np.maximum(p_top, floor), 0.0)
     has_upper = labels <= big_t
     dl_ds[rows[has_upper], labels[has_upper] - 1] -= coef[has_upper]
     has_lower = labels >= 2
     dl_ds[rows[has_lower], labels[has_lower] - 2] += coef[has_lower]
     grad_dots = _dots_adjoint(dl_ds, s, hyper, prefix)
-    if dots.shape[1] == 1:
+    if dots.shape[1] != big_t:
         grad_dots = grad_dots.sum(axis=1, keepdims=True)
     return losses, grad_dots
 

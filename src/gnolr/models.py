@@ -18,8 +18,7 @@ Adam call updates them; the tables take row-sparse updates.  A tower's
 output depends only on its own side's feature row, so training, scoring
 and embedding all run the towers once per distinct feature row: a
 training step gathers the sub-embeddings back to its samples for the loss
-and sums the samples' gradients onto their rows for the backward, and
-scoring and embedding keep no caches.
+and sums the samples' gradients onto their rows for the backward.
 """
 
 from __future__ import annotations
@@ -32,14 +31,7 @@ import numpy as np
 from .encoders import EmbeddingTableSet, NestedTwinEncoder, TowerConfig
 from .errors import ArgumentError, DimensionError
 from .feedback import ThresholdSet
-from .losses import (
-    GnolrHyper,
-    bce_batch,
-    cumulative_from_dots,
-    gnolr_batch,
-    listnet_list_batch,
-    olr_batch,
-)
+from .losses import GnolrHyper, bce_batch, cumulative_from_dots, gnolr_batch, listnet_list_batch
 from .tensor import Parameter, block_rows, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
@@ -364,10 +356,7 @@ class GnolrModel(_TwinBase):
 
     def _objective(self, batch: Batch, dots: np.ndarray) -> tuple[float, np.ndarray]:
         n = dots.shape[0]
-        if self.nested:
-            losses, grad_dots = gnolr_batch(batch.labels, dots, self.hyper)
-        else:
-            losses, grad_dots = olr_batch(batch.labels, dots, self.hyper, self.prefix)
+        losses, grad_dots = gnolr_batch(batch.labels, dots, self.hyper, self.prefix, self.nested)
         total = float(losses.mean())
         grad_dots = grad_dots / n
 

@@ -96,40 +96,40 @@ class AdamConfig:
             raise OptimizerError("epsilon must be > 0")
 
 
-def adam_step(param: Parameter, cfg: AdamConfig) -> Parameter:
-    """Bias-corrected Adam update in place; zeroes the gradient afterward.
+def _adam_update(
+    value: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: AdamConfig
+) -> None:
+    """Bias-corrected Adam step ``t``, in place on arrays of one shape; spends ``g``.
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
     value -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     Each product and quotient is rounded in that order, but written into one
-    scratch array and the spent gradient buffer instead of fresh temporaries.
+    scratch array and ``g`` instead of fresh temporaries.
     """
+    scratch = np.multiply(g, 1.0 - cfg.beta1)
+    m *= cfg.beta1
+    m += scratch
+    np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+    scratch *= g
+    v *= cfg.beta2
+    v += scratch
+    denom = np.divide(v, 1.0 - cfg.beta2**t, out=g)
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step = np.divide(m, 1.0 - cfg.beta1**t, out=scratch)
+    step *= cfg.learning_rate
+    step /= denom
+    value -= step
+
+
+def adam_step(param: Parameter, cfg: AdamConfig) -> Parameter:
+    """Adam over the whole parameter, in place; zeroes the gradient afterward."""
     if not np.all(np.isfinite(param.grad)):
         raise OptimizerError(f"non-finite gradient in parameter '{param.name}'")
     param.step_count += 1
-    t = param.step_count
-    g = param.grad
-    scratch = np.multiply(g, 1.0 - cfg.beta1)
-    param.adam_m *= cfg.beta1
-    param.adam_m += scratch
-    np.multiply(g, 1.0 - cfg.beta2, out=scratch)
-    scratch *= g
-    param.adam_v *= cfg.beta2
-    param.adam_v += scratch
-    denom = np.divide(param.adam_v, 1.0 - cfg.beta2**t, out=g)
-    np.sqrt(denom, out=denom)
-    denom += cfg.epsilon
-    step = np.divide(param.adam_m, 1.0 - cfg.beta1**t, out=scratch)
-    step *= cfg.learning_rate
-    step /= denom
-    param.value -= step
+    _adam_update(param.value, param.adam_m, param.adam_v, param.grad, param.step_count, cfg)
     param.zero_grad()
     return param
-
-
-# ---------------------------------------------------------------------------
-# Core ops (forward + backward)
-# ---------------------------------------------------------------------------
 
 
 def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Parameter:
@@ -147,14 +147,16 @@ def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Par
     if not np.all(np.isfinite(g)):
         raise OptimizerError(f"non-finite gradient in parameter '{param.name}'")
     param.step_count += 1
-    t = param.step_count
-    param.adam_m[rows] = cfg.beta1 * param.adam_m[rows] + (1.0 - cfg.beta1) * g
-    param.adam_v[rows] = cfg.beta2 * param.adam_v[rows] + (1.0 - cfg.beta2) * g * g
-    m_hat = param.adam_m[rows] / (1.0 - cfg.beta1**t)
-    v_hat = param.adam_v[rows] / (1.0 - cfg.beta2**t)
-    param.value[rows] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    value, m, v = param.value[rows], param.adam_m[rows], param.adam_v[rows]
+    _adam_update(value, m, v, g, param.step_count, cfg)
+    param.value[rows], param.adam_m[rows], param.adam_v[rows] = value, m, v
     param.grad[rows] = 0.0
     return param
+
+
+# ---------------------------------------------------------------------------
+# Core ops (forward + backward)
+# ---------------------------------------------------------------------------
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:

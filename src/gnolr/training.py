@@ -20,7 +20,7 @@ from .data import DatasetBundle, Split, make_batches, read_array, read_header, w
 from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
 from .feedback import estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
-from .models import Batch, ModelConfig, make_model, row_numbers
+from .models import GNOLR_VARIANTS, MODEL_KINDS, Batch, ModelConfig, make_model, row_numbers
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
 logger = logging.getLogger("gnolr")
@@ -55,6 +55,10 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self) -> None:
+        if self.kind not in MODEL_KINDS:
+            raise ConfigError(f"unknown model kind '{self.kind}'")
+        if self.variant not in GNOLR_VARIANTS:
+            raise ConfigError(f"unknown variant '{self.variant}'")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.gamma <= 0:
@@ -409,11 +413,12 @@ def evaluate(
     split_name: str = "test",
     recall_ks: tuple[int, ...] = (),
     gauc_weighting: str = "pairs",
-    with_gauc: bool = True,
     index: RetrievalIndex | None = None,
     user_vectors: np.ndarray | None = None,
 ) -> dict[str, float]:
     """Per-task AUC (raw feedback bits), GAUC over users, optional Recall@K.
+
+    ``gauc_weighting`` is ``gauc``'s weighting, or "off" to skip GAUC.
 
     ``index`` and ``user_vectors`` are the unified item index and user
     matrix when the caller has already built them.  NSB recall retrieves
@@ -432,7 +437,7 @@ def evaluate(
             continue
         scores = _level_column(all_scores, level)
         metrics[f"auc_t{level}"] = auc(scores, labels)
-        if with_gauc and split.lists.num_lists > 0:
+        if gauc_weighting != "off" and split.lists.num_lists > 0:
             try:
                 metrics[f"gauc_t{level}"] = gauc(
                     scores, labels, split.user_index, weighting=gauc_weighting

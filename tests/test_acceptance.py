@@ -246,11 +246,11 @@ def test_criterion_7_movielens_ordering(tmp_path):
                 bundle,
                 TrainConfig(kind="gnolr", thresholds=(1.2295,), gamma=2.57, seed=seed, **common),
             ).checkpoint.build_model()
-            gm = evaluate(g, bundle, recall_ks=(5,), with_gauc=False)
+            gm = evaluate(g, bundle, recall_ks=(5,), gauc_weighting="off")
             gnolr_auc.append(gm["auc_t1"])
             gnolr_recall.append(gm["recall_t1@5"])
             b = train(bundle, TrainConfig(kind="bce", seed=seed, **common)).checkpoint.build_model()
-            bm = evaluate(b, bundle, recall_ks=(5,), with_gauc=False)
+            bm = evaluate(b, bundle, recall_ks=(5,), gauc_weighting="off")
             bce_auc.append(bm["auc_t1"])
             bce_recall.append(bm["recall_t1@5"])
         print(
@@ -388,11 +388,11 @@ class TestSupportingEvidence:
             g = train(
                 bundle, TrainConfig(kind="gnolr", gamma=2.0, seed=seed, **common)
             ).checkpoint.build_model()
-            gm = evaluate(g, bundle, recall_ks=(5,), with_gauc=False)
+            gm = evaluate(g, bundle, recall_ks=(5,), gauc_weighting="off")
             gnolr_auc.append(gm["auc_t1"])
             gnolr_recall.append(gm["recall_t1@5"])
             b = train(bundle, TrainConfig(kind="bce", seed=seed, **common)).checkpoint.build_model()
-            bm = evaluate(b, bundle, recall_ks=(5,), with_gauc=False)
+            bm = evaluate(b, bundle, recall_ks=(5,), gauc_weighting="off")
             bce_auc.append(bm["auc_t1"])
             bce_recall.append(bm["recall_t1@5"])
         assert np.mean(gnolr_auc) - np.mean(bce_auc) >= 0.01
@@ -417,6 +417,6 @@ class TestSupportingEvidence:
         raw = train(
             bundle, TrainConfig(kind="bce", bce_raw_cosine=True, seed=1, **common)
         ).checkpoint.build_model()
-        g_auc = evaluate(g, bundle, with_gauc=False)["auc_t1"]
-        raw_auc = evaluate(raw, bundle, with_gauc=False)["auc_t1"]
+        g_auc = evaluate(g, bundle, gauc_weighting="off")["auc_t1"]
+        raw_auc = evaluate(raw, bundle, gauc_weighting="off")["auc_t1"]
         assert g_auc - raw_auc > 0.05

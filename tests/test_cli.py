@@ -457,6 +457,8 @@ class TestConfigValidation:
             ["model.kind=bce", "model.variant=v1"],
             ["model.kind=nsb", "model.variant=v0"],
             ["model.kind=neural_olr", "model.variant=v1"],
+            ["model.kind=ranker", "data.bundle=/nonexistent/ranker.gnb"],
+            ["model.variant=v9", "data.bundle=/nonexistent/v9.gnb"],
         ],
         ids=lambda overrides: overrides[-1],
     )
@@ -466,6 +468,7 @@ class TestConfigValidation:
         assert main(["train", cfg, *args]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert "bundle cache does not exist" not in captured.err
         assert "epoch=" not in captured.out
 
     @pytest.mark.parametrize("command", ["eval", "retrieve", "angles"])
@@ -478,6 +481,7 @@ class TestConfigValidation:
             ("eval.gauc=Pairs", "[eval] gauc must be pairs|uniform|off, got 'Pairs'"),
             ("eval.retrieve_k=-2", "retrieve depth K must be >= 0, got -2"),
             ("eval.angle_level=x", "[eval] angle_level: expected an integer, got 'x'"),
+            ("eval.angle_level=0", "angle_level must be >= 1, got 0"),
         ],
     )
     def test_bad_eval_value_exits_two_before_loading(

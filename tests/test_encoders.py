@@ -98,18 +98,20 @@ class TestTower:
         tower = Tower("t", 8, TowerConfig((4,)), rng)
         with pytest.raises(DimensionError):
             tower.forward(np.ones((2, 5)))
-        with pytest.raises(DimensionError):
-            tower.infer(np.ones((2, 5)))
+        encoder = NestedTwinEncoder(2, 8, 8, TowerConfig((4,)), rng)
+        for rows in (1, 2):
+            with pytest.raises(DimensionError):
+                encoder.embed_entities(np.ones((rows, 5)), "user")
 
-    def test_infer_equals_forward_bit_for_bit_in_any_batch(self):
+    def test_embed_entities_equals_forward_bit_for_bit_in_any_batch(self):
         rng = np.random.default_rng(10)
-        tower = Tower("t", 24, TowerConfig((64, 32, 16)), rng)
+        encoder = NestedTwinEncoder(2, 24, 24, TowerConfig((64, 32, 16)), rng)
         x = rng.normal(size=(300, 24))
-        full, _ = tower.forward(x)
-        np.testing.assert_array_equal(tower.infer(x), full)
+        full = np.concatenate([t.forward(x)[0] for t in encoder.item_towers], axis=1)
+        np.testing.assert_array_equal(encoder.embed_entities(x, "item"), full)
         # A single row too, although numpy would send its products to gemv.
         for rows in ([7], [0, 1], [5, 2, 9], list(range(0, 300, 7))):
-            np.testing.assert_array_equal(tower.infer(x[rows]), full[rows])
+            np.testing.assert_array_equal(encoder.embed_entities(x[rows], "item"), full[rows])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -22,7 +22,6 @@ from gnolr.losses import (
     gnolr_batch,
     gnolr_total_loss,
     listnet_list_batch,
-    olr_batch,
     subtask_loss,
     task_score,
 )
@@ -364,18 +363,20 @@ class TestBceLoss:
 
 def olr_shared(labels, kernel, hyper):
     """Plain ordinal NLL with one shared kernel per sample (one tower pair)."""
-    losses, grad = olr_batch(labels, np.asarray(kernel)[:, None], hyper, prefix=False)
+    losses, grad = gnolr_batch(
+        labels, np.asarray(kernel)[:, None], hyper, prefix=False, nested=False
+    )
     return losses, grad[:, 0]
 
 
 def olr_v1(labels, dots, hyper):
     """Plain ordinal NLL on nested prefix kernels."""
-    return olr_batch(labels, dots, hyper, prefix=True)
+    return gnolr_batch(labels, dots, hyper, prefix=True, nested=False)
 
 
 def olr_v0(labels, dots, hyper):
     """Plain ordinal NLL where level c sees only its own sub-similarity."""
-    return olr_batch(labels, dots, hyper, prefix=False)
+    return gnolr_batch(labels, dots, hyper, prefix=False, nested=False)
 
 
 def shared_loss(label_k, kernel, hyper):

@@ -134,7 +134,7 @@ def test_fixtures_cover_the_edge_cases():
     assert len(many_rows(np.random.default_rng(7))[0]) > 8192
     model, _, _ = fixture("duplicates", zero_norm=True)
     x = model.tables_user.lookup(np.zeros((1, 2), dtype=np.int64))
-    assert not model.encoder.user_towers[-1].infer(x).any()
+    assert not model.encoder.user_towers[-1].forward(x)[0].any()
 
 
 @pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])

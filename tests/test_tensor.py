@@ -205,6 +205,21 @@ class TestAdam:
         adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([], dtype=np.int64))
         assert p.step_count == 1
 
+    def test_sparse_over_every_row_equals_the_dense_step(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(9, 5))
+        dense, sparse = Parameter("d", values.copy()), Parameter("s", values.copy())
+        cfg = AdamConfig(learning_rate=0.05)
+        for _ in range(5):
+            g = rng.normal(size=values.shape) * rng.choice([1e-6, 1.0, 1e3], size=(9, 1))
+            dense.grad[...] = g
+            sparse.grad[...] = g
+            adam_step(dense, cfg)
+            adam_step_sparse(sparse, cfg, np.arange(9))
+        assert sparse.step_count == dense.step_count == 5
+        for attr in ("value", "adam_m", "adam_v", "grad"):
+            assert getattr(sparse, attr).tobytes() == getattr(dense, attr).tobytes(), attr
+
 
 class TestPackParameters:
     def make(self):

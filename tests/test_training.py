@@ -115,7 +115,7 @@ class TestTrain:
         config = TrainConfig(kind=kind, variant=variant, seed=1, **{**FAST, "epochs": 20})
         result = train(bundle, config)
         assert not result.diverged
-        metrics = evaluate(result.checkpoint.build_model(), bundle, with_gauc=False)
+        metrics = evaluate(result.checkpoint.build_model(), bundle, gauc_weighting="off")
         assert math.isfinite(metrics["auc_t1"]) and math.isfinite(metrics["auc_t2"])
         if variant == "v1" or kind == "neural_olr":
             # The prefix-aggregated variants separate the planted structure;
@@ -538,7 +538,7 @@ class TestOnePassScoringAndRanking:
         model = untrained_model(bundle, kind="bce", bce_target_level=2)
         scores = model.task_scores_all(bundle.test.user_features, bundle.test.item_features)
         assert scores.shape[1] == 1
-        metrics_out = evaluate(model, bundle, with_gauc=False)
+        metrics_out = evaluate(model, bundle, gauc_weighting="off")
         assert metrics_out == {"auc_t2": auc(scores[:, 0], bundle.test.bits[:, 1])}
 
     def test_recall_ranks_each_user_once_in_the_unified_space(self, bundle, monkeypatch):
@@ -552,7 +552,7 @@ class TestOnePassScoringAndRanking:
     def test_nsb_ranks_each_user_once_per_level_space(self, bundle, monkeypatch):
         model = untrained_model(bundle, kind="nsb")
         calls = count_topk_calls(monkeypatch)
-        out = evaluate(model, bundle, recall_ks=(1, 5, 20), with_gauc=False)
+        out = evaluate(model, bundle, recall_ks=(1, 5, 20), gauc_weighting="off")
         assert calls == [len(users_with_positives(bundle.test, c)) for c in (1, 2)]
         assert "recall_t2@20" in out
 
