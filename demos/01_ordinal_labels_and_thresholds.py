@@ -11,10 +11,9 @@ import numpy as np
 from gnolr import (
     FeedbackSchema,
     estimate_thresholds,
-    map_to_ordinal,
-    remap_for_subtask,
     thresholds_from_fractions,
 )
+from gnolr.feedback import map_to_ordinal_array
 from gnolr.tensor import stable_sigmoid
 
 # --- Step 1: sparsity ordering -------------------------------------------
@@ -25,11 +24,12 @@ print("feedback ordered densest to sparsest:", schema.ordered_names())
 # --- Step 2: one ordinal label per sample --------------------------------
 # Bits arrive in sparsity order (click, cart, pay).  The deepest positive
 # wins; a purchase without an add-to-cart still counts as the top level.
-for bits in ([0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1]):
-    print(f"bits {bits} -> category k={map_to_ordinal(bits)}")
+patterns = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 0, 1]]
+for bits, k in zip(patterns, map_to_ordinal_array(np.array(patterns))):
+    print(f"bits {bits} -> category k={k}")
 
-# Each training subtask t only distinguishes levels up to t+1:
-print("subtask views of k=4:", [remap_for_subtask(4, t, 3) for t in (1, 2, 3)])
+# Each training subtask t only distinguishes levels up to t+1, min(k, t+1):
+print("subtask views of k=4:", np.minimum(4, np.arange(1, 4) + 1).tolist())
 
 # --- Step 3: thresholds from the data ------------------------------------
 # a_c is the logit of the share of samples that do NOT pass level c.  With

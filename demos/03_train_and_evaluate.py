@@ -13,7 +13,8 @@ import numpy as np
 
 from gnolr import DataConfig, TrainConfig, build_bundle, evaluate, train
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="gnolr-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="gnolr-demo-")
+workdir = pathlib.Path(tmp.name)
 print("working in", workdir)
 
 # --- Plant a progressive structure ---------------------------------------
@@ -62,3 +63,5 @@ print(
     "note: the shared-bottom recalls use each task's own embedding space;"
     " the nested model serves both targets from one unified space."
 )
+
+tmp.cleanup()

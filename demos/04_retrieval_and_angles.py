@@ -17,13 +17,14 @@ from gnolr import (
     build_bundle,
     read_embeddings,
     recall_at_k,
-    topk_retrieve,
+    topk_retrieve_batch,
     train,
     write_embeddings,
 )
 from gnolr.metrics import angle_histogram, write_angle_csv
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="gnolr-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="gnolr-demo-")
+workdir = pathlib.Path(tmp.name)
 print("working in", workdir)
 
 rng = np.random.default_rng(5)
@@ -55,8 +56,7 @@ print(f"exported {len(ids)} item embeddings, dim {vectors.shape[1]}, levels {lev
 # --- Brute-force retrieval -------------------------------------------------
 index = RetrievalIndex(item_ids=ids, vectors=vectors)
 user_vectors = model.user_embeddings(bundle.user_feature_table)
-for uid in range(3):
-    top = topk_retrieve(user_vectors[uid], index, 5)
+for uid, top in enumerate(topk_retrieve_batch(user_vectors[:3], index, 5)):
     liked = {
         bundle.items[int(it)]
         for row, it in enumerate(bundle.test.item_index)
@@ -78,3 +78,5 @@ pos_mean = np.average(table[:, 0] + 0.5, weights=np.maximum(table[:, 1], 1e-9))
 neg_mean = np.average(table[:, 0] + 0.5, weights=np.maximum(table[:, 2], 1e-9))
 print(f"angle histogram -> {csv_out}")
 print(f"mean positive-pair angle {pos_mean:.1f} deg vs negative-pair {neg_mean:.1f} deg")
+
+tmp.cleanup()

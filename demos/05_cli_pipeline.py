@@ -12,7 +12,8 @@ import numpy as np
 
 from gnolr.cli import main
 
-workdir = pathlib.Path(tempfile.mkdtemp(prefix="gnolr-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="gnolr-demo-")
+workdir = pathlib.Path(tmp.name)
 print("working in", workdir)
 
 rng = np.random.default_rng(9)
@@ -74,3 +75,5 @@ for step in (
 print("\nartifacts:")
 for name in ("bundle.gnb", "model.gnc", "topk.tsv", "angles.csv", "report.json"):
     print(f"  {workdir / name} ({(workdir / name).stat().st_size} bytes)")
+
+tmp.cleanup()

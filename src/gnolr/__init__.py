@@ -20,11 +20,9 @@ from .data import (
 )
 from .encoders import (
     EmbeddingTableSet,
-    NestedEmbedding,
     NestedTwinEncoder,
     Tower,
     TowerConfig,
-    nested_kernel,
     read_embeddings,
     write_embeddings,
 )
@@ -33,21 +31,10 @@ from .feedback import (
     FeedbackSchema,
     ThresholdSet,
     estimate_thresholds,
-    map_to_ordinal,
     order_feedback,
-    remap_for_subtask,
     thresholds_from_fractions,
 )
-from .losses import (
-    CategoryDistribution,
-    GnolrHyper,
-    bce_loss,
-    category_distribution,
-    cumulative_prob,
-    gnolr_total_loss,
-    subtask_loss,
-    task_score,
-)
+from .losses import GnolrHyper
 from .metrics import (
     RetrievalIndex,
     angle_histogram,
@@ -62,7 +49,6 @@ from .tensor import (
     AdamConfig,
     Parameter,
     adam_step,
-    finite_diff_check,
     l2_normalize,
     leaky_relu,
     stable_sigmoid,

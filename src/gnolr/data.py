@@ -291,6 +291,9 @@ def _parse_csv(config: DataConfig) -> dict:
         header = next(rows, None)
         if header is None:
             raise ConfigError(f"{path}: empty file")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"{path}: header repeats columns {repeated}")
         col = {name: i for i, name in enumerate(header)}
         for name in _REQUIRED_COLUMNS:
             if name not in col:

@@ -182,42 +182,6 @@ class Tower:
         return g
 
 
-@dataclass
-class NestedEmbedding:
-    """Ordered unit sub-embeddings e^1..e^T for one entity."""
-
-    subs: tuple[np.ndarray, ...]
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.subs)
-
-    def prefix(self, c: int) -> np.ndarray:
-        """Concatenation of the first c sub-embeddings (squared norm c)."""
-        if not 1 <= c <= self.num_levels:
-            raise ArgumentError(f"prefix level {c} outside 1..{self.num_levels}")
-        return np.concatenate(self.subs[:c])
-
-    def unified(self) -> np.ndarray:
-        return self.prefix(self.num_levels)
-
-    def validate(self, atol: float = 1e-9) -> None:
-        for i, sub in enumerate(self.subs, start=1):
-            norm = float(np.linalg.norm(sub))
-            if abs(norm - 1.0) > atol and norm != 0.0:
-                raise ArgumentError(f"sub-embedding {i} has norm {norm}")
-
-
-def nested_kernel(nu: NestedEmbedding, ni: NestedEmbedding, c: int) -> float:
-    """Cosine of the level-c prefixes: the mean of the first c sub-cosines."""
-    if nu.num_levels != ni.num_levels:
-        raise ArgumentError("entities have different numbers of levels")
-    if not 1 <= c <= nu.num_levels:
-        raise ArgumentError(f"kernel level {c} outside 1..{nu.num_levels}")
-    dots = [float(np.dot(nu.subs[j], ni.subs[j])) for j in range(c)]
-    return sum(dots) / c
-
-
 class NestedTwinEncoder:
     """T twin-tower pairs over shared feature embedding tables.
 

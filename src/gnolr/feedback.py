@@ -71,25 +71,13 @@ class FeedbackSchema:
         return [self.names[i] for i in self.order]
 
 
-def map_to_ordinal(feedback_bits: Sequence[int], num_feedbacks: int | None = None) -> int:
-    """Collapse a bit pattern (in sparsity order) to one ordinal category.
+def map_to_ordinal_array(bits: np.ndarray) -> np.ndarray:
+    """One ordinal category per row of an (n, T) 0/1 bit matrix in sparsity order.
 
     k = max{t+1 : bit_t = 1}, or 1 when no bit is set.  Non-monotone
     patterns (e.g. pay without click) are legal: only the deepest positive
     matters.
     """
-    bits = list(feedback_bits)
-    if num_feedbacks is not None and len(bits) != num_feedbacks:
-        raise ArgumentError(f"expected {num_feedbacks} feedback bits, got {len(bits)}")
-    k = 1
-    for t, bit in enumerate(bits):
-        if bit:
-            k = t + 2
-    return k
-
-
-def map_to_ordinal_array(bits: np.ndarray) -> np.ndarray:
-    """Vectorized ``map_to_ordinal`` for an (n, T) 0/1 matrix."""
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ArgumentError("bits must be a 2-D (n, T) array")
@@ -97,19 +85,6 @@ def map_to_ordinal_array(bits: np.ndarray) -> np.ndarray:
     positions = np.arange(1, t + 1)
     deepest = np.max(np.where(bits > 0, positions, 0), axis=1) if t else np.zeros(n, dtype=int)
     return np.where(deepest > 0, deepest + 1, 1).astype(np.int64)
-
-
-def remap_for_subtask(k: int, t: int, num_feedbacks: int) -> int:
-    """Merge categories above subtask t's view: min(k, t+1).
-
-    Subtask t only distinguishes levels 1..t+1, so deeper labels collapse
-    onto its top category.
-    """
-    if not 1 <= t <= num_feedbacks:
-        raise ArgumentError(f"subtask index {t} outside 1..{num_feedbacks}")
-    if not 1 <= k <= num_feedbacks + 1:
-        raise ArgumentError(f"ordinal label {k} outside 1..{num_feedbacks + 1}")
-    return min(k, t + 1)
 
 
 @dataclass(frozen=True)

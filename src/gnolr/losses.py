@@ -6,7 +6,7 @@ cosine of the level-c prefix embeddings.  Because each prefix concatenates
 unit sub-embeddings, c * K_c equals the running sum of per-level
 sub-similarities, so all losses below are written in terms of those sums.
 
-The batch losses share one kernel map, ``cumulative_from_dots``: gamma
+The losses share one kernel map, ``cumulative_from_dots``: gamma
 times the prefix running sum (nested model, ``v1``) or c * gamma * dot per
 level (``v0`` and, with one broadcast column, the shared-encoder baseline).
 ``gnolr_batch`` gives the subtask-summed NLL, or with ``nested=False`` the
@@ -15,13 +15,16 @@ plain ordinal NLL of the ablations and the baseline.
 Every probability entering a log is clipped to [clip_floor, inf); a
 clipped term contributes exactly -log(clip_floor) and passes no gradient
 (clamp semantics).
+
+The tests hold a scalar copy of the model, one sample and one level at a
+time (``cumulative_prob``, ``subtask_loss`` and ``gnolr_total_loss`` in
+``tests/helpers.py``), as the oracle for these batch paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -47,116 +50,6 @@ class GnolrHyper:
     @property
     def num_levels(self) -> int:
         return len(self.thresholds)
-
-
-@dataclass(frozen=True)
-class CategoryDistribution:
-    """P(k = c) for c = 1..T+1; sums to 1 by telescoping (pre-clip)."""
-
-    probs: tuple[float, ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=np.float64)
-
-
-def _check_kernels(kernels: Sequence[float], hyper: GnolrHyper) -> np.ndarray:
-    arr = np.asarray(kernels, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != hyper.num_levels:
-        raise ArgumentError(f"expected {hyper.num_levels} kernel values, got {arr.shape[0]}")
-    return arr
-
-
-def _cumulative_all(kernels: np.ndarray, hyper: GnolrHyper) -> np.ndarray:
-    """sigma(a_c - c * gamma * K_c) for c = 1..T."""
-    a = hyper.thresholds.as_array()
-    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
-    return stable_sigmoid(a - c * hyper.gamma * kernels)
-
-
-def cumulative_prob(c: int, kernel_value: float, hyper: GnolrHyper) -> float:
-    """P(k <= c) given the level-c prefix kernel.
-
-    Level 0 is the virtual null category (exactly 0); level T+1 covers
-    everything (exactly 1).
-    """
-    t = hyper.num_levels
-    if not 0 <= c <= t + 1:
-        raise ArgumentError(f"category {c} outside 0..{t + 1}")
-    if c == 0:
-        return 0.0
-    if c == t + 1:
-        return 1.0
-    a_c = hyper.thresholds.values[c - 1]
-    return float(stable_sigmoid(a_c - c * hyper.gamma * kernel_value))
-
-
-def category_distribution(kernels: Sequence[float], hyper: GnolrHyper) -> CategoryDistribution:
-    """P(k = c) = P(k <= c) - P(k <= c-1) for c = 1..T+1.
-
-    Raw differences may be negative when the kernel sequence breaks the
-    cumulative ordering; clipping is the loss's job, not this function's.
-    """
-    karr = _check_kernels(kernels, hyper)
-    cum = _cumulative_all(karr, hyper)
-    full = np.concatenate(([0.0], cum, [1.0]))
-    return CategoryDistribution(tuple(np.diff(full).tolist()))
-
-
-def task_score(c: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
-    """P(k > c) = 1 - sigma(a_c - c * gamma * K_c); c = T is the unified score."""
-    if not 1 <= c <= hyper.num_levels:
-        raise ArgumentError(f"task level {c} outside 1..{hyper.num_levels}")
-    karr = _check_kernels(kernels, hyper)
-    return 1.0 - cumulative_prob(c, float(karr[c - 1]), hyper)
-
-
-def _clipped_log(p: float, clip_floor: float) -> float:
-    return math.log(max(p, clip_floor))
-
-
-def subtask_loss(t: int, label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
-    """Negative log-likelihood of subtask t, whose top category is t+1.
-
-    The label collapses to min(k, t+1); within the subtask the cumulative
-    probability of level t+1 is 1, so the top category's probability is
-    1 - P(k <= t).
-    """
-    big_t = hyper.num_levels
-    if not 1 <= t <= big_t:
-        raise ArgumentError(f"subtask index {t} outside 1..{big_t}")
-    if not 1 <= label_k <= big_t + 1:
-        raise ArgumentError(f"label {label_k} outside 1..{big_t + 1}")
-    karr = _check_kernels(kernels, hyper)
-    m = min(label_k, t + 1)
-    if m == t + 1:
-        p = 1.0 - cumulative_prob(t, float(karr[t - 1]), hyper)
-    else:
-        upper = cumulative_prob(m, float(karr[m - 1]), hyper)
-        lower = cumulative_prob(m - 1, float(karr[m - 2]) if m >= 2 else 0.0, hyper)
-        p = upper - lower
-    return -_clipped_log(p, hyper.clip_floor)
-
-
-def gnolr_total_loss(label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
-    """Sum of all subtask losses for one sample."""
-    return sum(subtask_loss(t, label_k, kernels, hyper) for t in range(1, hyper.num_levels + 1))
-
-
-def bce_loss(logit: float, label: int, positive_weight: float = 1.0):
-    """Weighted binary cross-entropy in log-sum-exp form (no overflow)."""
-    if positive_weight < 1:
-        raise ArgumentError(f"positive weight must be >= 1, got {positive_weight}")
-    logit = np.asarray(logit, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    out = positive_weight * y * stable_softplus(-logit) + (1.0 - y) * stable_softplus(logit)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch paths with analytic gradients (training internals)
-# ---------------------------------------------------------------------------
 
 
 def _validate_batch(labels: np.ndarray, num_levels: int) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Dense numerical kernel: forward/backward pairs, Adam, gradient checking.
+"""Dense numerical kernel: forward/backward pairs, Adam, initialization.
 
 Matrices are plain float64 numpy arrays.  The network topology downstream
 is fixed, so gradients are hand-chained: every forward op here has a
-matching backward that consumes the upstream gradient.  ``finite_diff_check``
-is the independent oracle for all of them.
+matching backward that consumes the upstream gradient.  The tests check
+all of them against central differences (``finite_diff_check`` in
+``tests/helpers.py``).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -236,78 +237,3 @@ def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
 
 def embedding_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-0.05, 0.05, size=shape)
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_error: float
-    num_checked: int
-    worst_param: str
-    worst_index: int
-    worst_analytic: float
-    worst_numeric: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
-
-
-def finite_diff_check(
-    loss_fn: Callable[[], float],
-    params: Sequence[Parameter],
-    h: float = 1e-5,
-    tolerance: float = 1e-4,
-    num_samples: int = 100,
-    rng: np.random.Generator | None = None,
-    denom_floor: float = 1e-6,
-) -> GradCheckReport:
-    """Compare analytic gradients against central differences.
-
-    ``loss_fn`` re-evaluates the (deterministic) loss from the parameters'
-    current values; each parameter's ``grad`` must already hold the analytic
-    gradient at the current point.  Coordinates are sampled across all
-    parameters; per coordinate the relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    coords: list[tuple[int, int]] = []
-    for pi, p in enumerate(params):
-        coords.extend((pi, fi) for fi in range(p.value.size))
-    if not coords:
-        raise OptimizerError("no parameters to check")
-    if len(coords) > num_samples:
-        chosen = rng.choice(len(coords), size=num_samples, replace=False)
-        coords = [coords[int(i)] for i in chosen]
-
-    worst = (-1.0, "", -1, 0.0, 0.0)
-    for pi, fi in coords:
-        p = params[pi]
-        flat = p.value.reshape(-1)
-        original = flat[fi]
-        flat[fi] = original + h
-        loss_plus = loss_fn()
-        flat[fi] = original - h
-        loss_minus = loss_fn()
-        flat[fi] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * h)
-        analytic = p.grad.reshape(-1)[fi]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), denom_floor)
-        if rel > worst[0]:
-            worst = (rel, p.name, fi, float(analytic), float(numeric))
-
-    return GradCheckReport(
-        max_rel_error=worst[0],
-        num_checked=len(coords),
-        worst_param=worst[1],
-        worst_index=worst[2],
-        worst_analytic=worst[3],
-        worst_numeric=worst[4],
-        tolerance=tolerance,
-    )

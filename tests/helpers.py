@@ -1,7 +1,12 @@
-"""Synthetic dataset builders shared by training and acceptance tests."""
+"""Synthetic dataset builders and reference oracles shared by the tests."""
 
+from __future__ import annotations
+
+import math
 import os
 import pathlib
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -16,9 +21,10 @@ from gnolr.data import (
     fit_bins,
     split_indices,
 )
-from gnolr.errors import IngestionError
+from gnolr.errors import ArgumentError, IngestionError, OptimizerError
 from gnolr.feedback import FeedbackSchema, map_to_ordinal_array
-from gnolr.tensor import finite_diff_check
+from gnolr.losses import GnolrHyper
+from gnolr.tensor import Parameter, stable_sigmoid, stable_softplus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -373,4 +379,251 @@ def loop_build_bundle(config):
         train=make_split(train_idx, 0),
         validation=make_split(val_idx, 1),
         test=make_split(test_idx, 2),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: labels, nested kernels, the probability model and its
+# losses one sample at a time, and the finite-difference gradient checker
+# ---------------------------------------------------------------------------
+
+
+def map_to_ordinal(feedback_bits: Sequence[int], num_feedbacks: int | None = None) -> int:
+    """Collapse a bit pattern (in sparsity order) to one ordinal category.
+
+    k = max{t+1 : bit_t = 1}, or 1 when no bit is set.  Non-monotone
+    patterns (e.g. pay without click) are legal: only the deepest positive
+    matters.
+    """
+    bits = list(feedback_bits)
+    if num_feedbacks is not None and len(bits) != num_feedbacks:
+        raise ArgumentError(f"expected {num_feedbacks} feedback bits, got {len(bits)}")
+    k = 1
+    for t, bit in enumerate(bits):
+        if bit:
+            k = t + 2
+    return k
+
+
+def remap_for_subtask(k: int, t: int, num_feedbacks: int) -> int:
+    """Merge categories above subtask t's view: min(k, t+1).
+
+    Subtask t only distinguishes levels 1..t+1, so deeper labels collapse
+    onto its top category.
+    """
+    if not 1 <= t <= num_feedbacks:
+        raise ArgumentError(f"subtask index {t} outside 1..{num_feedbacks}")
+    if not 1 <= k <= num_feedbacks + 1:
+        raise ArgumentError(f"ordinal label {k} outside 1..{num_feedbacks + 1}")
+    return min(k, t + 1)
+
+
+@dataclass
+class NestedEmbedding:
+    """Ordered unit sub-embeddings e^1..e^T for one entity."""
+
+    subs: tuple[np.ndarray, ...]
+
+    @property
+    def num_levels(self) -> int:
+        return len(self.subs)
+
+    def prefix(self, c: int) -> np.ndarray:
+        """Concatenation of the first c sub-embeddings (squared norm c)."""
+        if not 1 <= c <= self.num_levels:
+            raise ArgumentError(f"prefix level {c} outside 1..{self.num_levels}")
+        return np.concatenate(self.subs[:c])
+
+    def unified(self) -> np.ndarray:
+        return self.prefix(self.num_levels)
+
+    def validate(self, atol: float = 1e-9) -> None:
+        for i, sub in enumerate(self.subs, start=1):
+            norm = float(np.linalg.norm(sub))
+            if abs(norm - 1.0) > atol and norm != 0.0:
+                raise ArgumentError(f"sub-embedding {i} has norm {norm}")
+
+
+def nested_kernel(nu: NestedEmbedding, ni: NestedEmbedding, c: int) -> float:
+    """Cosine of the level-c prefixes: the mean of the first c sub-cosines."""
+    if nu.num_levels != ni.num_levels:
+        raise ArgumentError("entities have different numbers of levels")
+    if not 1 <= c <= nu.num_levels:
+        raise ArgumentError(f"kernel level {c} outside 1..{nu.num_levels}")
+    dots = [float(np.dot(nu.subs[j], ni.subs[j])) for j in range(c)]
+    return sum(dots) / c
+
+
+@dataclass(frozen=True)
+class CategoryDistribution:
+    """P(k = c) for c = 1..T+1; sums to 1 by telescoping (pre-clip)."""
+
+    probs: tuple[float, ...]
+
+    def as_array(self) -> np.ndarray:
+        return np.asarray(self.probs, dtype=np.float64)
+
+
+def _check_kernels(kernels: Sequence[float], hyper: GnolrHyper) -> np.ndarray:
+    arr = np.asarray(kernels, dtype=np.float64).reshape(-1)
+    if arr.shape[0] != hyper.num_levels:
+        raise ArgumentError(f"expected {hyper.num_levels} kernel values, got {arr.shape[0]}")
+    return arr
+
+
+def _cumulative_all(kernels: np.ndarray, hyper: GnolrHyper) -> np.ndarray:
+    """sigma(a_c - c * gamma * K_c) for c = 1..T."""
+    a = hyper.thresholds.as_array()
+    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
+    return stable_sigmoid(a - c * hyper.gamma * kernels)
+
+
+def cumulative_prob(c: int, kernel_value: float, hyper: GnolrHyper) -> float:
+    """P(k <= c) given the level-c prefix kernel.
+
+    Level 0 is the virtual null category (exactly 0); level T+1 covers
+    everything (exactly 1).
+    """
+    t = hyper.num_levels
+    if not 0 <= c <= t + 1:
+        raise ArgumentError(f"category {c} outside 0..{t + 1}")
+    if c == 0:
+        return 0.0
+    if c == t + 1:
+        return 1.0
+    a_c = hyper.thresholds.values[c - 1]
+    return float(stable_sigmoid(a_c - c * hyper.gamma * kernel_value))
+
+
+def category_distribution(kernels: Sequence[float], hyper: GnolrHyper) -> CategoryDistribution:
+    """P(k = c) = P(k <= c) - P(k <= c-1) for c = 1..T+1.
+
+    Raw differences may be negative when the kernel sequence breaks the
+    cumulative ordering; clipping is the loss's job, not this function's.
+    """
+    karr = _check_kernels(kernels, hyper)
+    cum = _cumulative_all(karr, hyper)
+    full = np.concatenate(([0.0], cum, [1.0]))
+    return CategoryDistribution(tuple(np.diff(full).tolist()))
+
+
+def task_score(c: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+    """P(k > c) = 1 - sigma(a_c - c * gamma * K_c); c = T is the unified score."""
+    if not 1 <= c <= hyper.num_levels:
+        raise ArgumentError(f"task level {c} outside 1..{hyper.num_levels}")
+    karr = _check_kernels(kernels, hyper)
+    return 1.0 - cumulative_prob(c, float(karr[c - 1]), hyper)
+
+
+def _clipped_log(p: float, clip_floor: float) -> float:
+    return math.log(max(p, clip_floor))
+
+
+def subtask_loss(t: int, label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+    """Negative log-likelihood of subtask t, whose top category is t+1.
+
+    The label collapses to min(k, t+1); within the subtask the cumulative
+    probability of level t+1 is 1, so the top category's probability is
+    1 - P(k <= t).
+    """
+    big_t = hyper.num_levels
+    if not 1 <= t <= big_t:
+        raise ArgumentError(f"subtask index {t} outside 1..{big_t}")
+    if not 1 <= label_k <= big_t + 1:
+        raise ArgumentError(f"label {label_k} outside 1..{big_t + 1}")
+    karr = _check_kernels(kernels, hyper)
+    m = min(label_k, t + 1)
+    if m == t + 1:
+        p = 1.0 - cumulative_prob(t, float(karr[t - 1]), hyper)
+    else:
+        upper = cumulative_prob(m, float(karr[m - 1]), hyper)
+        lower = cumulative_prob(m - 1, float(karr[m - 2]) if m >= 2 else 0.0, hyper)
+        p = upper - lower
+    return -_clipped_log(p, hyper.clip_floor)
+
+
+def gnolr_total_loss(label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+    """Sum of all subtask losses for one sample."""
+    return sum(subtask_loss(t, label_k, kernels, hyper) for t in range(1, hyper.num_levels + 1))
+
+
+def bce_loss(logit: float, label: int, positive_weight: float = 1.0):
+    """Weighted binary cross-entropy in log-sum-exp form (no overflow)."""
+    if positive_weight < 1:
+        raise ArgumentError(f"positive weight must be >= 1, got {positive_weight}")
+    logit = np.asarray(logit, dtype=np.float64)
+    y = np.asarray(label, dtype=np.float64)
+    out = positive_weight * y * stable_softplus(-logit) + (1.0 - y) * stable_softplus(logit)
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    max_rel_error: float
+    num_checked: int
+    worst_param: str
+    worst_index: int
+    worst_analytic: float
+    worst_numeric: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error < self.tolerance
+
+
+def finite_diff_check(
+    loss_fn: Callable[[], float],
+    params: Sequence[Parameter],
+    h: float = 1e-5,
+    tolerance: float = 1e-4,
+    num_samples: int = 100,
+    rng: np.random.Generator | None = None,
+    denom_floor: float = 1e-6,
+) -> GradCheckReport:
+    """Compare analytic gradients against central differences.
+
+    ``loss_fn`` re-evaluates the (deterministic) loss from the parameters'
+    current values; each parameter's ``grad`` must already hold the analytic
+    gradient at the current point.  Coordinates are sampled across all
+    parameters; per coordinate the relative error is
+    |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    coords: list[tuple[int, int]] = []
+    for pi, p in enumerate(params):
+        coords.extend((pi, fi) for fi in range(p.value.size))
+    if not coords:
+        raise OptimizerError("no parameters to check")
+    if len(coords) > num_samples:
+        chosen = rng.choice(len(coords), size=num_samples, replace=False)
+        coords = [coords[int(i)] for i in chosen]
+
+    worst = (-1.0, "", -1, 0.0, 0.0)
+    for pi, fi in coords:
+        p = params[pi]
+        flat = p.value.reshape(-1)
+        original = flat[fi]
+        flat[fi] = original + h
+        loss_plus = loss_fn()
+        flat[fi] = original - h
+        loss_minus = loss_fn()
+        flat[fi] = original
+        numeric = (loss_plus - loss_minus) / (2.0 * h)
+        analytic = p.grad.reshape(-1)[fi]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), denom_floor)
+        if rel > worst[0]:
+            worst = (rel, p.name, fi, float(analytic), float(numeric))
+
+    return GradCheckReport(
+        max_rel_error=worst[0],
+        num_checked=len(coords),
+        worst_param=worst[1],
+        worst_index=worst[2],
+        worst_analytic=worst[3],
+        worst_numeric=worst[4],
+        tolerance=tolerance,
     )

@@ -14,18 +14,16 @@ import pytest
 
 from gnolr.data import DataConfig, build_bundle
 from gnolr.feedback import ThresholdSet, estimate_thresholds, thresholds_from_fractions
-from gnolr.losses import (
-    GnolrHyper,
-    bce_loss,
-    gnolr_batch,
-    gnolr_total_loss,
-)
+from gnolr.losses import GnolrHyper, gnolr_batch
 from gnolr.metrics import RetrievalIndex, auc, topk_retrieve
 from gnolr.models import Batch, ModelConfig, make_model
-from gnolr.tensor import finite_diff_check, stable_sigmoid
+from gnolr.tensor import stable_sigmoid
 from gnolr.training import TrainConfig, retrieval_recalls, train, evaluate
 from tests.helpers import (
+    bce_loss,
     find_ml1m_ratings,
+    finite_diff_check,
+    gnolr_total_loss,
     imbalanced_single_feedback_csv,
     ml1m_to_csv,
     synthetic_bundle,

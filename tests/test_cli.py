@@ -81,6 +81,24 @@ class TestPrepare:
         assert main(["prepare", cfg]) == 2
         assert "timestamp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "header, name",
+        [
+            ("user_id,item_id,timestamp,click,pay,uf_a,uf_a", "uf_a"),
+            ("user_id,item_id,timestamp,click,pay,pay", "pay"),
+        ],
+        ids=["uf_a", "pay"],
+    )
+    def test_repeated_header_column_exits_two(self, tmp_path, capsys, header, name):
+        bad = tmp_path / "bad.csv"
+        width = len(header.split(","))
+        rows = [",".join([f"u{i}", f"i{i}", str(i)] + [str(i % 2)] * (width - 3)) for i in range(6)]
+        bad.write_text(header + "\n" + "\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, bad)
+        assert main(["prepare", cfg]) == 2
+        assert f"header repeats columns ['{name}']" in capsys.readouterr().err
+        assert not (tmp_path / "bundle.gnb").exists()
+
     def test_malformed_row_exits_one_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,timestamp,click,pay\nu1,i1,1,0,0\nu2,i2,oops,0,0\n")

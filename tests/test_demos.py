@@ -26,3 +26,4 @@ def test_demo_exits_zero(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(tmp_path.iterdir()), "the demo left files in its temp dir"

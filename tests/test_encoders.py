@@ -10,17 +10,15 @@ from gnolr import tensor
 
 from gnolr.encoders import (
     EmbeddingTableSet,
-    NestedEmbedding,
     NestedTwinEncoder,
     Tower,
     TowerConfig,
-    nested_kernel,
     read_embeddings,
     write_embeddings,
 )
 from gnolr.errors import ArgumentError, DimensionError
 from gnolr.tensor import DegenerateVectorWarning, block_rows, l2_normalize
-from tests.helpers import loop_write_embeddings
+from tests.helpers import NestedEmbedding, loop_write_embeddings, nested_kernel
 
 
 def tables_fixture(rng, vocabs=None, dim=16):

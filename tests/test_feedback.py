@@ -10,13 +10,12 @@ from gnolr.feedback import (
     FeedbackSchema,
     ThresholdSet,
     estimate_thresholds,
-    map_to_ordinal,
     map_to_ordinal_array,
     order_feedback,
-    remap_for_subtask,
     thresholds_from_fractions,
 )
 from gnolr.tensor import stable_sigmoid
+from tests.helpers import map_to_ordinal, remap_for_subtask
 
 
 class TestOrderFeedback:

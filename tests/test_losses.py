@@ -12,20 +12,17 @@ import pytest
 
 from gnolr.errors import ArgumentError
 from gnolr.feedback import ThresholdSet
-from gnolr.losses import (
+from gnolr.losses import GnolrHyper, bce_batch, gnolr_batch, listnet_list_batch
+from gnolr.tensor import stable_sigmoid
+from tests.helpers import (
     CategoryDistribution,
-    GnolrHyper,
-    bce_batch,
     bce_loss,
     category_distribution,
     cumulative_prob,
-    gnolr_batch,
     gnolr_total_loss,
-    listnet_list_batch,
     subtask_loss,
     task_score,
 )
-from gnolr.tensor import stable_sigmoid
 
 CLIP = 1e-6
 

@@ -1,0 +1,48 @@
+"""The package's public surface, and the package's independence from the tests."""
+
+import ast
+
+import gnolr
+from tests.helpers import REPO_ROOT
+
+# The names that ``from gnolr import *`` exports, submodules included.
+PUBLIC_NAMES = {
+    # submodules
+    "data", "encoders", "errors", "feedback", "losses", "metrics", "models", "tensor", "training",
+    # data
+    "DataConfig", "DatasetBundle", "apply_bins", "binarize_ratings", "build_bundle",
+    "build_lists", "fit_bins", "load_bundle", "make_batches", "save_bundle",
+    # encoders
+    "EmbeddingTableSet", "NestedTwinEncoder", "Tower", "TowerConfig", "read_embeddings",
+    "write_embeddings",
+    # errors, feedback, losses
+    "GnolrError", "FeedbackSchema", "ThresholdSet", "estimate_thresholds", "order_feedback",
+    "thresholds_from_fractions", "GnolrHyper",
+    # metrics
+    "RetrievalIndex", "angle_histogram", "auc", "gauc", "recall_at_k", "topk_retrieve",
+    "topk_retrieve_batch",
+    # models, tensor
+    "Batch", "ModelConfig", "make_model", "AdamConfig", "Parameter", "adam_step",
+    "l2_normalize", "leaky_relu", "stable_sigmoid",
+    # training
+    "Checkpoint", "TrainConfig", "evaluate", "load_checkpoint", "multi_run", "save_checkpoint",
+    "train",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(gnolr.__all__) == PUBLIC_NAMES
+
+
+def test_no_package_module_imports_from_tests():
+    modules = sorted((REPO_ROOT / "src" / "gnolr").rglob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module or ""]
+            else:
+                continue
+            assert not any(m == "tests" or m.startswith("tests.") for m in imported), path

@@ -7,11 +7,9 @@ from gnolr.errors import DimensionError, OptimizerError
 from gnolr.tensor import (
     AdamConfig,
     DegenerateVectorWarning,
-    GradCheckReport,
     Parameter,
     adam_step,
     adam_step_sparse,
-    finite_diff_check,
     glorot_uniform,
     l2_normalize,
     l2_normalize_backward,
@@ -21,6 +19,7 @@ from gnolr.tensor import (
     stable_sigmoid,
     stable_softplus,
 )
+from tests.helpers import GradCheckReport, finite_diff_check
 
 
 def central_diff(fn, x, h=1e-5):
