@@ -30,7 +30,7 @@ from .metrics import (
     write_angle_csv,
     write_report,
 )
-from .models import ModelConfig
+from .models import ModelSettings
 from .training import TrainConfig, load_checkpoint, save_checkpoint
 
 logger = logging.getLogger("gnolr")
@@ -102,9 +102,10 @@ _PARSERS = {
     ),
 }
 
-# [model] holds the TrainConfig fields that ModelConfig shares, plus the
-# population auto thresholds are estimated on; [train] holds the rest.
-_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelConfig)} | {"thresholds_population"}
+# [model] holds the ModelSettings fields, the thresholds and the population
+# auto thresholds are estimated on; [train] holds the other TrainConfig fields.
+_MODEL_FIELDS = {f.name for f in dataclasses.fields(ModelSettings)}
+_MODEL_FIELDS |= {"thresholds", "thresholds_population"}
 _KEY_OF_FIELD = {"csv_path": "csv"}
 
 

@@ -53,6 +53,8 @@ class DataConfig:
         unknown = set(self.binarize_feedback) - set(self.feedback)
         if unknown:
             raise ArgumentError(f"binarize_feedback names unknown feedback: {sorted(unknown)}")
+        if not math.isfinite(self.rating_threshold):
+            raise ArgumentError(f"rating_threshold must be finite, got {self.rating_threshold}")
         # Fewer than 2 bins would put every numeric value in one token.
         if self.n_bins < 2:
             raise ArgumentError(f"n_bins must be >= 2, got {self.n_bins}")
@@ -65,6 +67,8 @@ class DataConfig:
                 "validation_fraction_of_train must lie in [0, 1), "
                 f"got {self.validation_fraction_of_train}"
             )
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 def binarize_ratings(rating, threshold: float = 4.0):

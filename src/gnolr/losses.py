@@ -42,8 +42,8 @@ class GnolrHyper:
     clip_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ArgumentError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ArgumentError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0 < self.clip_floor < 1:
             raise ArgumentError(f"clip floor must lie in (0, 1), got {self.clip_floor}")
 

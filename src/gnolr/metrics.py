@@ -187,8 +187,8 @@ def topk_retrieve(user_embedding: np.ndarray, index: RetrievalIndex, k: int) -> 
 def recall_at_k(ranked: Sequence[str], k: int, positives: set[str]) -> float:
     """|top-K intersect positives| / |positives| for an already ranked id list.
 
-    ``ranked`` must reach depth K or hold the whole catalog, as a
-    ``topk_retrieve`` call at any depth >= K does.
+    ``ranked`` must reach depth K or hold the whole catalog, as each
+    ranking of a ``topk_retrieve_batch`` call at any depth >= K does.
     """
     if k < 0:
         raise ArgumentError(f"K must be >= 0, got {k}")

@@ -24,6 +24,7 @@ and sums the samples' gradients onto their rows for the backward.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +33,29 @@ from .encoders import EmbeddingTableSet, NestedTwinEncoder, TowerConfig
 from .errors import ArgumentError, DimensionError
 from .feedback import ThresholdSet
 from .losses import GnolrHyper, bce_batch, cumulative_from_dots, gnolr_batch, listnet_list_batch
+from .metrics import RetrievalIndex
 from .tensor import Parameter, block_rows, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
 GNOLR_VARIANTS = ("nested", "v0", "v1")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Everything needed to rebuild a model skeleton deterministically."""
+@dataclass(frozen=True, kw_only=True)
+class ModelSettings:
+    """The model settings a run chooses; ``ModelConfig`` adds what the bundle decides.
 
-    kind: str
-    num_levels: int
-    thresholds: tuple[float, ...]
+    Each check here needs no bundle, so a bad value fails before one loads.
+    """
+
+    kind: str = "gnolr"
+    variant: str = "nested"
+    listwise: bool = False
+    listnet_use_log: bool = True
     gamma: float = 1.0
     clip_floor: float = 1e-6
     embedding_dim: int = 16
     hidden_sizes: tuple[int, ...] = (128, 64, 32)
     activation_slope: float = 0.01
-    variant: str = "nested"
-    listwise: bool = False
-    listnet_use_log: bool = True
     positive_weights: tuple[float, ...] = ()
     bce_raw_cosine: bool = False
     bce_target_level: int = 1
@@ -62,6 +65,36 @@ class ModelConfig:
             raise ArgumentError(f"unknown model kind '{self.kind}'")
         if self.variant not in GNOLR_VARIANTS:
             raise ArgumentError(f"unknown variant '{self.variant}'")
+        if not 0 < self.gamma < math.inf:
+            raise ArgumentError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0 < self.clip_floor < 1:
+            raise ArgumentError(f"clip floor must lie in (0, 1), got {self.clip_floor}")
+        if self.embedding_dim < 1:
+            raise ArgumentError(f"embedding dim must be >= 1, got {self.embedding_dim}")
+        # Fails on a bad tower layout before a model is built.
+        TowerConfig(self.hidden_sizes, self.activation_slope)
+        if not all(1 <= w < math.inf for w in self.positive_weights):
+            raise ArgumentError(
+                f"positive weights must be finite and >= 1, got {self.positive_weights}"
+            )
+        if self.bce_target_level < 1:
+            raise ArgumentError(f"bce_target_level must be >= 1, got {self.bce_target_level}")
+
+    def to_dict(self) -> dict:
+        """The fields as JSON values: tuples become lists."""
+        out = dataclasses.asdict(self)
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in out.items()}
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelSettings):
+    """Everything needed to rebuild a model skeleton deterministically."""
+
+    num_levels: int
+    thresholds: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.num_levels < 1:
             raise ArgumentError("num_levels must be >= 1")
         if len(self.thresholds) != self.num_levels:
@@ -69,20 +102,14 @@ class ModelConfig:
                 f"{self.num_levels} levels need {self.num_levels} thresholds, "
                 f"got {len(self.thresholds)}"
             )
-        if not 1 <= self.bce_target_level <= self.num_levels:
+        if self.bce_target_level > self.num_levels:
             raise ArgumentError(f"bce_target_level outside 1..{self.num_levels}")
         if len(self.positive_weights) not in (0, 1, self.num_levels):
             raise ArgumentError(
                 f"positive weights need 1 or {self.num_levels} values, "
                 f"got {len(self.positive_weights)}"
             )
-        if any(w < 1 for w in self.positive_weights):
-            raise ArgumentError(f"positive weights must be >= 1, got {self.positive_weights}")
-        if self.embedding_dim < 1:
-            raise ArgumentError(f"embedding dim must be >= 1, got {self.embedding_dim}")
-        # Tower layout, thresholds and clip floor fail here, before a model is built.
-        TowerConfig(self.hidden_sizes, self.activation_slope)
-        self.hyper
+        self.hyper  # fails on bad thresholds
 
     @property
     def hyper(self) -> GnolrHyper:
@@ -95,18 +122,9 @@ class ModelConfig:
             return self.positive_weights[0]
         return self.positive_weights[level - 1]
 
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("thresholds", "hidden_sizes", "positive_weights"):
-            out[key] = list(out[key])
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        for key in ("thresholds", "hidden_sizes", "positive_weights"):
-            d[key] = tuple(d[key])
-        return cls(**d)
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 def row_numbers(feature_rows: np.ndarray) -> np.ndarray:
@@ -212,7 +230,8 @@ class _TwinBase:
 
     A subclass sets how many tower pairs it runs and supplies
     ``_objective`` (loss and dL/d dots from the per-pair dots) and
-    ``_scores`` (task scores from the dots).
+    ``_scores`` (task scores from the dots).  ``targets`` are the levels
+    the model scores: every level 1..T unless the subclass names its own.
     """
 
     def __init__(
@@ -223,9 +242,11 @@ class _TwinBase:
         rng: np.random.Generator,
         num_pairs: int,
         heads: tuple[_CalibratedHead, ...] = (),
+        targets: list[int] | None = None,
     ) -> None:
         self.cfg = cfg
         self.kind = cfg.kind
+        self.targets = targets or list(range(1, cfg.num_levels + 1))
         self.tables_user = EmbeddingTableSet(user_vocabs, cfg.embedding_dim, rng, "emb_u")
         self.tables_item = EmbeddingTableSet(item_vocabs, cfg.embedding_dim, rng, "emb_i")
         tower_cfg = TowerConfig(cfg.hidden_sizes, cfg.activation_slope)
@@ -333,6 +354,14 @@ class _TwinBase:
     def item_embeddings(self, feature_rows: np.ndarray) -> np.ndarray:
         return self._embed("item", feature_rows)
 
+    def retrieval_spaces(self, user_vectors: np.ndarray, index: RetrievalIndex) -> list[tuple]:
+        """Each level with the user vectors and item index it retrieves in.
+
+        Every level retrieves in the full unified vectors, so one space,
+        level None (every level), serves them all.
+        """
+        return [(None, user_vectors, index)]
+
 
 class GnolrModel(_TwinBase):
     """Ordinal models: the nested model, its ablations and the shared-encoder baseline.
@@ -421,13 +450,12 @@ class BceModel(_TwinBase):
 
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
         if cfg.kind == "bce":
-            self.targets = [cfg.bce_target_level]
-            names = ["head"]
+            targets, names = [cfg.bce_target_level], ["head"]
         else:
-            self.targets = list(range(1, cfg.num_levels + 1))
-            names = [f"head{t}" for t in self.targets]
+            targets = list(range(1, cfg.num_levels + 1))
+            names = [f"head{t}" for t in targets]
         heads = tuple(_CalibratedHead(name, cfg.bce_raw_cosine) for name in names)
-        super().__init__(cfg, user_vocabs, item_vocabs, rng, len(heads), heads)
+        super().__init__(cfg, user_vocabs, item_vocabs, rng, len(heads), heads, targets)
 
     def _objective(self, batch: Batch, dots: np.ndarray) -> tuple[float, np.ndarray]:
         n = dots.shape[0]
@@ -446,6 +474,14 @@ class BceModel(_TwinBase):
         """P(target bit), one column per target: (B, 1) for "bce", (B, T) for "nsb"."""
         cols = [stable_sigmoid(head.forward(dots[:, c])) for c, head in enumerate(self.heads)]
         return np.stack(cols, axis=1)
+
+    def retrieval_spaces(self, user_vectors, index):
+        """NSB target t retrieves in the t-th column block; BCE in the full vectors."""
+        if self.kind != "nsb":
+            return super().retrieval_spaces(user_vectors, index)
+        n = len(self.targets)
+        blocks = zip(self.targets, np.hsplit(user_vectors, n), np.hsplit(index.vectors, n))
+        return [(t, users, RetrievalIndex(index.item_ids, items)) for t, users, items in blocks]
 
 
 def make_model(cfg: ModelConfig, user_vocabs: dict[str, int], item_vocabs: dict[str, int], rng):

@@ -89,12 +89,12 @@ class AdamConfig:
     epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise OptimizerError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise OptimizerError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
             raise OptimizerError("beta1 and beta2 must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise OptimizerError("epsilon must be > 0")
+        if not 0 < self.epsilon < math.inf:
+            raise OptimizerError("epsilon must be finite and > 0")
 
 
 def _adam_update(

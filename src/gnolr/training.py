@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetBundle, Split, make_batches, read_array, read_header, write_artifact
-from .errors import ArgumentError, ConfigError, IngestionError, UndefinedMetricError
-from .feedback import estimate_thresholds
+from .errors import ArgumentError, ConfigError, IngestionError, OptimizerError, UndefinedMetricError
+from .feedback import ThresholdSet, estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
-from .models import GNOLR_VARIANTS, MODEL_KINDS, Batch, ModelConfig, make_model, row_numbers
+from .models import Batch, ModelConfig, ModelSettings, make_model, row_numbers
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
 logger = logging.getLogger("gnolr")
@@ -30,23 +30,11 @@ CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Model choice plus optimization knobs; thresholds=None auto-estimates."""
+class TrainConfig(ModelSettings):
+    """Model settings plus optimization knobs; thresholds=None auto-estimates."""
 
-    kind: str = "gnolr"
-    variant: str = "nested"
-    listwise: bool = False
-    listnet_use_log: bool = True
     thresholds: tuple[float, ...] | None = None
     thresholds_population: str = "train"
-    gamma: float = 1.0
-    clip_floor: float = 1e-6
-    embedding_dim: int = 16
-    hidden_sizes: tuple[int, ...] = (128, 64, 32)
-    activation_slope: float = 0.01
-    positive_weights: tuple[float, ...] = ()
-    bce_raw_cosine: bool = False
-    bce_target_level: int = 1
     learning_rate: float = 0.05
     epochs: int = 10
     batch_size: int = 1024
@@ -55,20 +43,21 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"unknown model kind '{self.kind}'")
-        if self.variant not in GNOLR_VARIANTS:
-            raise ConfigError(f"unknown variant '{self.variant}'")
+        try:
+            super().__post_init__()
+            AdamConfig(self.learning_rate)
+            if self.thresholds is not None:
+                ThresholdSet(self.thresholds)
+        except (ArgumentError, OptimizerError) as exc:
+            raise ConfigError(str(exc)) from None
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if min(self.batch_size, self.list_batch_size) < 1:
             raise ConfigError(
                 f"batch sizes must be >= 1, got {self.batch_size} and {self.list_batch_size}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.thresholds_population not in ("train", "all"):
             raise ConfigError(
                 f"thresholds_population must be train|all, got {self.thresholds_population}"
@@ -76,20 +65,13 @@ class TrainConfig:
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         # Settings the chosen kind would silently ignore.  Checked here, not in
-        # ModelConfig, so that checkpoints saved before the check still load.
+        # ModelSettings, so that checkpoints saved before the check still load.
         if self.listwise and self.kind != "gnolr":
             raise ConfigError(f"listwise applies to kind gnolr only, not {self.kind}")
         if self.variant != "nested" and self.kind != "gnolr":
             raise ConfigError(f"variant {self.variant} applies to kind gnolr only, not {self.kind}")
         if self.positive_weights and self.kind in ("gnolr", "neural_olr"):
             raise ConfigError(f"positive_weights apply to kinds bce and nsb, not {self.kind}")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("thresholds", "hidden_sizes", "positive_weights"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
 
 
 @dataclass
@@ -197,14 +179,9 @@ def _model_config(bundle: DatasetBundle, config: TrainConfig) -> ModelConfig:
     if config.kind == "nsb" and bundle.num_feedbacks < 2:
         raise ConfigError("the shared-bottom baseline needs at least 2 feedback types")
     thresholds = resolve_thresholds(bundle, config)
-    # Every model field but the two the bundle decides has a namesake in TrainConfig.
-    fields = {
-        f.name: getattr(config, f.name)
-        for f in dataclasses.fields(ModelConfig)
-        if f.name not in ("num_levels", "thresholds")
-    }
+    settings = {f.name: getattr(config, f.name) for f in dataclasses.fields(ModelSettings)}
     try:
-        return ModelConfig(num_levels=bundle.num_feedbacks, thresholds=thresholds, **fields)
+        return ModelConfig(num_levels=bundle.num_feedbacks, thresholds=thresholds, **settings)
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -241,15 +218,9 @@ def _level_column(scores: np.ndarray, level: int) -> np.ndarray:
 
 
 def _validation_auc(model, split: Split, num_levels: int) -> tuple[float, int]:
-    """AUC on the selection level, falling back to denser levels if it is single-class.
-
-    BCE selects on the level it trains on; the other models on the sparsest.
-    """
-    levels = list(range(num_levels, 0, -1))
-    if model.kind == "bce":
-        levels.remove(model.cfg.bce_target_level)
-        levels.insert(0, model.cfg.bce_target_level)
-    for level in levels:
+    """AUC on the sparsest level the model targets, else the sparsest other two-class level."""
+    first = max(model.targets)
+    for level in [first] + [lvl for lvl in range(num_levels, 0, -1) if lvl != first]:
         labels = split.bits[:, level - 1]
         if labels.min() == labels.max():
             continue
@@ -421,17 +392,13 @@ def evaluate(
     ``gauc_weighting`` is ``gauc``'s weighting, or "off" to skip GAUC.
 
     ``index`` and ``user_vectors`` are the unified item index and user
-    matrix when the caller has already built them.  NSB recall retrieves
-    level t in the t-th column block of both.
+    matrix when the caller has already built them.  Recall retrieves each
+    level in the model's ``retrieval_spaces`` of both.
     """
     split = bundle.split(split_name)
     metrics: dict[str, float] = {}
-    if model.kind == "bce":
-        levels = [model.cfg.bce_target_level]
-    else:
-        levels = list(range(1, bundle.num_feedbacks + 1))
     all_scores = _split_scores(model, split)
-    for level in levels:
+    for level in model.targets:
         labels = split.bits[:, level - 1]
         if labels.min() == labels.max():
             continue
@@ -449,17 +416,7 @@ def evaluate(
             index = unified_index(model, bundle)
         if user_vectors is None:
             user_vectors = model.user_embeddings(bundle.user_feature_table)
-        spaces = [(None, user_vectors, index)]
-        if model.kind == "nsb":
-            blocks = zip(
-                np.hsplit(user_vectors, bundle.num_feedbacks),
-                np.hsplit(index.vectors, bundle.num_feedbacks),
-            )
-            spaces = [
-                (lvl, users, RetrievalIndex(index.item_ids, items))
-                for lvl, (users, items) in enumerate(blocks, start=1)
-            ]
-        for lvl, users, space in spaces:
+        for lvl, users, space in model.retrieval_spaces(user_vectors, index):
             metrics.update(
                 retrieval_recalls(model, bundle, recall_ks, split_name, lvl, users, space)
             )

@@ -477,6 +477,29 @@ class TestConfigValidation:
             ["model.kind=neural_olr", "model.variant=v1"],
             ["model.kind=ranker", "data.bundle=/nonexistent/ranker.gnb"],
             ["model.variant=v9", "data.bundle=/nonexistent/v9.gnb"],
+            # Refused before the bundle loads: these bundle paths do not exist.
+            ["model.clip_floor=2", "data.bundle=/nonexistent/clip_floor.gnb"],
+            ["model.hidden_sizes=0", "data.bundle=/nonexistent/hidden_sizes.gnb"],
+            ["model.activation_slope=2", "data.bundle=/nonexistent/activation_slope.gnb"],
+            ["model.embedding_dim=0", "data.bundle=/nonexistent/embedding_dim.gnb"],
+            ["model.kind=bce", "model.bce_target_level=0", "data.bundle=/nonexistent/bce0.gnb"],
+            ["model.thresholds=3,1", "data.bundle=/nonexistent/thresholds_order.gnb"],
+            ["model.thresholds=nan,1", "data.bundle=/nonexistent/thresholds_nan.gnb"],
+            ["model.gamma=nan", "data.bundle=/nonexistent/gamma_nan.gnb"],
+            ["model.gamma=inf", "data.bundle=/nonexistent/gamma_inf.gnb"],
+            ["train.learning_rate=nan", "data.bundle=/nonexistent/learning_rate_nan.gnb"],
+            ["train.learning_rate=inf", "data.bundle=/nonexistent/learning_rate_inf.gnb"],
+            ["train.seed=-1", "data.bundle=/nonexistent/seed.gnb"],
+            [
+                "model.kind=nsb",
+                "model.positive_weights=nan",
+                "data.bundle=/nonexistent/positive_weights_nan.gnb",
+            ],
+            [
+                "model.kind=bce",
+                "model.positive_weights=inf",
+                "data.bundle=/nonexistent/positive_weights_inf.gnb",
+            ],
         ],
         ids=lambda overrides: overrides[-1],
     )
@@ -526,6 +549,9 @@ class TestConfigValidation:
             "data.train_fraction=1",
             "data.validation_fraction_of_train=1",
             "data.validation_fraction_of_train=-0.1",
+            "data.rating_threshold=nan",
+            "data.rating_threshold=-inf",
+            "data.seed=-1",
         ],
     )
     def test_bad_data_value_exits_two(self, workspace, capsys, override):
@@ -537,6 +563,20 @@ class TestConfigValidation:
         assert captured.err.startswith(f"error: [data] {key} must ")
         assert "split=" not in captured.out
         assert (tmp_path / "bundle.gnb").read_bytes() == bundle
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("prepare", "[data] seed must be >= 0, got -1"), ("train", "seed must be >= 0, got -1")],
+    )
+    def test_negative_seed_flag_exits_two(self, workspace, capsys, command, message):
+        tmp_path, cfg = workspace
+        artifacts = {name: (tmp_path / name).read_bytes() for name in ("bundle.gnb", "model.gnc")}
+        assert main([command, cfg, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        for name, content in artifacts.items():
+            assert (tmp_path / name).read_bytes() == content
 
     def test_composite_kind_aliases(self, workspace, capsys):
         from gnolr.training import load_checkpoint

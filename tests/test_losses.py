@@ -46,6 +46,12 @@ def dots_to_kernels(dots):
     return np.cumsum(dots, axis=-1) / c
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_hyper_refuses_a_gamma_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(ArgumentError, match="gamma"):
+        hyper_of(0.0, 1.0, gamma=gamma)
+
+
 class TestCumulativeProb:
     def test_balanced_midpoint(self):
         assert cumulative_prob(1, 0.0, hyper_of(0.0)) == 0.5

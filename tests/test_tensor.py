@@ -178,6 +178,18 @@ class TestAdam:
         with pytest.raises(OptimizerError):
             AdamConfig(learning_rate=0.1, beta1=1.0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"learning_rate": np.nan},
+            {"learning_rate": np.inf},
+            {"learning_rate": 0.1, "epsilon": np.nan},
+        ],
+    )
+    def test_non_finite_config_rejected(self, settings):
+        with pytest.raises(OptimizerError, match="finite"):
+            AdamConfig(**settings)
+
     def test_sparse_rows_leave_others_bit_identical(self):
         rng = np.random.default_rng(6)
         p = Parameter("emb", rng.normal(size=(10, 4)))

@@ -12,8 +12,8 @@ from gnolr.data import DataConfig, build_bundle, make_batches
 from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
 from gnolr.losses import bce_batch
-from gnolr.metrics import auc
-from gnolr.models import Batch, ModelConfig, make_model
+from gnolr.metrics import RetrievalIndex, auc
+from gnolr.models import Batch, ModelConfig, ModelSettings, make_model
 from gnolr.tensor import AdamConfig
 from gnolr.training import (
     TrainConfig,
@@ -135,6 +135,22 @@ class TestTrain:
         # Determinism holds for the list-batched path too.
         again = train(bundle, config)
         assert again.log_lines == result.log_lines
+
+
+class TestSettingsAndLevelRules:
+    def test_model_settings_are_annotated_once(self):
+        shared = {f.name for f in dataclasses.fields(ModelSettings)}
+        assert len(shared) == 12
+        for cls in (ModelConfig, TrainConfig):
+            assert not shared & set(cls.__annotations__), cls.__name__
+            assert shared <= {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize(
+        "kind, expected", [("gnolr", [1, 2]), ("neural_olr", [1, 2]), ("nsb", [1, 2]), ("bce", [2])]
+    )
+    def test_model_targets(self, bundle, kind, expected):
+        settings = {"bce_target_level": 2} if kind == "bce" else {}
+        assert untrained_model(bundle, kind=kind, **settings).targets == expected
 
 
 class TestOptimizerSparsity:
@@ -555,6 +571,34 @@ class TestOnePassScoringAndRanking:
         out = evaluate(model, bundle, recall_ks=(1, 5, 20), gauc_weighting="off")
         assert calls == [len(users_with_positives(bundle.test, c)) for c in (1, 2)]
         assert "recall_t2@20" in out
+
+    def test_evaluate_retrieves_each_nsb_level_in_its_column_block(self, bundle):
+        model = untrained_model(bundle, kind="nsb")
+        ks = (1, 5, 20)
+        out = evaluate(model, bundle, recall_ks=ks, gauc_weighting="off")
+        user_blocks = np.hsplit(model.user_embeddings(bundle.user_feature_table), 2)
+        item_blocks = np.hsplit(model.item_embeddings(bundle.item_feature_table), 2)
+        expected = {}
+        for c in (1, 2):
+            index = RetrievalIndex(list(bundle.items), item_blocks[c - 1])
+            expected.update(
+                retrieval_recalls(
+                    model, bundle, ks, level=c, user_vectors=user_blocks[c - 1], index=index
+                )
+            )
+        assert set(expected) == {f"recall_t{c}@{k}" for c in (1, 2) for k in ks}
+        assert {key: out[key] for key in out if key.startswith("recall_")} == expected
+        # The full unified vectors would rank otherwise.
+        assert retrieval_recalls(model, bundle, ks) != expected
+
+    def test_evaluate_reports_bce_auc_only_for_its_target(self, bundle):
+        model = untrained_model(bundle, kind="bce", bce_target_level=1)
+        ks = (1, 5)
+        out = evaluate(model, bundle, recall_ks=ks)
+        assert {key for key in out if key.startswith(("auc_", "gauc_"))} == {"auc_t1", "gauc_t1"}
+        recalls = {key: out[key] for key in out if key.startswith("recall_")}
+        assert recalls == retrieval_recalls(model, bundle, ks)
+        assert set(recalls) == {f"recall_t{c}@{k}" for c in (1, 2) for k in ks}
 
     def test_recalls_match_brute_force_oracle_with_boundary_ties(self, tied_bundle):
         bundle = tied_bundle
