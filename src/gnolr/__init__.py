@@ -20,9 +20,9 @@ from .data import (
 )
 from .encoders import (
     EmbeddingTableSet,
-    NestedTwinEncoder,
     Tower,
     TowerConfig,
+    TowerSide,
     read_embeddings,
     write_embeddings,
 )

@@ -308,7 +308,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     sys.stdout.write(format_report(metrics))
     if settings.report:
         write_report(settings.report, metrics)
-    num_levels = model.encoder.num_levels
+    num_levels = len(model.user.towers)
     if user_out:
         write_embeddings(user_out, bundle.users, users, num_levels)
     if item_out:
@@ -345,8 +345,8 @@ def cmd_angles(cfg: RunConfig) -> int:
     if not 1 <= level <= bundle.num_feedbacks:
         raise ConfigError(f"angle_level outside 1..{bundle.num_feedbacks}")
     # Each sample's pair of unified vectors, read from its distinct feature rows.
-    users, user_of = model.embed_distinct("user", split.user_features)
-    items, item_of = model.embed_distinct("item", split.item_features)
+    users, user_of = model.user.embed_distinct(split.user_features)
+    items, item_of = model.item.embed_distinct(split.item_features)
     table = angle_histogram(users, items, split.labels > level, user_of=user_of, item_of=item_of)
     if settings.angles_out:
         write_angle_csv(settings.angles_out, table)

@@ -607,6 +607,33 @@ def read_array(fh, path, shape, dtype) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
 
+def check_end(fh, path) -> None:
+    """Refuse bytes after the last array: the header did not declare them."""
+    if fh.read(1):
+        raise IngestionError(f"{path}: bytes after the last declared array")
+
+
+def _check_lengths(bundle: DatasetBundle, path) -> None:
+    """Refuse arrays whose lengths or widths disagree with each other or with the header."""
+    widths = {
+        "user_features": len(bundle.user_feature_names),
+        "item_features": len(bundle.item_feature_names),
+        "bits": bundle.num_feedbacks,
+    }
+    for side, ids, table in (
+        ("user", bundle.users, bundle.user_feature_table),
+        ("item", bundle.items, bundle.item_feature_table),
+    ):
+        if len(ids) != len(table) or table.shape[1:] != (widths[f"{side}_features"],):
+            raise IngestionError(f"{path}: {len(ids)} {side}s do not fit a table of {table.shape}")
+    for name in ("train", "validation", "test"):
+        split = bundle.split(name)
+        if len({len(getattr(split, attr)) for attr, _ in _SPLIT_ARRAYS}) > 1:
+            raise IngestionError(f"{path}: the {name} arrays differ in length")
+        if any(getattr(split, attr).shape[1:] != (width,) for attr, width in widths.items()):
+            raise IngestionError(f"{path}: the {name} arrays' widths differ from the header's")
+
+
 def load_bundle(path) -> DatasetBundle:
     with open(path, "rb") as fh:
         meta = read_header(fh, path, BUNDLE_MAGIC, BUNDLE_VERSION, "bundle cache")
@@ -615,6 +642,7 @@ def load_bundle(path) -> DatasetBundle:
                 spec["name"]: read_array(fh, path, spec["shape"], spec["dtype"])
                 for spec in meta["arrays"]
             }
+            check_end(fh, path)
             splits = {
                 name: Split(
                     **{attr: loaded[f"{name}.{attr}"] for attr, _ in _SPLIT_ARRAYS},
@@ -624,7 +652,7 @@ def load_bundle(path) -> DatasetBundle:
                 )
                 for name in ("train", "validation", "test")
             }
-            return DatasetBundle(
+            bundle = DatasetBundle(
                 schema=FeedbackSchema(**{k: tuple(v) for k, v in meta["schema"].items()}),
                 binning={k: np.asarray(v, dtype=np.float64) for k, v in meta["binning"].items()},
                 user_feature_table=loaded["user_feature_table"],
@@ -632,5 +660,7 @@ def load_bundle(path) -> DatasetBundle:
                 **{name: list(meta[name]) for name in _HEADER_FIELDS},
                 **splits,
             )
+            _check_lengths(bundle, path)
+            return bundle
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"{path}: malformed bundle cache: {exc!r}") from None

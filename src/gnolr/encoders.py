@@ -1,7 +1,7 @@
 """Feature embeddings and nested twin-tower encoders.
 
-One tower pair per engagement level, all pairs reading from the same
-feature embedding tables.  Each pair emits a unit sub-embedding; the
+One tower pair per engagement level; each side's towers read from that
+side's feature embedding tables.  Each pair emits a unit sub-embedding; the
 concatenation of the first c sub-embeddings is the level-c representation,
 whose cosine against the counterpart equals the mean of the per-level
 sub-cosines (each prefix has squared norm c).
@@ -182,82 +182,147 @@ class Tower:
         return g
 
 
-class NestedTwinEncoder:
-    """T twin-tower pairs over shared feature embedding tables.
+def row_numbers(feature_rows: np.ndarray) -> np.ndarray:
+    """Each row's index into its distinct feature rows in ascending order.
 
-    Tower weights are per level; the tables are the only cross-level
-    shared parameters.
+    Rows are told apart by their feature values, not by entity id:
+    sample-level features may differ from the entity table's.  The result
+    equals the inverse of ``np.unique(feature_rows, axis=0)``, but it is
+    refined one column at a time with 1-D sorts, several times faster
+    than sorting whole rows.
+    """
+    number = np.zeros(len(feature_rows), dtype=np.intp)
+    for column in feature_rows.T:
+        values, code = np.unique(column, return_inverse=True)
+        # Both factors are below the row count, so the key cannot overflow.
+        _, number = np.unique(number * len(values) + code, return_inverse=True)
+    return number
+
+
+def distinct_rows(feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct feature rows, ascending, and each row's ``row_numbers`` index into them."""
+    number = row_numbers(feature_rows)
+    _, first = np.unique(number, return_index=True)
+    return feature_rows[first], number
+
+
+class _RowGroups:
+    """A batch's samples grouped by row number: one group per distinct row.
+
+    Grouping is one stable sort of the numbers; groups are ordered by
+    number and each starts at its earliest sample.  When no row repeats,
+    every sample is its own group in batch order and nothing is gathered.
+    """
+
+    def __init__(self, numbers: np.ndarray) -> None:
+        order = numbers.argsort(kind="stable")
+        ranked = numbers[order]
+        head = np.empty(len(order), dtype=bool)
+        head[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        self.repeats = not head.all()
+        if self.repeats:
+            self.order = order
+            self.starts = head.nonzero()[0]
+            self.first = order[self.starts]
+            self.of = np.empty_like(order)
+            self.of[order] = head.cumsum() - 1
+
+    def distinct(self, per_sample: np.ndarray) -> np.ndarray:
+        """One row of ``per_sample`` per group: its first sample's."""
+        return per_sample[self.first] if self.repeats else per_sample
+
+    def samples(self, per_group: np.ndarray) -> np.ndarray:
+        """Each sample's row of ``per_group``."""
+        return per_group[self.of] if self.repeats else per_group
+
+    def sum(self, per_sample: np.ndarray) -> np.ndarray:
+        """Each group's sum of ``per_sample`` rows.
+
+        One pass per occurrence rank: pass r adds the (r+1)-th sample of
+        every group that has one, so the targets of each fancy-index ``+=``
+        are distinct (``np.add.at`` would cost several times more).
+        """
+        if not self.repeats:
+            return per_sample
+        out = per_sample[self.first]
+        sizes = np.diff(self.starts, append=len(self.order))
+        alive = np.flatnonzero(sizes > 1)
+        rank = 1
+        while alive.size:
+            out[alive] += per_sample[self.order[self.starts[alive] + rank]]
+            rank += 1
+            alive = alive[sizes[alive] > rank]
+        return out
+
+
+class TowerSide:
+    """One side (user or item) of the twin towers: its feature tables and T towers.
+
+    Tower c emits the side's c-th unit sub-embedding; the tables are the
+    only parameters the towers share.  A tower's output depends only on
+    its side's feature row, so every pass runs the towers once per
+    distinct feature row: training gathers the sub-embeddings back to its
+    samples and sums the samples' gradients onto their rows.
     """
 
     def __init__(
-        self,
-        num_levels: int,
-        user_input_dim: int,
-        item_input_dim: int,
-        cfg: TowerConfig,
-        rng: np.random.Generator,
-        name_prefix: str = "tower",
+        self, tables: EmbeddingTableSet, num_towers: int, cfg: TowerConfig, rng, name: str
     ) -> None:
-        if num_levels < 1:
-            raise ArgumentError(f"need at least one level, got {num_levels}")
-        self.num_levels = num_levels
+        """Towers ``{name}1``..``{name}T``, drawn from ``rng`` in that order."""
+        if num_towers < 1:
+            raise ArgumentError(f"need at least one tower, got {num_towers}")
+        self.tables = tables
         self.cfg = cfg
-        self.user_towers = [
-            Tower(f"{name_prefix}.user{c}", user_input_dim, cfg, rng)
-            for c in range(1, num_levels + 1)
-        ]
-        self.item_towers = [
-            Tower(f"{name_prefix}.item{c}", item_input_dim, cfg, rng)
-            for c in range(1, num_levels + 1)
+        self.towers = [
+            Tower(f"{name}{c}", tables.output_dim, cfg, rng) for c in range(1, num_towers + 1)
         ]
 
-    @property
-    def params(self) -> list[Parameter]:
-        out = []
-        for t in self.user_towers + self.item_towers:
-            out.extend(t.params)
-        return out
+    def forward(self, feature_rows: np.ndarray, numbers: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Sub-embeddings (B, T, dim) of the samples' rows, and the state ``backward`` needs.
 
-    def forward(self, user_x: np.ndarray, item_x: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Returns user subs (B, T, dim), item subs (B, T, dim), caches."""
-        u_subs, i_subs, u_caches, i_caches = [], [], [], []
-        for ut, it in zip(self.user_towers, self.item_towers):
-            u, uc = ut.forward(user_x)
-            i, ic = it.forward(item_x)
-            u_subs.append(u)
-            i_subs.append(i)
-            u_caches.append(uc)
-            i_caches.append(ic)
-        return (
-            np.stack(u_subs, axis=1),
-            np.stack(i_subs, axis=1),
-            {"user": u_caches, "item": i_caches},
-        )
-
-    def backward(
-        self, grad_user: np.ndarray, grad_item: np.ndarray, caches: dict
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """grad_user/grad_item are (B, T, dim); returns input gradients."""
-        gu_x = None
-        gi_x = None
-        for c in range(self.num_levels):
-            gu = self.user_towers[c].backward(grad_user[:, c, :], caches["user"][c])
-            gi = self.item_towers[c].backward(grad_item[:, c, :], caches["item"][c])
-            gu_x = gu if gu_x is None else gu_x + gu
-            gi_x = gi if gi_x is None else gi_x + gi
-        return gu_x, gi_x
-
-    def embed_entities(self, x: np.ndarray, side: str) -> np.ndarray:
-        """Unified embeddings (B, T * dim): concatenated unit sub-embeddings.
-
-        Every row comes out as it would in any batch of two or more rows.
-        numpy sends a one-row product to BLAS gemv, whose sums round
-        differently from gemm's, so a single row runs as a duplicated pair.
+        ``numbers`` number the rows, equal exactly where the rows are equal.
         """
-        n = len(x)
-        x = np.repeat(x, 2, axis=0) if n == 1 else x
-        towers = self.user_towers if side == "user" else self.item_towers
-        return np.concatenate([t.forward(x)[0][:n] for t in towers], axis=1)
+        groups = _RowGroups(numbers)
+        rows = groups.distinct(feature_rows)
+        x = self.tables.lookup(rows)
+        outs, caches = zip(*(tower.forward(x) for tower in self.towers))
+        return groups.samples(np.stack(outs, axis=1)), (groups, rows, caches)
+
+    def backward(self, grad: np.ndarray, state: tuple) -> None:
+        """Accumulate the gradients of (B, T, dim) ``grad`` on ``forward``'s output."""
+        groups, rows, caches = state
+        grad = groups.sum(grad)
+        grad_x = None
+        for c, (tower, cache) in enumerate(zip(self.towers, caches)):
+            g = tower.backward(grad[:, c, :], cache)
+            grad_x = g if grad_x is None else grad_x + g
+        self.tables.backward(grad_x, rows)
+
+    def embed(self, feature_rows: np.ndarray) -> np.ndarray:
+        """Unified embeddings (B, T * dim), a block of rows per tower pass.
+
+        A block holds about ``BLOCK_BYTES`` in its widest array: the input,
+        a hidden layer or the unified output.  No rows still make one
+        (empty) pass, so the result has the embedding width.  Every row
+        comes out as it would in any batch of two or more rows: numpy
+        sends a one-row product to BLAS gemv, whose sums round differently
+        from gemm's, so a single row runs as a duplicated pair.
+        """
+        unified = len(self.towers) * self.cfg.output_dim
+        step = block_rows(8 * max(self.tables.output_dim, *self.cfg.hidden_sizes, unified))
+        chunks = []
+        for start in range(0, max(len(feature_rows), 1), step):
+            x = self.tables.lookup(feature_rows[start : start + step])
+            n = len(x)
+            x = np.repeat(x, 2, axis=0) if n == 1 else x
+            chunks.append(np.concatenate([t.forward(x)[0][:n] for t in self.towers], axis=1))
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+    def embed_distinct(self, feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unified embeddings of the ``distinct_rows``, and each row's index into them."""
+        distinct, inverse = distinct_rows(feature_rows)
+        return self.embed(distinct), inverse
 
 
 # ---------------------------------------------------------------------------

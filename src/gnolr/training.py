@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DatasetBundle, Split, make_batches, read_array, read_header, write_artifact
+from .data import check_end
+from .encoders import row_numbers
 from .errors import ArgumentError, ConfigError, IngestionError, OptimizerError, UndefinedMetricError
 from .feedback import ThresholdSet, estimate_thresholds
 from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
-from .models import Batch, ModelConfig, ModelSettings, make_model, row_numbers
+from .models import Batch, ModelConfig, ModelSettings, make_model
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
 logger = logging.getLogger("gnolr")
@@ -108,12 +110,12 @@ class Checkpoint:
                 )
 
     def build_model(self):
-        seed = int(self.train_config.get("seed", 0))
+        """The trained model; the stored arrays overwrite every initial value."""
         model = make_model(
             self.model_config,
             dict(zip(self.user_feature_names, self.user_vocab_sizes)),
             dict(zip(self.item_feature_names, self.item_vocab_sizes)),
-            np.random.default_rng(seed),
+            np.random.default_rng(0),
         )
         pmap = model.param_map()
         missing = set(pmap) - set(self.params)
@@ -186,25 +188,45 @@ def _model_config(bundle: DatasetBundle, config: TrainConfig) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _make_batch(split: Split, numbers, idx: np.ndarray, bounds=None) -> Batch:
-    """The split's rows ``idx``; ``numbers`` are the split's user and item row numbers."""
+def _make_batch(split: Split, numbers, rows) -> Batch:
+    """The split's samples ``rows``: an index array, or listwise one index array per list.
+
+    ``numbers`` are the split's user and item row numbers.  Listwise rows
+    are joined in order, and ``list_bounds`` marks each list's segment.
+    """
+    bounds = None
+    if isinstance(rows, list):
+        ends = np.cumsum([len(lst) for lst in rows]).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        rows = np.concatenate(rows)
     return Batch(
-        user_features=split.user_features[idx],
-        item_features=split.item_features[idx],
-        labels=split.labels[idx],
-        bits=split.bits[idx],
+        user_features=split.user_features[rows],
+        item_features=split.item_features[rows],
+        labels=split.labels[rows],
+        bits=split.bits[rows],
         list_bounds=bounds,
-        user_numbers=numbers[0][idx],
-        item_numbers=numbers[1][idx],
+        user_numbers=numbers[0][rows],
+        item_numbers=numbers[1][rows],
     )
 
 
 def _optimizer_step(model, adam: AdamConfig) -> None:
     """Lazy Adam on the table rows the batch touched, one Adam call for the rest."""
-    for tables in (model.tables_user, model.tables_item):
-        for table, rows in tables.take_touched():
+    for side in (model.user, model.item):
+        for table, rows in side.tables.take_touched():
             adam_step_sparse(table, adam, rows)
     adam_step(model.dense, adam)
+
+
+def train_step(model, batch: Batch, adam: AdamConfig) -> float:
+    """One training step: the batch loss and gradients, then Adam if the loss is finite.
+
+    Returns the mean batch loss; a non-finite loss leaves the parameters as they were.
+    """
+    loss = model.loss_and_grad(batch)
+    if math.isfinite(loss):
+        _optimizer_step(model, adam)
+    return loss
 
 
 def _split_scores(model, split: Split) -> np.ndarray:
@@ -268,27 +290,15 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
         rng = np.random.default_rng(config.seed + epoch)
         loss_sum = 0.0
         sample_count = 0
-        for batch_idx in make_batches(mode, bundle.train, batch_size, rng):
-            if config.listwise:
-                bounds = []
-                start = 0
-                for lst in batch_idx:
-                    bounds.append((start, start + len(lst)))
-                    start += len(lst)
-                flat = np.concatenate(batch_idx)
-                batch = _make_batch(bundle.train, numbers, flat, bounds)
-                n_rows = len(flat)
-            else:
-                batch = _make_batch(bundle.train, numbers, batch_idx)
-                n_rows = len(batch_idx)
-            loss = model.loss_and_grad(batch)
+        for rows in make_batches(mode, bundle.train, batch_size, rng):
+            batch = _make_batch(bundle.train, numbers, rows)
+            loss = train_step(model, batch, adam)
             if not math.isfinite(loss):
                 logger.warning("epoch %d: non-finite loss, aborting with last good state", epoch)
                 diverged = True
                 break
-            _optimizer_step(model, adam)
-            loss_sum += loss * n_rows
-            sample_count += n_rows
+            loss_sum += loss * len(batch.labels)
+            sample_count += len(batch.labels)
         if diverged:
             break
 
@@ -470,6 +480,9 @@ def load_checkpoint(path) -> Checkpoint:
                 spec["name"]: read_array(fh, path, spec["shape"], "<f8")
                 for spec in meta["params"]
             }
+            check_end(fh, path)
+            if not isinstance(values["train_config"], dict):
+                raise TypeError("train_config is not an object")
             values["model_config"] = ModelConfig.from_dict(meta["model_config"])
             return Checkpoint(**values)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -132,6 +132,20 @@ def synthetic_bundle(tmp_path, name="synth.csv", **kwargs):
     return build_bundle(DataConfig(csv_path=csv_path, feedback=feedback))
 
 
+def per_sample_forward(model, user_rows, item_rows):
+    """Both sides' training forward with every sample numbered apart, so the
+    towers run once per sample row; returns (u, i, states)."""
+    u, user_state = model.user.forward(user_rows, np.arange(len(user_rows)))
+    i, item_state = model.item.forward(item_rows, np.arange(len(item_rows)))
+    return u, i, (user_state, item_state)
+
+
+def per_sample_backward(model, grad_u, grad_i, states):
+    """The backward of ``per_sample_forward``: one table gradient row per sample."""
+    model.user.backward(grad_u, states[0])
+    model.item.backward(grad_i, states[1])
+
+
 def forward_task_scores(model, user_rows, item_rows, chunk=8192):
     """Oracle for ``task_scores_all``: the per-sample training forward.
 
@@ -141,7 +155,7 @@ def forward_task_scores(model, user_rows, item_rows, chunk=8192):
     out = []
     for start in range(0, len(user_rows), chunk):
         stop = start + chunk
-        u, i, _ = model._forward(user_rows[start:stop], item_rows[start:stop])
+        u, i, _ = per_sample_forward(model, user_rows[start:stop], item_rows[start:stop])
         out.append(model._scores(np.einsum("btd,btd->bt", u, i)))
     return np.concatenate(out)
 
@@ -152,16 +166,10 @@ def per_sample_loss_and_grad(model, batch):
     Both towers run forward and backward once per sample, and the tables
     scatter one gradient row per sample, as before the step ran distinct rows.
     """
-    u, i, caches = model._forward(batch.user_features, batch.item_features)
+    u, i, states = per_sample_forward(model, batch.user_features, batch.item_features)
     dots = np.einsum("btd,btd->bt", u, i)
     total, grad_dots = model._objective(batch, dots)
-    model._backward(
-        grad_dots[:, :, None] * i,
-        grad_dots[:, :, None] * u,
-        caches,
-        batch.user_features,
-        batch.item_features,
-    )
+    per_sample_backward(model, grad_dots[:, :, None] * i, grad_dots[:, :, None] * u, states)
     return total
 
 
@@ -198,10 +206,9 @@ def checked_gradients(model, batch, num_samples=120, tolerance=1e-4):
 
 def forward_embeddings(model, side, feature_rows):
     """Oracle for unified embeddings: each tower's caching training forward, per row."""
-    tables = model.tables_user if side == "user" else model.tables_item
-    towers = model.encoder.user_towers if side == "user" else model.encoder.item_towers
-    x = tables.lookup(feature_rows)
-    return np.concatenate([tower.forward(x)[0] for tower in towers], axis=1)
+    tower_side = model.user if side == "user" else model.item
+    x = tower_side.tables.lookup(feature_rows)
+    return np.concatenate([tower.forward(x)[0] for tower in tower_side.towers], axis=1)
 
 
 def loop_write_embeddings(path, entity_ids, matrix, num_levels):

@@ -5,7 +5,7 @@ them up.  A hook whose target was renamed or removed is skipped and its
 metrics read zero, so a refactor could silently blind the benchmark.  This
 test installs the tracer, drives prepare -> train -> eval -> retrieve ->
 angles on a small benchmark-style workload, and checks which hooks (and
-which hook counters) failed.
+which hook counters) failed and that every expected span was recorded.
 """
 
 import json
@@ -18,6 +18,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Hooks whose targets no longer exist: the pipeline now calls
 # ``topk_retrieve_batch`` and ``task_scores_all`` instead.
 KNOWN_MISSING = {"gnolr.cli:topk_retrieve", "gnolr.models:GnolrModel.task_scores"}
+
+# Every span the pipeline records.  A hook that still resolves but whose
+# target the program no longer calls records nothing, and its metrics read
+# zero as surely as a missing hook's.
+RECORDED_SPANS = {
+    "data.build_bundle", "data.load_bundle", "data.save_bundle",
+    "encoders.lookup", "encoders.table_backward", "encoders.tower_backward",
+    "encoders.tower_forward", "encoders.write_embeddings",
+    "feedback.estimate_thresholds", "losses.gnolr_batch", "metrics.auc", "metrics.gauc",
+    "models.embeddings", "models.loss_and_grad", "models.task_scores_all",
+    "tensor.adam_step", "tensor.adam_step_sparse", "tensor.l2_normalize",
+    "tensor.l2_normalize_backward", "tensor.leaky_relu", "tensor.leaky_relu_backward",
+    "training.load_checkpoint", "training.retrieval_recalls", "training.save_checkpoint",
+    "training.train",
+}
 
 SCRIPT = """
 import dataclasses, json, os, sys
@@ -61,5 +76,4 @@ def test_benchmark_hooks_resolve(tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert set(result["missing"]) <= KNOWN_MISSING, result["missing"]
-    for name in ("models.loss_and_grad", "losses.gnolr_batch", "models.task_scores_all"):
-        assert name in result["spans"]
+    assert set(result["spans"]) == RECORDED_SPANS, sorted(RECORDED_SPANS ^ set(result["spans"]))

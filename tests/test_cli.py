@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import dataclasses
+import json
 import pathlib
 import subprocess
 import sys
@@ -873,6 +875,115 @@ class TestTruncatedArtifacts:
         assert main(["eval", cfg, *overrides]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "truncated" in err
+
+
+def rewrite_artifact(src, dst, edit=None, tail=b""):
+    """Copy a GNB1/GNC1 file, passing its JSON header through ``edit`` and
+    appending ``tail`` to the payload."""
+    data = src.read_bytes()
+    size = int.from_bytes(data[8:16], "little")
+    meta = json.loads(data[16 : 16 + size])
+    if edit:
+        edit(meta)
+    blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(data[:8] + len(blob).to_bytes(8, "little") + blob + data[16 + size :] + tail)
+
+
+def set_model_config(key, value):
+    def edit(meta):
+        meta["model_config"][key] = value(meta["model_config"][key])
+
+    return edit
+
+
+def shorten_train_labels(meta):
+    spec = next(s for s in meta["arrays"] if s["name"] == "train.labels")
+    spec["shape"][0] -= 1
+
+
+def resaved_bundle(**change):
+    """Header and payload that agree, but lengths that do not fit each other."""
+
+    def write(src, dst):
+        from gnolr.data import load_bundle, save_bundle
+
+        bundle = load_bundle(src)
+        save_bundle(dataclasses.replace(bundle, **{k: fn(bundle) for k, fn in change.items()}), dst)
+
+    return write
+
+
+BAD_CHECKPOINTS = {
+    "train-config-list": dict(edit=lambda meta: meta.update(train_config=[])),
+    "embedding-dim-float": dict(edit=set_model_config("embedding_dim", float)),
+    "embedding-dim-true": dict(edit=set_model_config("embedding_dim", lambda v: True)),
+    "hidden-sizes-float": dict(edit=set_model_config("hidden_sizes", lambda v: [*map(float, v)])),
+    "num-levels-float": dict(edit=set_model_config("num_levels", float)),
+    "trailing-bytes": dict(tail=bytes(8)),
+}
+
+BAD_BUNDLES = {
+    "trailing-bytes": lambda src, dst: rewrite_artifact(src, dst, tail=bytes(8)),
+    "train-labels-declared-short": lambda src, dst: rewrite_artifact(src, dst, shorten_train_labels),
+    "users-short": resaved_bundle(users=lambda b: b.users[:-1]),
+    "items-long": resaved_bundle(items=lambda b: b.items + ["extra"]),
+    "table-wider-than-names": resaved_bundle(
+        user_feature_names=lambda b: b.user_feature_names[:-1],
+    ),
+    "split-lengths-differ": resaved_bundle(
+        test=lambda b: dataclasses.replace(b.test, labels=b.test.labels[:-1]),
+    ),
+    "split-bits-narrower-than-schema": resaved_bundle(
+        test=lambda b: dataclasses.replace(b.test, bits=b.test.bits[:, :1]),
+    ),
+}
+
+
+class TestMalformedArtifacts:
+    @pytest.mark.parametrize("command", ["eval", "retrieve", "angles"])
+    @pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+    def test_bad_checkpoint_exits_one(self, tiny_artifacts, tmp_path, capsys, command, case):
+        src, cfg = tiny_artifacts
+        rewrite_artifact(src / "model.gnc", tmp_path / "model.gnc", **BAD_CHECKPOINTS[case])
+        capsys.readouterr()
+        assert main([command, cfg, "--set", f"train.checkpoint={tmp_path}/model.gnc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path}/model.gnc: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "retrieve", "angles"])
+    @pytest.mark.parametrize("case", list(BAD_BUNDLES))
+    def test_bad_bundle_exits_one(self, tiny_artifacts, tmp_path, capsys, command, case):
+        src, cfg = tiny_artifacts
+        BAD_BUNDLES[case](src / "bundle.gnb", tmp_path / "bundle.gnb")
+        overrides = [
+            "--set", f"data.bundle={tmp_path}/bundle.gnb",
+            "--set", f"train.checkpoint={tmp_path}/model.gnc",
+        ]
+        if command != "train":
+            (tmp_path / "model.gnc").write_bytes((src / "model.gnc").read_bytes())
+        capsys.readouterr()
+        assert main([command, cfg, *overrides]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path}/bundle.gnb: ")
+        if command == "train":
+            assert not (tmp_path / "model.gnc").exists()
+
+    @pytest.mark.parametrize("seed", ["x", -1, 123])
+    def test_stored_training_seed_is_not_read(self, tiny_artifacts, tmp_path, capsys, seed):
+        src, cfg = tiny_artifacts
+        capsys.readouterr()
+        assert main(["eval", cfg]) == 0
+        want = capsys.readouterr().out
+        edit = lambda meta: meta["train_config"].update(seed=seed)  # noqa: E731
+        rewrite_artifact(src / "model.gnc", tmp_path / "model.gnc", edit)
+        assert main(["eval", cfg, "--set", f"train.checkpoint={tmp_path}/model.gnc"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_unchanged_rewrite_loads(self, tiny_artifacts, tmp_path):
+        src, _ = tiny_artifacts
+        for name in ("bundle.gnb", "model.gnc"):
+            rewrite_artifact(src / name, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (src / name).read_bytes()
 
 
 class TestConsoleScript:

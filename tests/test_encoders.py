@@ -10,10 +10,11 @@ from gnolr import tensor
 
 from gnolr.encoders import (
     EmbeddingTableSet,
-    NestedTwinEncoder,
     Tower,
     TowerConfig,
+    TowerSide,
     read_embeddings,
+    row_numbers,
     write_embeddings,
 )
 from gnolr.errors import ArgumentError, DimensionError
@@ -23,6 +24,11 @@ from tests.helpers import NestedEmbedding, loop_write_embeddings, nested_kernel
 
 def tables_fixture(rng, vocabs=None, dim=16):
     return EmbeddingTableSet(vocabs or {"f1": 5, "f2": 7}, dim, rng)
+
+
+def side_fixture(rng, num_towers, widths, vocabs=None, dim=4):
+    """A tower side over ``tables_fixture``; its rows are (B, 2) ids below 5."""
+    return TowerSide(tables_fixture(rng, vocabs, dim), num_towers, TowerConfig(widths), rng, "t")
 
 
 class TestEmbeddingTables:
@@ -96,20 +102,24 @@ class TestTower:
         tower = Tower("t", 8, TowerConfig((4,)), rng)
         with pytest.raises(DimensionError):
             tower.forward(np.ones((2, 5)))
-        encoder = NestedTwinEncoder(2, 8, 8, TowerConfig((4,)), rng)
+        side = side_fixture(rng, 2, (4,))
         for rows in (1, 2):
             with pytest.raises(DimensionError):
-                encoder.embed_entities(np.ones((rows, 5)), "user")
+                side.embed(np.ones((rows, 5), dtype=np.int64))
 
-    def test_embed_entities_equals_forward_bit_for_bit_in_any_batch(self):
+    def test_embed_equals_forward_bit_for_bit_in_any_batch(self):
         rng = np.random.default_rng(10)
-        encoder = NestedTwinEncoder(2, 24, 24, TowerConfig((64, 32, 16)), rng)
-        x = rng.normal(size=(300, 24))
-        full = np.concatenate([t.forward(x)[0] for t in encoder.item_towers], axis=1)
-        np.testing.assert_array_equal(encoder.embed_entities(x, "item"), full)
+        vocabs = {"f1": 300, "f2": 300, "f3": 300}
+        side = side_fixture(rng, 2, (64, 32, 16), vocabs, dim=8)
+        for table in side.tables.params:
+            table.value[...] = rng.normal(size=table.value.shape)
+        ids = np.stack([np.arange(300)] * 3, axis=1)
+        x = side.tables.lookup(ids)
+        full = np.concatenate([t.forward(x)[0] for t in side.towers], axis=1)
+        np.testing.assert_array_equal(side.embed(ids), full)
         # A single row too, although numpy would send its products to gemv.
         for rows in ([7], [0, 1], [5, 2, 9], list(range(0, 300, 7))):
-            np.testing.assert_array_equal(encoder.embed_entities(x[rows], "item"), full[rows])
+            np.testing.assert_array_equal(side.embed(ids[rows]), full[rows])
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -218,43 +228,54 @@ class TestNestedKernel:
             nested_kernel(nested, nested, 2)
 
 
-class TestNestedTwinEncoder:
+class TestTowerSide:
     def test_single_level_shapes(self):
         rng = np.random.default_rng(15)
-        enc = NestedTwinEncoder(1, 6, 6, TowerConfig((4,)), rng)
-        u, i, _ = enc.forward(np.ones((3, 6)), np.ones((3, 6)))
-        assert u.shape == (3, 1, 4)
-        assert i.shape == (3, 1, 4)
+        side = side_fixture(rng, 1, (4,))
+        subs, _ = side.forward(np.ones((3, 2), dtype=np.int64), np.zeros(3, dtype=np.intp))
+        assert subs.shape == (3, 1, 4)
 
     def test_two_level_unified_length(self):
         rng = np.random.default_rng(16)
-        enc = NestedTwinEncoder(2, 10, 10, TowerConfig((128, 64, 32)), rng)
-        emb = enc.embed_entities(np.ones((2, 10)), "user")
+        side = side_fixture(rng, 2, (128, 64, 32))
+        emb = side.embed(np.ones((2, 2), dtype=np.int64))
         assert emb.shape == (2, 64)
 
     def test_determinism(self):
         rng = np.random.default_rng(17)
-        enc = NestedTwinEncoder(2, 5, 5, TowerConfig((4,)), rng)
-        x = np.random.default_rng(18).normal(size=(4, 5))
-        a = enc.forward(x, x)
-        b = enc.forward(x, x)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        side = side_fixture(rng, 2, (4,))
+        ids = np.random.default_rng(18).integers(0, 5, size=(4, 2))
+        numbers = row_numbers(ids)
+        a, _ = side.forward(ids, numbers)
+        b, _ = side.forward(ids, numbers)
+        assert np.array_equal(a, b)
+
+    def test_repeated_rows_run_once_with_the_bits_of_every_row(self):
+        rng = np.random.default_rng(21)
+        side = side_fixture(rng, 2, (8, 4))
+        ids = np.random.default_rng(22).integers(0, 3, size=(40, 2))
+        per_sample, _ = side.forward(ids, np.arange(len(ids)))
+        looked_up = []
+        lookup = side.tables.lookup
+        side.tables.lookup = lambda rows: looked_up.append(len(rows)) or lookup(rows)
+        grouped, _ = side.forward(ids, row_numbers(ids))
+        assert looked_up == [len(np.unique(ids, axis=0))]
+        np.testing.assert_array_equal(grouped, per_sample)
 
     def test_gradients_stay_in_own_tower(self):
         # Backprop through level 1 only: level-2 tower weights keep zero
         # gradients (sharing happens upstream in the embedding tables).
         rng = np.random.default_rng(19)
-        enc = NestedTwinEncoder(2, 5, 5, TowerConfig((4,)), rng)
-        x = np.random.default_rng(20).normal(size=(3, 5))
-        u, i, caches = enc.forward(x, x)
-        grad_u = np.zeros_like(u)
-        grad_u[:, 0, :] = 1.0
-        enc.backward(grad_u, np.zeros_like(i), caches)
-        for tower in (enc.user_towers[1], enc.item_towers[0], enc.item_towers[1]):
-            for p in tower.params:
-                assert np.all(p.grad == 0.0), p.name
-        assert any(np.any(p.grad != 0.0) for p in enc.user_towers[0].params)
+        side = side_fixture(rng, 2, (4,))
+        ids = np.random.default_rng(20).integers(0, 5, size=(3, 2))
+        subs, state = side.forward(ids, row_numbers(ids))
+        grad = np.zeros_like(subs)
+        grad[:, 0, :] = 1.0
+        side.backward(grad, state)
+        for p in side.towers[1].params:
+            assert np.all(p.grad == 0.0), p.name
+        assert any(np.any(p.grad != 0.0) for p in side.towers[0].params)
+        assert any(np.any(p.grad != 0.0) for p in side.tables.params)
 
 
 class TestEmbeddingExport:

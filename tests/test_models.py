@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gnolr.encoders import EmbeddingTableSet, Tower, TowerConfig
 from gnolr.losses import bce_batch
 from gnolr.models import Batch, BceModel, ModelConfig, make_model
-from tests.helpers import checked_gradients
+from tests.helpers import checked_gradients, per_sample_backward, per_sample_forward
 
 VOCABS_U = {"__user_id": 10, "uf_a": 6}
 VOCABS_I = {"__item_id": 12, "if_b": 5}
@@ -35,6 +36,34 @@ def tiny_batch(rng, n=12, num_levels=2, bounds=None):
         bits=bits.astype(np.int8),
         list_bounds=bounds,
     )
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("kind", ["gnolr", "neural_olr", "nsb"])
+    def test_draw_order_names_and_order(self, kind):
+        """User tables, item tables, user towers 1..T, item towers 1..T, heads:
+        the order of the draws, of ``params`` and of the dense buffer."""
+        cfg = tiny_config(kind)
+        model = make_model(cfg, VOCABS_U, VOCABS_I, np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        tables = [
+            EmbeddingTableSet(VOCABS_U, cfg.embedding_dim, rng, "emb_u"),
+            EmbeddingTableSet(VOCABS_I, cfg.embedding_dim, rng, "emb_i"),
+        ]
+        tower_cfg = TowerConfig(cfg.hidden_sizes, cfg.activation_slope)
+        pairs = 1 if kind == "neural_olr" else cfg.num_levels
+        towers = [
+            Tower(f"tower.{side}{c}", side_tables.output_dim, tower_cfg, rng)
+            for side, side_tables in zip(("user", "item"), tables)
+            for c in range(1, pairs + 1)
+        ]
+        want = [p for t in tables + towers for p in t.params]
+        heads = [p for head in model.heads for p in head.params]
+        assert [p.name for p in model.params] == [p.name for p in want + heads]
+        for p, q in zip(model.params, want):
+            assert p.value.tobytes() == q.value.tobytes(), p.name
+        dense = [p for p in model.params if not p.name.startswith(("emb_u.", "emb_i."))]
+        assert model.dense.value.tobytes() == b"".join(p.value.tobytes() for p in dense)
 
 
 class TestFullModelGradients:
@@ -105,7 +134,7 @@ class TestStructure:
     def test_wider_tower_option(self):
         cfg = tiny_config("neural_olr", hidden_sizes=(256, 128, 64), embedding_dim=2)
         model = make_model(cfg, VOCABS_U, VOCABS_I, np.random.default_rng(13))
-        assert [w.value.shape[1] for w in model.encoder.user_towers[0].weights] == [256, 128, 64]
+        assert [w.value.shape[1] for w in model.user.towers[0].weights] == [256, 128, 64]
 
 
 class TestNsbIsolation:
@@ -119,24 +148,18 @@ class TestNsbIsolation:
         batch = tiny_batch(rng, n=8)
         for p in model.params:
             p.zero_grad()
-        u, i, caches = model._forward(batch.user_features, batch.item_features)
+        u, i, states = per_sample_forward(model, batch.user_features, batch.item_features)
         dots = np.einsum("btd,btd->bt", u, i)
         logits = model.heads[0].forward(dots[:, 0])
         _, grad_logits = bce_batch(logits, batch.bits[:, 0])
         grad_dots = np.zeros_like(dots)
         grad_dots[:, 0] = model.heads[0].backward(grad_logits / 8, dots[:, 0])
-        model._backward(
-            grad_dots[:, :, None] * i,
-            grad_dots[:, :, None] * u,
-            caches,
-            batch.user_features,
-            batch.item_features,
-        )
-        for tower in (model.encoder.user_towers[1], model.encoder.item_towers[1]):
+        per_sample_backward(model, grad_dots[:, :, None] * i, grad_dots[:, :, None] * u, states)
+        for tower in (model.user.towers[1], model.item.towers[1]):
             for p in tower.params:
                 assert np.all(p.grad == 0.0), p.name
         assert np.all(model.heads[1].w.grad == 0.0)
-        assert any(np.any(p.grad != 0.0) for p in model.tables_user.params)
+        assert any(np.any(p.grad != 0.0) for p in model.user.tables.params)
 
     def test_single_task_nsb_matches_bce_trajectory(self):
         # Structurally, one-task shared-bottom IS the BCE baseline: same

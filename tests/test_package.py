@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "DataConfig", "DatasetBundle", "apply_bins", "binarize_ratings", "build_bundle",
     "build_lists", "fit_bins", "load_bundle", "make_batches", "save_bundle",
     # encoders
-    "EmbeddingTableSet", "NestedTwinEncoder", "Tower", "TowerConfig", "read_embeddings",
+    "EmbeddingTableSet", "Tower", "TowerConfig", "TowerSide", "read_embeddings",
     "write_embeddings",
     # errors, feedback, losses
     "GnolrError", "FeedbackSchema", "ThresholdSet", "estimate_thresholds", "order_feedback",

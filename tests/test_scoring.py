@@ -22,16 +22,9 @@ import pytest
 
 from gnolr import tensor, training
 from gnolr.data import DataConfig, build_bundle
+from gnolr.encoders import _RowGroups, distinct_rows, row_numbers
 from gnolr.errors import DimensionError
-from gnolr.models import (
-    Batch,
-    ModelConfig,
-    _RowGroups,
-    _TwinBase,
-    distinct_rows,
-    make_model,
-    row_numbers,
-)
+from gnolr.models import Batch, ModelConfig, _TwinBase, make_model
 from gnolr.metrics import RetrievalIndex, topk_retrieve_batch
 from gnolr.tensor import DegenerateVectorWarning, l2_normalize
 from gnolr.training import TrainConfig, evaluate, train
@@ -73,7 +66,7 @@ def make(name, seed=1):
 def zero_last_layers(model):
     """Zero the deepest user tower's and the first item tower's output layer,
     so those sub-embeddings are all-zero vectors."""
-    for tower in (model.encoder.user_towers[-1], model.encoder.item_towers[0]):
+    for tower in (model.user.towers[-1], model.item.towers[0]):
         tower.weights[-1].value[...] = 0.0
         tower.biases[-1].value[...] = 0.0
 
@@ -133,8 +126,8 @@ def test_fixtures_cover_the_edge_cases():
     assert len(np.unique(one_user_row(np.random.default_rng(7))[0], axis=0)) == 1
     assert len(many_rows(np.random.default_rng(7))[0]) > 8192
     model, _, _ = fixture("duplicates", zero_norm=True)
-    x = model.tables_user.lookup(np.zeros((1, 2), dtype=np.int64))
-    assert not model.encoder.user_towers[-1].forward(x)[0].any()
+    x = model.user.tables.lookup(np.zeros((1, 2), dtype=np.int64))
+    assert not model.user.towers[-1].forward(x)[0].any()
 
 
 @pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
@@ -152,7 +145,7 @@ def test_per_sample_and_entity_embeddings_equal_the_training_forward(rows, zero_
     model, user_rows, item_rows = fixture(rows, zero_norm, "nsb")
     for side, feature_rows in (("user", user_rows), ("item", item_rows)):
         want = forward_embeddings(model, side, feature_rows)
-        distinct, of_row = model.embed_distinct(side, feature_rows)
+        distinct, of_row = getattr(model, side).embed_distinct(feature_rows)
         assert len(distinct) == len(np.unique(feature_rows, axis=0))
         np.testing.assert_array_equal(distinct[of_row], want)
         embed = model.user_embeddings if side == "user" else model.item_embeddings
@@ -210,7 +203,7 @@ def test_evaluate_memory_follows_the_distinct_rows(tmp_path, monkeypatch):
     )
     distinct = sum(len(np.unique(r, axis=0)) for r in (test.user_features, test.item_features))
     assert test.num_samples >= 20000 and distinct <= 700
-    bound = 60 * distinct * model.encoder.num_levels * cfg.hidden_sizes[-1] * 8
+    bound = 60 * distinct * len(model.user.towers) * cfg.hidden_sizes[-1] * 8
 
     assert peak_bytes(lambda: evaluate(model, bundle)) < bound
     # The guard holds: the per-sample forward breaks the bound.
@@ -239,15 +232,16 @@ def unblocked(monkeypatch):
     monkeypatch.setattr(tensor, "BLOCK_BYTES", 1 << 40)
 
 
-def pass_sizes(monkeypatch, model):
+def pass_sizes(monkeypatch, tables):
+    """Record the rows of each ``tables.lookup`` call: one per tower pass."""
     sizes: list[int] = []
-    embed = model.encoder.embed_entities
+    lookup = tables.lookup
 
-    def counted(x, side):
-        sizes.append(len(x))
-        return embed(x, side)
+    def counted(ids):
+        sizes.append(len(ids))
+        return lookup(ids)
 
-    monkeypatch.setattr(model.encoder, "embed_entities", counted)
+    monkeypatch.setattr(tables, "lookup", counted)
     return sizes
 
 
@@ -261,9 +255,9 @@ def test_item_embeddings_equal_one_unblocked_pass(monkeypatch, n):
     unblocked(monkeypatch)
     want = model.item_embeddings(rows)
     # The widest array of a tower pass: the input, a hidden layer or the output.
-    unified = model.encoder.num_levels * model.cfg.hidden_sizes[-1]
-    blocked(monkeypatch, 8 * max(model.tables_item.output_dim, *model.cfg.hidden_sizes, unified))
-    sizes = pass_sizes(monkeypatch, model)
+    unified = len(model.item.towers) * model.cfg.hidden_sizes[-1]
+    blocked(monkeypatch, 8 * max(model.item.tables.output_dim, *model.cfg.hidden_sizes, unified))
+    sizes = pass_sizes(monkeypatch, model.item.tables)
     got = model.item_embeddings(rows)
     assert sizes == [BLOCK] * (n // BLOCK) + [n % BLOCK] * (n % BLOCK > 0)
     np.testing.assert_array_equal(got, want)
@@ -280,7 +274,7 @@ def test_task_scores_equal_one_unblocked_pass(monkeypatch, n, zero_norm):
     unblocked(monkeypatch)
     want = model.task_scores_all(users, items)
     # A block of gathered pairs holds T sub-embeddings per side.
-    blocked(monkeypatch, 8 * model.encoder.num_levels * model.cfg.hidden_sizes[-1])
+    blocked(monkeypatch, 8 * len(model.user.towers) * model.cfg.hidden_sizes[-1])
     np.testing.assert_array_equal(model.task_scores_all(users, items), want)
 
 
@@ -388,9 +382,10 @@ def test_step_matches_the_per_sample_step(name, rows, zero_norm, numbered):
         assert got == want
     for p, q in zip(models[0].params, models[1].params):
         np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-10, err_msg=p.name)
-    for tables in ("tables_user", "tables_item"):
+    for side in ("user", "item"):
         for (_, got_rows), (_, want_rows) in zip(
-            getattr(models[0], tables).take_touched(), getattr(models[1], tables).take_touched()
+            getattr(models[0], side).tables.take_touched(),
+            getattr(models[1], side).tables.take_touched(),
         ):
             np.testing.assert_array_equal(got_rows, want_rows)
 
@@ -419,12 +414,12 @@ def test_towers_run_once_per_distinct_row(monkeypatch, rows):
         return counted
 
     for side in ("user", "item"):
-        tables = getattr(model, f"tables_{side}")
+        tables = getattr(model, side).tables
         monkeypatch.setattr(tables, "lookup", counting(side, tables.lookup))
     model.loss_and_grad(batch)
     assert looked_up == [
-        ("user", len(np.unique(batch.user_features, axis=0))),
         ("item", len(np.unique(batch.item_features, axis=0))),
+        ("user", len(np.unique(batch.user_features, axis=0))),
     ]
 
 

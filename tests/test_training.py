@@ -13,6 +13,7 @@ from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
 from gnolr.losses import bce_batch
 from gnolr.metrics import RetrievalIndex, auc
+from gnolr.encoders import row_numbers
 from gnolr.models import Batch, ModelConfig, ModelSettings, make_model
 from gnolr.tensor import AdamConfig
 from gnolr.training import (
@@ -24,8 +25,14 @@ from gnolr.training import (
     retrieval_recalls,
     save_checkpoint,
     train,
+    train_step,
 )
-from tests.helpers import forward_task_scores, synthetic_bundle
+from tests.helpers import (
+    forward_task_scores,
+    per_sample_backward,
+    per_sample_forward,
+    synthetic_bundle,
+)
 
 FAST = dict(
     embedding_dim=8,
@@ -172,7 +179,7 @@ class TestOptimizerSparsity:
             labels=split.labels[idx],
             bits=split.bits[idx],
         )
-        table = model.tables_user.tables["__user_id"]
+        table = model.user.tables.tables["__user_id"]
         before = table.value.copy()
         model.loss_and_grad(batch)
         _optimizer_step(model, AdamConfig(learning_rate=0.1))
@@ -190,7 +197,7 @@ def reference_optimizer_step(model, adam: AdamConfig) -> None:
     keeps its count); every other parameter gets plain Adam on its own.
     All gradients are then zero-filled.
     """
-    table_names = {p.name for ts in (model.tables_user, model.tables_item) for p in ts.params}
+    table_names = {p.name for side in (model.user, model.item) for p in side.tables.params}
     for p in model.params:
         if p.name in table_names:
             rows = np.nonzero(np.any(p.grad != 0.0, axis=1))[0]
@@ -223,15 +230,12 @@ def oracle_batch(rng, n, vocab_u, vocab_i, num_levels=2):
 
 def nsb_first_task_only(model, batch) -> None:
     """Backprop task 1 alone, so task 2's towers and head get zero gradient."""
-    u, i, caches = model._forward(batch.user_features, batch.item_features)
+    u, i, states = per_sample_forward(model, batch.user_features, batch.item_features)
     dots = np.einsum("btd,btd->bt", u, i)
     _, grad_logits = bce_batch(model.heads[0].forward(dots[:, 0]), batch.bits[:, 0])
     grad_dots = np.zeros_like(dots)
     grad_dots[:, 0] = model.heads[0].backward(grad_logits / len(dots), dots[:, 0])
-    model._backward(
-        grad_dots[:, :, None] * i, grad_dots[:, :, None] * u, caches,
-        batch.user_features, batch.item_features,
-    )
+    per_sample_backward(model, grad_dots[:, :, None] * i, grad_dots[:, :, None] * u, states)
 
 
 class TestLeanOptimizerStep:
@@ -253,10 +257,10 @@ class TestLeanOptimizerStep:
             model.loss_and_grad(batch)
         if step == 2:
             # Two lookups of one row whose contributions cancel to exactly 0.
-            upstream = np.zeros((2, model.tables_user.output_dim))
+            upstream = np.zeros((2, model.user.tables.output_dim))
             upstream[0, :4] = [0.25, -1.5, 3.0, 1e-3]
             upstream[1, :4] = -upstream[0, :4]
-            model.tables_user.backward(upstream, np.array([[self.CANCEL_ROW, 1]] * 2))
+            model.user.tables.backward(upstream, np.array([[self.CANCEL_ROW, 1]] * 2))
 
     @pytest.mark.parametrize(
         "kind,kwargs",
@@ -271,7 +275,7 @@ class TestLeanOptimizerStep:
     def test_matches_dense_scan_reference_byte_for_byte(self, kind, kwargs):
         lean, reference = self.build(kind, **kwargs), self.build(kind, **kwargs)
         adam = AdamConfig(learning_rate=0.05)
-        cancel = lean.tables_user.tables["__user_id"]
+        cancel = lean.user.tables.tables["__user_id"]
         rng = np.random.default_rng(32)
         for step in range(6):
             batch = oracle_batch(rng, 24, self.VOCAB_U, self.VOCAB_I)
@@ -293,7 +297,7 @@ class TestLeanOptimizerStep:
             q = ref_params[name]
             for attr in ("value", "adam_m", "adam_v"):
                 assert getattr(p, attr).tobytes() == getattr(q, attr).tobytes(), (name, attr)
-        for p in lean.tables_user.params + lean.tables_item.params:
+        for p in lean.user.tables.params + lean.item.tables.params:
             assert p.step_count == ref_params[p.name].step_count, p.name
         assert lean.dense.step_count == 6
         # The cancelled row kept its bits from step 1 on: no moment decay.
@@ -303,16 +307,16 @@ class TestLeanOptimizerStep:
 
     def test_table_whose_rows_all_cancel_keeps_its_step_count(self):
         model = self.build("gnolr")
-        table = model.tables_user.tables["uf_a"]
-        upstream = np.zeros((2, model.tables_user.output_dim))
+        table = model.user.tables.tables["uf_a"]
+        upstream = np.zeros((2, model.user.tables.output_dim))
         upstream[0, 4:] = [0.5, -2.0, 1.0, 3.0]
         upstream[1, 4:] = -upstream[0, 4:]
-        model.tables_user.backward(upstream, np.array([[1, 2], [3, 2]]))
+        model.user.tables.backward(upstream, np.array([[1, 2], [3, 2]]))
         before = table.value.copy()
         _optimizer_step(model, AdamConfig(learning_rate=0.05))
         assert table.step_count == 0
         assert table.value.tobytes() == before.tobytes()
-        assert model.tables_user.tables["__user_id"].step_count == 0
+        assert model.user.tables.tables["__user_id"].step_count == 0
 
     @pytest.mark.parametrize("kind", ["gnolr", "bce", "nsb"])
     def test_step_leaves_no_gradient_and_no_record(self, kind):
@@ -320,9 +324,9 @@ class TestLeanOptimizerStep:
         rng = np.random.default_rng(33)
         for step in range(3):
             self.backprop(model, oracle_batch(rng, 24, self.VOCAB_U, self.VOCAB_I), step)
-            assert any(model.tables_user.touched.values())
+            assert any(model.user.tables.touched.values())
             _optimizer_step(model, AdamConfig(learning_rate=0.05))
-            for tables in (model.tables_user, model.tables_item):
+            for tables in (model.user.tables, model.item.tables):
                 assert not any(tables.touched.values())
                 for p in tables.params:
                     assert not np.any(p.grad), p.name
@@ -433,6 +437,45 @@ class TestDescentSanity:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
 
+class TestTrainStep:
+    @pytest.mark.parametrize("listwise", [False, True], ids=["pointwise", "listwise"])
+    def test_steps_over_make_batches_reproduce_the_first_epoch(self, bundle, listwise):
+        config = TrainConfig(kind="gnolr", seed=5, listwise=listwise, **{**FAST, "epochs": 1})
+        result = train(bundle, config)
+        model = make_model(
+            result.checkpoint.model_config,
+            dict(zip(bundle.user_feature_names, bundle.user_vocab_sizes)),
+            dict(zip(bundle.item_feature_names, bundle.item_vocab_sizes)),
+            np.random.default_rng(config.seed),
+        )
+        split = bundle.train
+        numbers = (row_numbers(split.user_features), row_numbers(split.item_features))
+        adam = AdamConfig(config.learning_rate)
+        mode = "listwise" if listwise else "pointwise"
+        size = config.list_batch_size if listwise else config.batch_size
+        loss_sum, count = 0.0, 0
+        for rows in make_batches(mode, split, size, np.random.default_rng(config.seed + 1)):
+            batch = training._make_batch(split, numbers, rows)
+            assert (batch.list_bounds is not None) == listwise
+            loss_sum += train_step(model, batch, adam) * len(batch.labels)
+            count += len(batch.labels)
+        assert result.log_lines[0].split()[1] == f"loss={loss_sum / count:.6f}"
+        params = model.param_map()
+        assert set(params) == set(result.checkpoint.params)
+        for name, value in result.checkpoint.params.items():
+            assert params[name].value.tobytes() == value.tobytes(), name
+
+    def test_non_finite_loss_skips_the_optimizer(self, bundle, monkeypatch):
+        model = untrained_model(bundle)
+        before = {p.name: p.value.copy() for p in model.params}
+        monkeypatch.setattr(model, "loss_and_grad", lambda batch: math.nan)
+        batch = training._make_batch(bundle.train, (np.zeros(0), np.zeros(0)), np.zeros(0, int))
+        assert math.isnan(train_step(model, batch, AdamConfig(0.05)))
+        assert model.dense.step_count == 0
+        for p in model.params:
+            assert p.value.tobytes() == before[p.name].tobytes(), p.name
+
+
 class TestEvaluateAndMultiRun:
     def test_evaluate_reports_per_task_metrics(self, bundle):
         config = TrainConfig(kind="gnolr", seed=1, **{**FAST, "epochs": 4})
@@ -488,6 +531,16 @@ def counting(original, calls: list):
     return counted
 
 
+def counting_rows(original, rows: list):
+    """Pass-through wrapper that records the length of each call's first argument."""
+
+    def counted(first, *args, **kwargs):
+        rows.append(len(first))
+        return original(first, *args, **kwargs)
+
+    return counted
+
+
 def count_topk_calls(monkeypatch) -> list:
     """Record the number of query rows of each ``topk_retrieve_batch`` call."""
     calls: list[int] = []
@@ -534,18 +587,13 @@ class TestOnePassScoringAndRanking:
         calls: list[int] = []
         monkeypatch.setattr(model, "task_scores_all", counting(model.task_scores_all, calls))
         embedded_rows: list[int] = []
-        embed = model.encoder.embed_entities
-
-        def counted(x, side):
-            embedded_rows.append(len(x))
-            return embed(x, side)
-
-        monkeypatch.setattr(model.encoder, "embed_entities", counted)
+        for tables in (model.user.tables, model.item.tables):
+            monkeypatch.setattr(tables, "lookup", counting_rows(tables.lookup, embedded_rows))
         metrics_out = evaluate(model, bundle)
         assert len(calls) == 1
         # Each distinct user and item feature row went through the towers once.
         assert sum(embedded_rows) == len(np.unique(uf, axis=0)) + len(np.unique(itf, axis=0))
-        pair_bytes = 8 * model.encoder.num_levels * model.encoder.cfg.output_dim
+        pair_bytes = 8 * len(model.user.towers) * model.user.cfg.output_dim
         assert len(uf) > tensor.block_rows(pair_bytes)  # the pairs were gathered in several blocks
         for level in (1, 2):
             assert metrics_out[f"auc_t{level}"] == expected[level]
