@@ -21,7 +21,6 @@ from .data import (
 from .encoders import (
     EmbeddingTableSet,
     Tower,
-    TowerConfig,
     TowerSide,
     read_embeddings,
     write_embeddings,
@@ -34,7 +33,6 @@ from .feedback import (
     order_feedback,
     thresholds_from_fractions,
 )
-from .losses import GnolrHyper
 from .metrics import (
     RetrievalIndex,
     angle_histogram,

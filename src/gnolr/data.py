@@ -332,7 +332,10 @@ def _parse_csv(config: DataConfig) -> dict:
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                timestamps.append(int(row[col["timestamp"]]))
+                timestamp = int(row[col["timestamp"]])
+                if not -(2**63) <= timestamp < 2**63:
+                    raise ValueError  # outside int64, the column's dtype
+                timestamps.append(timestamp)
             except ValueError:
                 raise IngestionError(
                     f"{path}:{lineno}: bad timestamp {row[col['timestamp']]!r}"

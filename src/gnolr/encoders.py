@@ -9,8 +9,7 @@ sub-cosines (each prefix has squared norm c).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -26,23 +25,8 @@ from .tensor import (
     leaky_relu_backward,
 )
 
-
-@dataclass(frozen=True)
-class TowerConfig:
-    """MLP layout of one tower; the last width is the sub-embedding size."""
-
-    hidden_sizes: tuple[int, ...] = (128, 64, 32)
-    activation_slope: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not self.hidden_sizes or any(w < 1 for w in self.hidden_sizes):
-            raise ArgumentError(f"tower widths must all be >= 1, got {self.hidden_sizes}")
-        if not 0.0 < self.activation_slope < 1.0:
-            raise ArgumentError(f"activation slope must lie in (0, 1), got {self.activation_slope}")
-
-    @property
-    def output_dim(self) -> int:
-        return self.hidden_sizes[-1]
+if TYPE_CHECKING:
+    from .models import ModelSettings
 
 
 class EmbeddingTableSet:
@@ -125,10 +109,14 @@ class EmbeddingTableSet:
 
 
 class Tower:
-    """MLP with LeakyReLU between layers, none after the last, then l2-norm."""
+    """MLP with LeakyReLU between layers, none after the last, then l2-norm.
+
+    The settings' ``hidden_sizes`` lay out the layers, the last width being
+    the sub-embedding size; ``activation_slope`` is the LeakyReLU slope.
+    """
 
     def __init__(
-        self, name: str, input_dim: int, cfg: TowerConfig, rng: np.random.Generator
+        self, name: str, input_dim: int, cfg: ModelSettings, rng: np.random.Generator
     ) -> None:
         self.name = name
         self.cfg = cfg
@@ -267,7 +255,7 @@ class TowerSide:
     """
 
     def __init__(
-        self, tables: EmbeddingTableSet, num_towers: int, cfg: TowerConfig, rng, name: str
+        self, tables: EmbeddingTableSet, num_towers: int, cfg: ModelSettings, rng, name: str
     ) -> None:
         """Towers ``{name}1``..``{name}T``, drawn from ``rng`` in that order."""
         if num_towers < 1:
@@ -309,7 +297,7 @@ class TowerSide:
         sends a one-row product to BLAS gemv, whose sums round differently
         from gemm's, so a single row runs as a duplicated pair.
         """
-        unified = len(self.towers) * self.cfg.output_dim
+        unified = len(self.towers) * self.cfg.hidden_sizes[-1]
         step = block_rows(8 * max(self.tables.output_dim, *self.cfg.hidden_sizes, unified))
         chunks = []
         for start in range(0, max(len(feature_rows), 1), step):

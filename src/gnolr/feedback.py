@@ -104,9 +104,6 @@ class ThresholdSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
 
 def thresholds_from_fractions(fractions: Sequence[float]) -> ThresholdSet:
     """Build thresholds from per-level exceedance fractions.

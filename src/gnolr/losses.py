@@ -24,32 +24,15 @@ time (``cumulative_prob``, ``subtask_loss`` and ``gnolr_total_loss`` in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ArgumentError
-from .feedback import ThresholdSet
 from .tensor import stable_sigmoid, stable_softplus
 
-
-@dataclass(frozen=True)
-class GnolrHyper:
-    """Ordinal thresholds, kernel reshaping factor, probability clip floor."""
-
-    thresholds: ThresholdSet
-    gamma: float
-    clip_floor: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not 0 < self.gamma < math.inf:
-            raise ArgumentError(f"gamma must be finite and > 0, got {self.gamma}")
-        if not 0 < self.clip_floor < 1:
-            raise ArgumentError(f"clip floor must lie in (0, 1), got {self.clip_floor}")
-
-    @property
-    def num_levels(self) -> int:
-        return len(self.thresholds)
+if TYPE_CHECKING:
+    from .models import ModelConfig
 
 
 def _validate_batch(labels: np.ndarray, num_levels: int) -> np.ndarray:
@@ -61,7 +44,7 @@ def _validate_batch(labels: np.ndarray, num_levels: int) -> np.ndarray:
     return labels
 
 
-def cumulative_from_dots(dots: np.ndarray, hyper: GnolrHyper, prefix: bool = True) -> np.ndarray:
+def cumulative_from_dots(dots: np.ndarray, cfg: ModelConfig, prefix: bool = True) -> np.ndarray:
     """The kernel map: cumulative probs S (B, T) from per-level similarities.
 
     With ``prefix`` the level-c kernel is the running sum of the first c
@@ -69,27 +52,27 @@ def cumulative_from_dots(dots: np.ndarray, hyper: GnolrHyper, prefix: bool = Tru
     own dot by c, and a single column of dots (one shared tower pair) is
     broadcast to every level.
     """
-    a = hyper.thresholds.as_array()
+    a = np.asarray(cfg.thresholds, dtype=np.float64)
     if prefix:
-        return stable_sigmoid(a[None, :] - hyper.gamma * np.cumsum(dots, axis=1))
-    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
-    return stable_sigmoid(a[None, :] - c[None, :] * hyper.gamma * dots)
+        return stable_sigmoid(a[None, :] - cfg.gamma * np.cumsum(dots, axis=1))
+    c = np.arange(1, cfg.num_levels + 1, dtype=np.float64)
+    return stable_sigmoid(a[None, :] - c[None, :] * cfg.gamma * dots)
 
 
-def _dots_adjoint(dl_ds: np.ndarray, s: np.ndarray, hyper: GnolrHyper, prefix: bool) -> np.ndarray:
+def _dots_adjoint(dl_ds: np.ndarray, s: np.ndarray, cfg: ModelConfig, prefix: bool) -> np.ndarray:
     """dL/d dots from dL/dS through ``cumulative_from_dots`` (before any broadcast)."""
     if prefix:
         # Each dot feeds every cumulative at or above its level.
-        per_level = dl_ds * (s * (1.0 - s)) * -hyper.gamma
+        per_level = dl_ds * (s * (1.0 - s)) * -cfg.gamma
         return np.cumsum(per_level[:, ::-1], axis=1)[:, ::-1]
-    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
-    return dl_ds * (s * (1.0 - s)) * (-c[None, :] * hyper.gamma)
+    c = np.arange(1, cfg.num_levels + 1, dtype=np.float64)
+    return dl_ds * (s * (1.0 - s)) * (-c[None, :] * cfg.gamma)
 
 
 def gnolr_batch(
     labels: np.ndarray,
     dots: np.ndarray,
-    hyper: GnolrHyper,
+    cfg: ModelConfig,
     prefix: bool = True,
     nested: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,15 +89,15 @@ def gnolr_batch(
     Returns per-sample losses (B,) and a gradient shaped like ``dots``.
     """
     dots = np.asarray(dots, dtype=np.float64)
-    big_t = hyper.num_levels
+    big_t = cfg.num_levels
     labels = _validate_batch(labels, big_t)
     n = labels.shape[0]
     if dots.shape != (n, big_t) and (prefix or dots.shape != (n, 1)):
         raise ArgumentError(
             f"dots must be ({n}, {big_t}), or ({n}, 1) without prefix; got {dots.shape}"
         )
-    s = cumulative_from_dots(dots, hyper, prefix)
-    floor = hyper.clip_floor
+    s = cumulative_from_dots(dots, cfg, prefix)
+    floor = cfg.clip_floor
     full = np.concatenate((np.zeros((n, 1)), s, np.ones((n, 1))), axis=1)
     rows = np.arange(n)
     p = full[rows, labels] - full[rows, labels - 1]
@@ -132,7 +115,7 @@ def gnolr_batch(
     dl_ds[rows[has_upper], labels[has_upper] - 1] -= coef[has_upper]
     has_lower = labels >= 2
     dl_ds[rows[has_lower], labels[has_lower] - 2] += coef[has_lower]
-    grad_dots = _dots_adjoint(dl_ds, s, hyper, prefix)
+    grad_dots = _dots_adjoint(dl_ds, s, cfg, prefix)
     if dots.shape[1] != big_t:
         grad_dots = grad_dots.sum(axis=1, keepdims=True)
     return losses, grad_dots

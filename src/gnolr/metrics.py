@@ -226,6 +226,10 @@ def angle_histogram(
     n = labels.shape[0]
     if u.ndim != 2 or v.shape[1:] != u.shape[1:] or not len(user_of) == len(item_of) == n:
         raise DimensionError("user/item embedding shapes and labels must align")
+    if not np.all(np.isfinite(u)):
+        raise ArgumentError("user embeddings must be finite")
+    if not np.all(np.isfinite(v)):
+        raise ArgumentError("item embeddings must be finite")
     cos = np.zeros(n)
     step = block_rows(u.itemsize * u.shape[1])
     for start in range(0, n, step):

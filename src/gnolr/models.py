@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EmbeddingTableSet, TowerConfig, TowerSide, row_numbers
+from .encoders import EmbeddingTableSet, TowerSide, row_numbers
 from .errors import ArgumentError, DimensionError
 from .feedback import ThresholdSet
-from .losses import GnolrHyper, bce_batch, cumulative_from_dots, gnolr_batch, listnet_list_batch
+from .losses import bce_batch, cumulative_from_dots, gnolr_batch, listnet_list_batch
 from .metrics import RetrievalIndex
 from .tensor import Parameter, block_rows, pack_parameters, stable_sigmoid
 
@@ -69,8 +69,10 @@ class ModelSettings:
             raise ArgumentError(f"clip floor must lie in (0, 1), got {self.clip_floor}")
         if self.embedding_dim < 1:
             raise ArgumentError(f"embedding dim must be >= 1, got {self.embedding_dim}")
-        # Fails on a bad tower layout before a model is built.
-        TowerConfig(self.hidden_sizes, self.activation_slope)
+        if not self.hidden_sizes or any(w < 1 for w in self.hidden_sizes):
+            raise ArgumentError(f"tower widths must all be >= 1, got {self.hidden_sizes}")
+        if not 0.0 < self.activation_slope < 1.0:
+            raise ArgumentError(f"activation slope must lie in (0, 1), got {self.activation_slope}")
         if not all(1 <= w < math.inf for w in self.positive_weights):
             raise ArgumentError(
                 f"positive weights must be finite and >= 1, got {self.positive_weights}"
@@ -107,11 +109,7 @@ class ModelConfig(ModelSettings):
                 f"positive weights need 1 or {self.num_levels} values, "
                 f"got {len(self.positive_weights)}"
             )
-        self.hyper  # fails on bad thresholds
-
-    @property
-    def hyper(self) -> GnolrHyper:
-        return GnolrHyper(ThresholdSet(self.thresholds), self.gamma, self.clip_floor)
+        ThresholdSet(self.thresholds)  # refuses non-finite or unordered thresholds
 
     def task_weight(self, level: int) -> float:
         if not self.positive_weights:
@@ -178,9 +176,8 @@ class _TwinBase:
         self.targets = targets or list(range(1, cfg.num_levels + 1))
         user_tables = EmbeddingTableSet(user_vocabs, cfg.embedding_dim, rng, "emb_u")
         item_tables = EmbeddingTableSet(item_vocabs, cfg.embedding_dim, rng, "emb_i")
-        tower_cfg = TowerConfig(cfg.hidden_sizes, cfg.activation_slope)
-        self.user = TowerSide(user_tables, num_pairs, tower_cfg, rng, "tower.user")
-        self.item = TowerSide(item_tables, num_pairs, tower_cfg, rng, "tower.item")
+        self.user = TowerSide(user_tables, num_pairs, cfg, rng, "tower.user")
+        self.item = TowerSide(item_tables, num_pairs, cfg, rng, "tower.item")
         self.heads = list(heads)
         self.dense = pack_parameters("dense", self._dense_params())
 
@@ -268,21 +265,20 @@ class GnolrModel(_TwinBase):
     def __init__(self, cfg, user_vocabs, item_vocabs, rng) -> None:
         shared = cfg.kind == "neural_olr"
         super().__init__(cfg, user_vocabs, item_vocabs, rng, 1 if shared else cfg.num_levels)
-        self.hyper = cfg.hyper
         self.prefix = not shared and cfg.variant != "v0"
         self.nested = not shared and cfg.variant == "nested"
         self.listwise = not shared and cfg.listwise
 
     def _objective(self, batch: Batch, dots: np.ndarray) -> tuple[float, np.ndarray]:
         n = dots.shape[0]
-        losses, grad_dots = gnolr_batch(batch.labels, dots, self.hyper, self.prefix, self.nested)
+        losses, grad_dots = gnolr_batch(batch.labels, dots, self.cfg, self.prefix, self.nested)
         total = float(losses.mean())
         grad_dots = grad_dots / n
 
         if self.listwise:
             if not batch.list_bounds:
                 raise ArgumentError("listwise model needs list bounds in the batch")
-            logits = self.hyper.gamma * dots.sum(axis=1)
+            logits = self.cfg.gamma * dots.sum(axis=1)
             positives = batch.labels >= 2
             n_lists = len(batch.list_bounds)
             list_total = 0.0
@@ -294,12 +290,12 @@ class GnolrModel(_TwinBase):
                 list_total += loss
                 grad_logits[start:end] = grad
             total += list_total / n_lists
-            grad_dots = grad_dots + self.hyper.gamma * (grad_logits / n_lists)[:, None]
+            grad_dots = grad_dots + self.cfg.gamma * (grad_logits / n_lists)[:, None]
         return total, grad_dots
 
     def _scores(self, dots: np.ndarray) -> np.ndarray:
         """P(k > c) for every level c; shape (B, T)."""
-        return 1.0 - cumulative_from_dots(dots, self.hyper, self.prefix)
+        return 1.0 - cumulative_from_dots(dots, self.cfg, self.prefix)
 
 
 class _CalibratedHead:

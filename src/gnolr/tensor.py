@@ -43,7 +43,11 @@ class DegenerateVectorWarning(RuntimeWarning):
 
 @dataclass
 class Parameter:
-    """A trainable array with its gradient buffer and Adam moment state."""
+    """A trainable array with its gradient buffer and Adam moment state.
+
+    The gradient and the moments are zeros allocated on first use, so a
+    model that only scores never holds them.
+    """
 
     name: str
     value: np.ndarray
@@ -54,9 +58,14 @@ class Parameter:
 
     def __post_init__(self) -> None:
         self.value = np.asarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Only reached while ``name`` is unset.
+        if name not in ("grad", "adam_m", "adam_v"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        buffer = np.zeros_like(self.value)
+        setattr(self, name, buffer)
+        return buffer
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)

@@ -110,7 +110,12 @@ class Checkpoint:
                 )
 
     def build_model(self):
-        """The trained model; the stored arrays overwrite every initial value."""
+        """The trained model; the stored arrays overwrite every initial value.
+
+        The stored arrays must be exactly the parameters that ``model_config``
+        builds, each with its shape and finite: anything else is a malformed
+        checkpoint, which would otherwise load or score as plausible numbers.
+        """
         model = make_model(
             self.model_config,
             dict(zip(self.user_feature_names, self.user_vocab_sizes)),
@@ -120,13 +125,18 @@ class Checkpoint:
         pmap = model.param_map()
         missing = set(pmap) - set(self.params)
         if missing:
-            raise ConfigError(f"checkpoint lacks parameters: {sorted(missing)}")
+            raise IngestionError(f"checkpoint lacks parameters: {sorted(missing)}")
+        extra = set(self.params) - set(pmap)
+        if extra:
+            raise IngestionError(f"checkpoint holds unknown parameters: {sorted(extra)}")
         for name, param in pmap.items():
             stored = self.params[name]
             if stored.shape != param.value.shape:
-                raise ConfigError(
+                raise IngestionError(
                     f"parameter '{name}' shape mismatch: {stored.shape} vs {param.value.shape}"
                 )
+            if not np.isfinite(stored).all():
+                raise IngestionError(f"parameter '{name}' holds non-finite values")
             param.value[...] = stored
         return model
 

@@ -23,7 +23,7 @@ from gnolr.data import (
 )
 from gnolr.errors import ArgumentError, IngestionError, OptimizerError
 from gnolr.feedback import FeedbackSchema, map_to_ordinal_array
-from gnolr.losses import GnolrHyper
+from gnolr.models import ModelConfig
 from gnolr.tensor import Parameter, stable_sigmoid, stable_softplus
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -471,87 +471,87 @@ class CategoryDistribution:
         return np.asarray(self.probs, dtype=np.float64)
 
 
-def _check_kernels(kernels: Sequence[float], hyper: GnolrHyper) -> np.ndarray:
+def _check_kernels(kernels: Sequence[float], cfg: ModelConfig) -> np.ndarray:
     arr = np.asarray(kernels, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != hyper.num_levels:
-        raise ArgumentError(f"expected {hyper.num_levels} kernel values, got {arr.shape[0]}")
+    if arr.shape[0] != cfg.num_levels:
+        raise ArgumentError(f"expected {cfg.num_levels} kernel values, got {arr.shape[0]}")
     return arr
 
 
-def _cumulative_all(kernels: np.ndarray, hyper: GnolrHyper) -> np.ndarray:
+def _cumulative_all(kernels: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     """sigma(a_c - c * gamma * K_c) for c = 1..T."""
-    a = hyper.thresholds.as_array()
-    c = np.arange(1, hyper.num_levels + 1, dtype=np.float64)
-    return stable_sigmoid(a - c * hyper.gamma * kernels)
+    a = np.asarray(cfg.thresholds, dtype=np.float64)
+    c = np.arange(1, cfg.num_levels + 1, dtype=np.float64)
+    return stable_sigmoid(a - c * cfg.gamma * kernels)
 
 
-def cumulative_prob(c: int, kernel_value: float, hyper: GnolrHyper) -> float:
+def cumulative_prob(c: int, kernel_value: float, cfg: ModelConfig) -> float:
     """P(k <= c) given the level-c prefix kernel.
 
     Level 0 is the virtual null category (exactly 0); level T+1 covers
     everything (exactly 1).
     """
-    t = hyper.num_levels
+    t = cfg.num_levels
     if not 0 <= c <= t + 1:
         raise ArgumentError(f"category {c} outside 0..{t + 1}")
     if c == 0:
         return 0.0
     if c == t + 1:
         return 1.0
-    a_c = hyper.thresholds.values[c - 1]
-    return float(stable_sigmoid(a_c - c * hyper.gamma * kernel_value))
+    a_c = cfg.thresholds[c - 1]
+    return float(stable_sigmoid(a_c - c * cfg.gamma * kernel_value))
 
 
-def category_distribution(kernels: Sequence[float], hyper: GnolrHyper) -> CategoryDistribution:
+def category_distribution(kernels: Sequence[float], cfg: ModelConfig) -> CategoryDistribution:
     """P(k = c) = P(k <= c) - P(k <= c-1) for c = 1..T+1.
 
     Raw differences may be negative when the kernel sequence breaks the
     cumulative ordering; clipping is the loss's job, not this function's.
     """
-    karr = _check_kernels(kernels, hyper)
-    cum = _cumulative_all(karr, hyper)
+    karr = _check_kernels(kernels, cfg)
+    cum = _cumulative_all(karr, cfg)
     full = np.concatenate(([0.0], cum, [1.0]))
     return CategoryDistribution(tuple(np.diff(full).tolist()))
 
 
-def task_score(c: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+def task_score(c: int, kernels: Sequence[float], cfg: ModelConfig) -> float:
     """P(k > c) = 1 - sigma(a_c - c * gamma * K_c); c = T is the unified score."""
-    if not 1 <= c <= hyper.num_levels:
-        raise ArgumentError(f"task level {c} outside 1..{hyper.num_levels}")
-    karr = _check_kernels(kernels, hyper)
-    return 1.0 - cumulative_prob(c, float(karr[c - 1]), hyper)
+    if not 1 <= c <= cfg.num_levels:
+        raise ArgumentError(f"task level {c} outside 1..{cfg.num_levels}")
+    karr = _check_kernels(kernels, cfg)
+    return 1.0 - cumulative_prob(c, float(karr[c - 1]), cfg)
 
 
 def _clipped_log(p: float, clip_floor: float) -> float:
     return math.log(max(p, clip_floor))
 
 
-def subtask_loss(t: int, label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+def subtask_loss(t: int, label_k: int, kernels: Sequence[float], cfg: ModelConfig) -> float:
     """Negative log-likelihood of subtask t, whose top category is t+1.
 
     The label collapses to min(k, t+1); within the subtask the cumulative
     probability of level t+1 is 1, so the top category's probability is
     1 - P(k <= t).
     """
-    big_t = hyper.num_levels
+    big_t = cfg.num_levels
     if not 1 <= t <= big_t:
         raise ArgumentError(f"subtask index {t} outside 1..{big_t}")
     if not 1 <= label_k <= big_t + 1:
         raise ArgumentError(f"label {label_k} outside 1..{big_t + 1}")
-    karr = _check_kernels(kernels, hyper)
+    karr = _check_kernels(kernels, cfg)
     m = min(label_k, t + 1)
     if m == t + 1:
-        p = 1.0 - cumulative_prob(t, float(karr[t - 1]), hyper)
+        p = 1.0 - cumulative_prob(t, float(karr[t - 1]), cfg)
     else:
-        upper = cumulative_prob(m, float(karr[m - 1]), hyper)
-        lower = cumulative_prob(m - 1, float(karr[m - 2]) if m >= 2 else 0.0, hyper)
+        upper = cumulative_prob(m, float(karr[m - 1]), cfg)
+        lower = cumulative_prob(m - 1, float(karr[m - 2]) if m >= 2 else 0.0, cfg)
         p = upper - lower
-    return -_clipped_log(p, hyper.clip_floor)
+    return -_clipped_log(p, cfg.clip_floor)
 
 
-def gnolr_total_loss(label_k: int, kernels: Sequence[float], hyper: GnolrHyper) -> float:
+def gnolr_total_loss(label_k: int, kernels: Sequence[float], cfg: ModelConfig) -> float:
     """Sum of all subtask losses for one sample."""
-    return sum(subtask_loss(t, label_k, kernels, hyper) for t in range(1, hyper.num_levels + 1))
+    return sum(subtask_loss(t, label_k, kernels, cfg) for t in range(1, cfg.num_levels + 1))
 
 
 def bce_loss(logit: float, label: int, positive_weight: float = 1.0):

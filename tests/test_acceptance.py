@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from gnolr.data import DataConfig, build_bundle
-from gnolr.feedback import ThresholdSet, estimate_thresholds, thresholds_from_fractions
-from gnolr.losses import GnolrHyper, gnolr_batch
+from gnolr.feedback import estimate_thresholds, thresholds_from_fractions
+from gnolr.losses import gnolr_batch
 from gnolr.metrics import RetrievalIndex, auc, topk_retrieve
 from gnolr.models import Batch, ModelConfig, make_model
 from gnolr.tensor import stable_sigmoid
@@ -49,7 +49,7 @@ def random_hyper(rng, big_t):
         values = np.concatenate(([start], start + np.cumsum(rng.uniform(0.2, 2.0, size=big_t - 1))))
     else:
         values = np.array([start])
-    return GnolrHyper(ThresholdSet(tuple(values)), float(rng.uniform(0.2, 8.0)))
+    return ModelConfig(len(values), tuple(values), gamma=float(rng.uniform(0.2, 8.0)))
 
 
 def test_criterion_1_probability_simplex():
@@ -90,7 +90,7 @@ def test_criterion_2_single_level_cross_entropy_equivalence():
             kernel = float(rng.uniform(-1, 1))
             k = int(rng.integers(1, 3))
             ordinal = gnolr_total_loss(k, [kernel], hyper)
-            ce = bce_loss(hyper.gamma * kernel - hyper.thresholds.values[0], int(k == 2))
+            ce = bce_loss(hyper.gamma * kernel - hyper.thresholds[0], int(k == 2))
             assert abs(ordinal - ce) < 1e-9
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_two_level_closed_form():
         rng = np.random.default_rng(103)
         for _ in range(500):
             hyper = random_hyper(rng, 2)
-            a1, a2 = hyper.thresholds.values
+            a1, a2 = hyper.thresholds
             k1, k2 = rng.uniform(-1, 1, size=2)
             p_ctr = 1.0 - stable_sigmoid(a1 - hyper.gamma * k1)
             p_ctcvr = 1.0 - stable_sigmoid(a2 - 2 * hyper.gamma * k2)
@@ -318,7 +318,7 @@ def test_criterion_9_clipping_behavior():
     exactly -log(1e-6) per clipped term and keep gradients finite."""
     with criterion(9, "probability clipping", budget_s=1.0):
         clip_cost = -math.log(1e-6)
-        hyper = GnolrHyper(ThresholdSet((0.0, 0.5)), gamma=5.0)
+        hyper = ModelConfig(2, (0.0, 0.5), gamma=5.0)
         dots = np.array([[-1.0, 2.0]])  # S_2 far below S_1: interior < 0
         losses, grads = gnolr_batch(np.array([2]), dots, hyper)
         live = -math.log(1.0 - stable_sigmoid(0.0 - 5.0 * -1.0))
@@ -326,7 +326,7 @@ def test_criterion_9_clipping_behavior():
         assert np.all(np.isfinite(grads))
 
         # Two clipped terms: interior term appears in both subtasks at T=3.
-        hyper3 = GnolrHyper(ThresholdSet((0.0, 0.5, 1.0)), gamma=5.0)
+        hyper3 = ModelConfig(3, (0.0, 0.5, 1.0), gamma=5.0)
         dots3 = np.array([[-1.0, 2.0, -2.0]])
         losses3, grads3 = gnolr_batch(np.array([2]), dots3, hyper3)
         s1 = stable_sigmoid(0.0 - 5.0 * -1.0)

@@ -108,6 +108,14 @@ class TestPrepare:
         assert main(["prepare", cfg]) == 1
         assert ":3" in capsys.readouterr().err
 
+    def test_timestamp_outside_int64_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("user_id,item_id,timestamp,click,pay\nu1,i1,99999999999999999999,0,0\n")
+        cfg = write_config(tmp_path, bad)
+        assert main(["prepare", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: bad timestamp '99999999999999999999'\n"
+
     def test_non_finite_numeric_feature_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         rows = [f"u{i % 3},i{i % 4},{i},{i % 2},0,{20 + i}" for i in range(12)]
@@ -922,6 +930,36 @@ BAD_CHECKPOINTS = {
     "trailing-bytes": dict(tail=bytes(8)),
 }
 
+
+def poison(params):
+    params["tower.user1.W1"] = params["tower.user1.W1"].copy()
+    params["tower.user1.W1"][0, 0] = np.nan
+
+
+# Edits of a checkpoint's parameters, each with the parameter its error names.
+BAD_PARAMETERS = {
+    "missing": (lambda params: params.pop("tower.user1.W0"), "tower.user1.W0"),
+    "extra": (
+        lambda params: params.update({"tower.item1.b9": np.zeros((1, 8))}),
+        "tower.item1.b9",
+    ),
+    "misshapen": (
+        lambda params: params.update({"tower.item1.b0": params["tower.item1.b0"][:, :-1]}),
+        "tower.item1.b0",
+    ),
+    "nan-weight": (poison, "tower.user1.W1"),
+}
+
+
+def resaved_checkpoint(src, dst, edit):
+    """A whole GNC1 file whose parameters ``edit`` changed in place."""
+    from gnolr.training import load_checkpoint, save_checkpoint
+
+    checkpoint = load_checkpoint(src)
+    edit(checkpoint.params)
+    save_checkpoint(checkpoint, dst)
+
+
 BAD_BUNDLES = {
     "trailing-bytes": lambda src, dst: rewrite_artifact(src, dst, tail=bytes(8)),
     "train-labels-declared-short": lambda src, dst: rewrite_artifact(src, dst, shorten_train_labels),
@@ -949,6 +987,29 @@ class TestMalformedArtifacts:
         assert main([command, cfg, "--set", f"train.checkpoint={tmp_path}/model.gnc"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {tmp_path}/model.gnc: ")
+
+    @pytest.mark.parametrize("command", ["eval", "retrieve", "angles"])
+    @pytest.mark.parametrize("case", list(BAD_PARAMETERS))
+    def test_bad_parameter_exits_one(self, tiny_artifacts, tmp_path, capsys, command, case):
+        src, cfg = tiny_artifacts
+        edit, name = BAD_PARAMETERS[case]
+        resaved_checkpoint(src / "model.gnc", tmp_path / "model.gnc", edit)
+        capsys.readouterr()
+        assert main([command, cfg, "--set", f"train.checkpoint={tmp_path}/model.gnc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert "\t" not in captured.out
+
+    def test_bundle_is_checked_before_parameters(self, tiny_artifacts, workspace, tmp_path):
+        src, cfg = tiny_artifacts
+        edit, _ = BAD_PARAMETERS["nan-weight"]
+        resaved_checkpoint(src / "model.gnc", tmp_path / "model.gnc", edit)
+        other = workspace[0] / "bundle.gnb"
+        overrides = [
+            "--set", f"train.checkpoint={tmp_path}/model.gnc",
+            "--set", f"data.bundle={other}",
+        ]
+        assert main(["eval", cfg, *overrides]) == 2
 
     @pytest.mark.parametrize("command", ["train", "eval", "retrieve", "angles"])
     @pytest.mark.parametrize("case", list(BAD_BUNDLES))

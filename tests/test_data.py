@@ -7,6 +7,7 @@ import pytest
 
 from gnolr.data import (
     DataConfig,
+    _parse_csv,
     apply_bins,
     binarize_ratings,
     build_bundle,
@@ -470,6 +471,20 @@ class TestIngestErrors:
         path = write_csv(tmp_path / "d.csv", rows)
         with pytest.raises(IngestionError, match=r":3: .*'if_price'"):
             build_bundle(small_config(path))
+
+    @pytest.mark.parametrize(
+        "value", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"]
+    )
+    def test_timestamp_outside_int64_names_line(self, tmp_path, value):
+        rows = ["u1,i1,1,0,0,30,5.0", f"u2,i2,{value},1,0,30,4.0"]
+        path = write_csv(tmp_path / "d.csv", rows)
+        with pytest.raises(IngestionError, match=rf":3: bad timestamp '{value}'"):
+            build_bundle(small_config(path))
+
+    def test_int64_extreme_timestamps_parse(self, tmp_path):
+        rows = ["u1,i1,-9223372036854775808,0,0,30,5.0", "u2,i2,9223372036854775807,1,0,30,4.0"]
+        parsed = _parse_csv(small_config(write_csv(tmp_path / "d.csv", rows)))
+        assert parsed["timestamps"].tolist() == [-(2**63), 2**63 - 1]
 
 
 class TestWriteArtifact:

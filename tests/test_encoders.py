@@ -11,13 +11,13 @@ from gnolr import tensor
 from gnolr.encoders import (
     EmbeddingTableSet,
     Tower,
-    TowerConfig,
     TowerSide,
     read_embeddings,
     row_numbers,
     write_embeddings,
 )
 from gnolr.errors import ArgumentError, DimensionError
+from gnolr.models import ModelSettings
 from gnolr.tensor import DegenerateVectorWarning, block_rows, l2_normalize
 from tests.helpers import NestedEmbedding, loop_write_embeddings, nested_kernel
 
@@ -28,7 +28,8 @@ def tables_fixture(rng, vocabs=None, dim=16):
 
 def side_fixture(rng, num_towers, widths, vocabs=None, dim=4):
     """A tower side over ``tables_fixture``; its rows are (B, 2) ids below 5."""
-    return TowerSide(tables_fixture(rng, vocabs, dim), num_towers, TowerConfig(widths), rng, "t")
+    cfg = ModelSettings(hidden_sizes=widths)
+    return TowerSide(tables_fixture(rng, vocabs, dim), num_towers, cfg, rng, "t")
 
 
 class TestEmbeddingTables:
@@ -74,7 +75,7 @@ class TestEmbeddingTables:
 class TestTower:
     def test_zero_weights_flag_degenerate(self):
         rng = np.random.default_rng(5)
-        tower = Tower("t", 4, TowerConfig((3,)), rng)
+        tower = Tower("t", 4, ModelSettings(hidden_sizes=(3,)), rng)
         tower.weights[0].value[...] = 0.0
         with pytest.warns(DegenerateVectorWarning):
             out, _ = tower.forward(np.ones((1, 4)))
@@ -82,7 +83,7 @@ class TestTower:
 
     def test_identity_layer_normalizes_input(self):
         rng = np.random.default_rng(6)
-        tower = Tower("t", 3, TowerConfig((3,)), rng)
+        tower = Tower("t", 3, ModelSettings(hidden_sizes=(3,)), rng)
         tower.weights[0].value[...] = np.eye(3)
         tower.biases[0].value[...] = 0.0
         x = np.array([[3.0, 0.0, 4.0]])
@@ -91,7 +92,7 @@ class TestTower:
 
     def test_random_outputs_are_unit_norm(self):
         rng = np.random.default_rng(7)
-        tower = Tower("t", 8, TowerConfig((16, 4)), rng)
+        tower = Tower("t", 8, ModelSettings(hidden_sizes=(16, 4)), rng)
         x = rng.normal(size=(1000, 8))
         out, _ = tower.forward(x)
         norms = np.linalg.norm(out, axis=1)
@@ -99,7 +100,7 @@ class TestTower:
 
     def test_input_shape_checked(self):
         rng = np.random.default_rng(8)
-        tower = Tower("t", 8, TowerConfig((4,)), rng)
+        tower = Tower("t", 8, ModelSettings(hidden_sizes=(4,)), rng)
         with pytest.raises(DimensionError):
             tower.forward(np.ones((2, 5)))
         side = side_fixture(rng, 2, (4,))
@@ -123,7 +124,7 @@ class TestTower:
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        tower = Tower("t", 5, TowerConfig((6, 3), activation_slope=0.01), rng)
+        tower = Tower("t", 5, ModelSettings(hidden_sizes=(6, 3), activation_slope=0.01), rng)
         x = rng.normal(size=(4, 5))
         upstream = rng.normal(size=(4, 3))
 

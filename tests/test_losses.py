@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from gnolr.errors import ArgumentError
-from gnolr.feedback import ThresholdSet
-from gnolr.losses import GnolrHyper, bce_batch, gnolr_batch, listnet_list_batch
+from gnolr.losses import bce_batch, gnolr_batch, listnet_list_batch
+from gnolr.models import ModelConfig
 from gnolr.tensor import stable_sigmoid
 from tests.helpers import (
     CategoryDistribution,
@@ -28,7 +28,8 @@ CLIP = 1e-6
 
 
 def hyper_of(*thresholds, gamma=1.0, clip_floor=CLIP):
-    return GnolrHyper(ThresholdSet(tuple(float(a) for a in thresholds)), gamma, clip_floor)
+    values = tuple(float(a) for a in thresholds)
+    return ModelConfig(len(values), values, gamma=gamma, clip_floor=clip_floor)
 
 
 def random_hyper(rng, big_t):
@@ -121,8 +122,8 @@ class TestSubtaskLoss:
         for _ in range(300):
             h = random_hyper(rng, 2)
             k1, k2 = rng.uniform(-1, 1, size=2)
-            p_ctr = 1.0 - stable_sigmoid(h.thresholds.values[0] - h.gamma * k1)
-            p_ctcvr = 1.0 - stable_sigmoid(h.thresholds.values[1] - 2 * h.gamma * k2)
+            p_ctr = 1.0 - stable_sigmoid(h.thresholds[0] - h.gamma * k1)
+            p_ctcvr = 1.0 - stable_sigmoid(h.thresholds[1] - 2 * h.gamma * k2)
             expected = -math.log(max(p_ctr - p_ctcvr, CLIP))
             assert subtask_loss(2, 2, [k1, k2], h) == pytest.approx(expected, abs=1e-9)
 
@@ -137,8 +138,8 @@ def closed_form_two_level(k, kernels, h):
     """Four-term click/pay expansion with the package's clip applied."""
     y_click = 1.0 if k >= 2 else 0.0
     y_pay = 1.0 if k == 3 else 0.0
-    p_ctr = 1.0 - stable_sigmoid(h.thresholds.values[0] - h.gamma * kernels[0])
-    p_ctcvr = 1.0 - stable_sigmoid(h.thresholds.values[1] - 2 * h.gamma * kernels[1])
+    p_ctr = 1.0 - stable_sigmoid(h.thresholds[0] - h.gamma * kernels[0])
+    p_ctcvr = 1.0 - stable_sigmoid(h.thresholds[1] - 2 * h.gamma * kernels[1])
     clog = lambda p: math.log(max(p, h.clip_floor))
     return (
         -2.0 * (1.0 - y_click) * clog(1.0 - p_ctr)
@@ -156,7 +157,7 @@ class TestGnolrTotalLoss:
         for _ in range(200):
             h = random_hyper(rng, 2)
             kernels = rng.uniform(-1, 1, size=2)
-            p_ctr = 1.0 - stable_sigmoid(h.thresholds.values[0] - h.gamma * kernels[0])
+            p_ctr = 1.0 - stable_sigmoid(h.thresholds[0] - h.gamma * kernels[0])
             expected = -2.0 * math.log(max(1.0 - p_ctr, CLIP))
             assert gnolr_total_loss(1, kernels, h) == pytest.approx(expected, abs=1e-9)
 
@@ -165,8 +166,8 @@ class TestGnolrTotalLoss:
         for _ in range(200):
             h = random_hyper(rng, 2)
             kernels = rng.uniform(-1, 1, size=2)
-            p_ctr = 1.0 - stable_sigmoid(h.thresholds.values[0] - h.gamma * kernels[0])
-            p_ctcvr = 1.0 - stable_sigmoid(h.thresholds.values[1] - 2 * h.gamma * kernels[1])
+            p_ctr = 1.0 - stable_sigmoid(h.thresholds[0] - h.gamma * kernels[0])
+            p_ctcvr = 1.0 - stable_sigmoid(h.thresholds[1] - 2 * h.gamma * kernels[1])
             expected = -math.log(max(p_ctr, CLIP)) - math.log(max(p_ctcvr, CLIP))
             assert gnolr_total_loss(3, kernels, h) == pytest.approx(expected, abs=1e-9)
 
@@ -186,7 +187,7 @@ class TestGnolrTotalLoss:
             h = random_hyper(rng, 1)
             kernel = float(rng.uniform(-1, 1))
             k = int(rng.integers(1, 3))
-            expected = bce_loss(h.gamma * kernel - h.thresholds.values[0], int(k == 2))
+            expected = bce_loss(h.gamma * kernel - h.thresholds[0], int(k == 2))
             assert gnolr_total_loss(k, [kernel], h) == pytest.approx(expected, abs=1e-9)
 
     def test_batch_path_matches_scalar_sum(self):
@@ -409,7 +410,7 @@ class TestNeuralOlrLoss:
             h = random_hyper(rng, 3)
             kernel = float(rng.uniform(-1, 1))
             expected = -math.log(
-                max(stable_sigmoid(h.thresholds.values[0] - h.gamma * kernel), CLIP)
+                max(stable_sigmoid(h.thresholds[0] - h.gamma * kernel), CLIP)
             )
             assert shared_loss(1, kernel, h) == pytest.approx(expected, abs=1e-12)
 

@@ -497,6 +497,16 @@ class TestAngleHistogram:
         with pytest.raises(DimensionError):
             angle_histogram(u, np.ones((3, 3)), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_non_finite_vector_is_refused(self, bad, side):
+        u = np.eye(3)
+        v = np.eye(3)
+        (u if side == "user" else v)[1, 2] = bad
+        with pytest.raises(ArgumentError, match=f"{side} embeddings must be finite"):
+            angle_histogram(u, v, np.ones(3))
+
+
 class TestReports:
     def test_flat_lines_sorted(self):
         text = format_report({"b_metric": 0.25, "a_metric": 1.0, "n": 3})

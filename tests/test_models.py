@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gnolr.encoders import EmbeddingTableSet, Tower, TowerConfig
+from gnolr.encoders import EmbeddingTableSet, Tower
 from gnolr.losses import bce_batch
 from gnolr.models import Batch, BceModel, ModelConfig, make_model
 from tests.helpers import checked_gradients, per_sample_backward, per_sample_forward
@@ -50,10 +50,9 @@ class TestParameterLayout:
             EmbeddingTableSet(VOCABS_U, cfg.embedding_dim, rng, "emb_u"),
             EmbeddingTableSet(VOCABS_I, cfg.embedding_dim, rng, "emb_i"),
         ]
-        tower_cfg = TowerConfig(cfg.hidden_sizes, cfg.activation_slope)
         pairs = 1 if kind == "neural_olr" else cfg.num_levels
         towers = [
-            Tower(f"tower.{side}{c}", side_tables.output_dim, tower_cfg, rng)
+            Tower(f"tower.{side}{c}", side_tables.output_dim, cfg, rng)
             for side, side_tables in zip(("user", "item"), tables)
             for c in range(1, pairs + 1)
         ]

@@ -1,6 +1,7 @@
 """The package's public surface, and the package's independence from the tests."""
 
 import ast
+import sys
 
 import gnolr
 from tests.helpers import REPO_ROOT
@@ -13,11 +14,10 @@ PUBLIC_NAMES = {
     "DataConfig", "DatasetBundle", "apply_bins", "binarize_ratings", "build_bundle",
     "build_lists", "fit_bins", "load_bundle", "make_batches", "save_bundle",
     # encoders
-    "EmbeddingTableSet", "Tower", "TowerConfig", "TowerSide", "read_embeddings",
-    "write_embeddings",
-    # errors, feedback, losses
+    "EmbeddingTableSet", "Tower", "TowerSide", "read_embeddings", "write_embeddings",
+    # errors, feedback
     "GnolrError", "FeedbackSchema", "ThresholdSet", "estimate_thresholds", "order_feedback",
-    "thresholds_from_fractions", "GnolrHyper",
+    "thresholds_from_fractions",
     # metrics
     "RetrievalIndex", "angle_histogram", "auc", "gauc", "recall_at_k", "topk_retrieve",
     "topk_retrieve_batch",
@@ -34,7 +34,8 @@ def test_public_names_are_pinned():
     assert set(gnolr.__all__) == PUBLIC_NAMES
 
 
-def test_no_package_module_imports_from_tests():
+def absolute_imports():
+    """(path, module name) of every absolute import in the package's source."""
     modules = sorted((REPO_ROOT / "src" / "gnolr").rglob("*.py"))
     assert modules
     for path in modules:
@@ -45,4 +46,17 @@ def test_no_package_module_imports_from_tests():
                 imported = [node.module or ""]
             else:
                 continue
-            assert not any(m == "tests" or m.startswith("tests.") for m in imported), path
+            for name in imported:
+                yield path, name
+
+
+def test_no_package_module_imports_from_tests():
+    for path, name in absolute_imports():
+        assert not (name == "tests" or name.startswith("tests.")), path
+
+
+def test_package_imports_only_itself_numpy_and_the_standard_library():
+    """The runtime needs numpy and nothing else outside the standard library."""
+    allowed = {"numpy"} | set(sys.stdlib_module_names)
+    for path, name in absolute_imports():
+        assert name.partition(".")[0] in allowed, f"{path}: imports {name}"

@@ -232,6 +232,18 @@ class TestAdam:
             assert getattr(sparse, attr).tobytes() == getattr(dense, attr).tobytes(), attr
 
 
+class TestParameterBuffers:
+    def test_buffers_are_zeros_made_on_first_use(self):
+        p = Parameter("p", np.ones((2, 3)))
+        assert not {"grad", "adam_m", "adam_v"} & set(vars(p))
+        for attr in ("grad", "adam_m", "adam_v"):
+            buffer = getattr(p, attr)
+            assert buffer.shape == (2, 3) and not buffer.any()
+            assert getattr(p, attr) is buffer
+        with pytest.raises(AttributeError, match="no attribute 'gard'"):
+            p.gard
+
+
 class TestPackParameters:
     def make(self):
         rng = np.random.default_rng(22)

@@ -357,8 +357,11 @@ class TestCheckpointRoundTrip:
         probe_u = bundle.test.user_features[:64]
         probe_i = bundle.test.item_features[:64]
         a = result.checkpoint.build_model().task_scores_all(probe_u, probe_i)
-        b = loaded.build_model().task_scores_all(probe_u, probe_i)
-        np.testing.assert_array_equal(a, b)
+        model = loaded.build_model()
+        np.testing.assert_array_equal(a, model.task_scores_all(probe_u, probe_i))
+        # A model that only scores allocates no table gradients or moments.
+        tables = model.user.tables.params + model.item.tables.params
+        assert not any({"grad", "adam_m", "adam_v"} & set(vars(p)) for p in tables)
 
     def test_save_is_deterministic(self, bundle, tmp_path):
         config = TrainConfig(kind="bce", seed=2, **{**FAST, "epochs": 1})
@@ -593,7 +596,7 @@ class TestOnePassScoringAndRanking:
         assert len(calls) == 1
         # Each distinct user and item feature row went through the towers once.
         assert sum(embedded_rows) == len(np.unique(uf, axis=0)) + len(np.unique(itf, axis=0))
-        pair_bytes = 8 * len(model.user.towers) * model.user.cfg.output_dim
+        pair_bytes = 8 * len(model.user.towers) * model.user.cfg.hidden_sizes[-1]
         assert len(uf) > tensor.block_rows(pair_bytes)  # the pairs were gathered in several blocks
         for level in (1, 2):
             assert metrics_out[f"auc_t{level}"] == expected[level]
