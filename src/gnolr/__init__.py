@@ -15,7 +15,6 @@ from .data import (
     build_lists,
     fit_bins,
     load_bundle,
-    make_batches,
     save_bundle,
 )
 from .encoders import (
@@ -56,6 +55,7 @@ from .training import (
     TrainConfig,
     evaluate,
     load_checkpoint,
+    make_batches,
     multi_run,
     save_checkpoint,
     train,

@@ -21,7 +21,7 @@ import numpy as np
 from . import training
 from .data import DataConfig, build_bundle, load_bundle, save_bundle
 from .encoders import check_tsv_ids, write_embeddings
-from .errors import ArgumentError, ConfigError, GnolrError
+from .errors import ArgumentError, ConfigError, GnolrError, IngestionError
 from .metrics import (
     angle_csv,
     angle_histogram,
@@ -236,7 +236,10 @@ def _load_for_eval(cfg: RunConfig):
         raise ConfigError(f"checkpoint does not exist: {path} (run `gnolr train` first)")
     checkpoint = load_checkpoint(path)
     checkpoint.check_bundle(bundle)
-    return settings, bundle, checkpoint.build_model()
+    try:
+        return settings, bundle, checkpoint.build_model()
+    except IngestionError as exc:
+        raise IngestionError(f"{path}: {exc}") from None
 
 
 def cmd_prepare(cfg: RunConfig) -> int:

@@ -50,6 +50,9 @@ class DataConfig:
     def __post_init__(self) -> None:
         if not self.feedback:
             raise ArgumentError("at least one feedback column is required")
+        repeated = sorted({name for name in self.feedback if self.feedback.count(name) > 1})
+        if repeated:
+            raise ArgumentError(f"feedback repeats columns {repeated}")
         unknown = set(self.binarize_feedback) - set(self.feedback)
         if unknown:
             raise ArgumentError(f"binarize_feedback names unknown feedback: {sorted(unknown)}")
@@ -240,26 +243,6 @@ class DatasetBundle:
 
     def all_labels(self) -> np.ndarray:
         return np.concatenate([self.train.labels, self.validation.labels, self.test.labels])
-
-
-def make_batches(mode: str, split: Split, batch_size: int, rng) -> Iterator:
-    """Seeded shuffled batches; the final short batch is retained.
-
-    Pointwise mode yields row-index arrays; listwise mode yields lists of
-    row-index arrays (one per user list).
-    """
-    if batch_size < 1:
-        raise ArgumentError(f"batch size must be >= 1, got {batch_size}")
-    if mode == "pointwise":
-        perm = rng.permutation(split.num_samples)
-        for start in range(0, len(perm), batch_size):
-            yield perm[start : start + batch_size]
-    elif mode == "listwise":
-        perm = rng.permutation(split.lists.num_lists)
-        for start in range(0, len(perm), batch_size):
-            yield [split.lists.list_samples(int(li)) for li in perm[start : start + batch_size]]
-    else:
-        raise ArgumentError(f"unknown batch mode '{mode}'")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ class EmbeddingTableSet:
         self,
         feature_vocabs: dict[str, int],
         dim: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         name_prefix: str = "emb",
     ) -> None:
         if dim < 1:
@@ -116,7 +116,7 @@ class Tower:
     """
 
     def __init__(
-        self, name: str, input_dim: int, cfg: ModelSettings, rng: np.random.Generator
+        self, name: str, input_dim: int, cfg: ModelSettings, rng: np.random.Generator | None
     ) -> None:
         self.name = name
         self.cfg = cfg

@@ -166,7 +166,7 @@ class _TwinBase:
         cfg: ModelConfig,
         user_vocabs: dict[str, int],
         item_vocabs: dict[str, int],
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         num_pairs: int,
         heads: tuple[_CalibratedHead, ...] = (),
         targets: list[int] | None = None,

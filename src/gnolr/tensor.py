@@ -90,20 +90,17 @@ def pack_parameters(name: str, params: Sequence[Parameter]) -> Parameter:
     return flat
 
 
+# Adam's moment decays and denominator guard: the defaults of Kingma & Ba (2014).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
             raise OptimizerError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise OptimizerError("beta1 and beta2 must lie in (0, 1)")
-        if not 0 < self.epsilon < math.inf:
-            raise OptimizerError("epsilon must be finite and > 0")
 
 
 def _adam_update(
@@ -116,17 +113,17 @@ def _adam_update(
     Each product and quotient is rounded in that order, but written into one
     scratch array and ``g`` instead of fresh temporaries.
     """
-    scratch = np.multiply(g, 1.0 - cfg.beta1)
-    m *= cfg.beta1
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += scratch
-    np.multiply(g, 1.0 - cfg.beta2, out=scratch)
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
     scratch *= g
-    v *= cfg.beta2
+    v *= ADAM_BETA2
     v += scratch
-    denom = np.divide(v, 1.0 - cfg.beta2**t, out=g)
+    denom = np.divide(v, 1.0 - ADAM_BETA2**t, out=g)
     np.sqrt(denom, out=denom)
-    denom += cfg.epsilon
-    step = np.divide(m, 1.0 - cfg.beta1**t, out=scratch)
+    denom += ADAM_EPSILON
+    step = np.divide(m, 1.0 - ADAM_BETA1**t, out=scratch)
     step *= cfg.learning_rate
     step /= denom
     value -= step
@@ -237,12 +234,13 @@ def l2_normalize_backward(upstream: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Uniform init in +-sqrt(6 / (fan_in + fan_out))."""
+def glorot_uniform(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray:
+    """Uniform init in +-sqrt(6 / (fan_in + fan_out)); without ``rng``, unset values."""
     fan_in, fan_out = shape
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+    return np.empty(shape) if rng is None else rng.uniform(-limit, limit, size=shape)
 
 
-def embedding_init(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-0.05, 0.05, size=shape)
+def embedding_init(shape: tuple[int, int], rng: np.random.Generator | None) -> np.ndarray:
+    """Uniform init in +-0.05; without ``rng``, unset values."""
+    return np.empty(shape) if rng is None else rng.uniform(-0.05, 0.05, size=shape)

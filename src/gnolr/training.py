@@ -13,10 +13,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .data import DatasetBundle, Split, make_batches, read_array, read_header, write_artifact
+from .data import DatasetBundle, Split, read_array, read_header, write_artifact
 from .data import check_end
 from .encoders import row_numbers
 from .errors import ArgumentError, ConfigError, IngestionError, OptimizerError, UndefinedMetricError
@@ -74,6 +75,12 @@ class TrainConfig(ModelSettings):
             raise ConfigError(f"variant {self.variant} applies to kind gnolr only, not {self.kind}")
         if self.positive_weights and self.kind in ("gnolr", "neural_olr"):
             raise ConfigError(f"positive_weights apply to kinds bce and nsb, not {self.kind}")
+        if self.bce_raw_cosine and self.kind in ("gnolr", "neural_olr"):
+            raise ConfigError(f"bce_raw_cosine applies to kinds bce and nsb, not {self.kind}")
+        if self.bce_target_level != 1 and self.kind != "bce":
+            raise ConfigError(f"bce_target_level applies to kind bce only, not {self.kind}")
+        if not self.listnet_use_log and not self.listwise:
+            raise ConfigError("listnet_use_log = false applies to listwise training only")
 
 
 @dataclass
@@ -110,7 +117,7 @@ class Checkpoint:
                 )
 
     def build_model(self):
-        """The trained model; the stored arrays overwrite every initial value.
+        """The trained model: a skeleton built without drawing, every value then stored.
 
         The stored arrays must be exactly the parameters that ``model_config``
         builds, each with its shape and finite: anything else is a malformed
@@ -120,7 +127,7 @@ class Checkpoint:
             self.model_config,
             dict(zip(self.user_feature_names, self.user_vocab_sizes)),
             dict(zip(self.item_feature_names, self.item_vocab_sizes)),
-            np.random.default_rng(0),
+            None,
         )
         pmap = model.param_map()
         missing = set(pmap) - set(self.params)
@@ -198,26 +205,36 @@ def _model_config(bundle: DatasetBundle, config: TrainConfig) -> ModelConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _make_batch(split: Split, numbers, rows) -> Batch:
-    """The split's samples ``rows``: an index array, or listwise one index array per list.
+def make_batches(split: Split, cfg: TrainConfig, epoch: int) -> Iterator[Batch]:
+    """Epoch ``epoch``'s shuffled batches, drawn from seed + epoch; the final short one is kept.
 
-    ``numbers`` are the split's user and item row numbers.  Listwise rows
-    are joined in order, and ``list_bounds`` marks each list's segment.
+    Pointwise, a batch is ``batch_size`` samples.  Listwise, it is
+    ``list_batch_size`` user lists joined in order, and ``list_bounds``
+    marks each list's segment.  The split's rows are numbered once per
+    call, so every step runs the towers once per distinct feature row.
     """
-    bounds = None
-    if isinstance(rows, list):
-        ends = np.cumsum([len(lst) for lst in rows]).tolist()
-        bounds = list(zip([0] + ends[:-1], ends))
-        rows = np.concatenate(rows)
-    return Batch(
-        user_features=split.user_features[rows],
-        item_features=split.item_features[rows],
-        labels=split.labels[rows],
-        bits=split.bits[rows],
-        list_bounds=bounds,
-        user_numbers=numbers[0][rows],
-        item_numbers=numbers[1][rows],
-    )
+    rng = np.random.default_rng(cfg.seed + epoch)
+    numbers = (row_numbers(split.user_features), row_numbers(split.item_features))
+    if cfg.listwise:
+        perm, size = rng.permutation(split.lists.num_lists), cfg.list_batch_size
+    else:
+        perm, size = rng.permutation(split.num_samples), cfg.batch_size
+    for start in range(0, len(perm), size):
+        rows, bounds = perm[start : start + size], None
+        if cfg.listwise:
+            lists = [split.lists.list_samples(int(li)) for li in rows]
+            ends = np.cumsum([len(lst) for lst in lists]).tolist()
+            bounds = list(zip([0] + ends[:-1], ends))
+            rows = np.concatenate(lists)
+        yield Batch(
+            user_features=split.user_features[rows],
+            item_features=split.item_features[rows],
+            labels=split.labels[rows],
+            bits=split.bits[rows],
+            list_bounds=bounds,
+            user_numbers=numbers[0][rows],
+            item_numbers=numbers[1][rows],
+        )
 
 
 def _optimizer_step(model, adam: AdamConfig) -> None:
@@ -283,12 +300,6 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
         np.random.default_rng(config.seed),
     )
     adam = AdamConfig(config.learning_rate)
-    mode = "listwise" if config.listwise else "pointwise"
-    batch_size = config.list_batch_size if config.listwise else config.batch_size
-
-    # Every step runs the towers once per distinct feature row; number them once.
-    numbers = (row_numbers(bundle.train.user_features), row_numbers(bundle.train.item_features))
-
     best_params = _snapshot(model)
     best_metric = -math.inf
     best_epoch = 0
@@ -297,11 +308,9 @@ def train(bundle: DatasetBundle, config: TrainConfig) -> TrainResult:
     epochs_since_best = 0
 
     for epoch in range(1, config.epochs + 1):
-        rng = np.random.default_rng(config.seed + epoch)
         loss_sum = 0.0
         sample_count = 0
-        for rows in make_batches(mode, bundle.train, batch_size, rng):
-            batch = _make_batch(bundle.train, numbers, rows)
+        for batch in make_batches(bundle.train, config, epoch):
             loss = train_step(model, batch, adam)
             if not math.isfinite(loss):
                 logger.warning("epoch %d: non-finite loss, aborting with last good state", epoch)

@@ -101,6 +101,13 @@ class TestPrepare:
         assert f"header repeats columns ['{name}']" in capsys.readouterr().err
         assert not (tmp_path / "bundle.gnb").exists()
 
+    def test_repeated_feedback_name_exits_two(self, tmp_path, capsys):
+        csv_path = write_synthetic_csv(tmp_path / "d.csv", n_rows=200, seed=6)
+        cfg = write_config(tmp_path, csv_path)
+        assert main(["prepare", cfg, "--set", "data.feedback=click,pay,pay"]) == 2
+        assert capsys.readouterr().err == "error: [data] feedback repeats columns ['pay']\n"
+        assert not (tmp_path / "bundle.gnb").exists()
+
     def test_malformed_row_exits_one_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,timestamp,click,pay\nu1,i1,1,0,0\nu2,i2,oops,0,0\n")
@@ -485,6 +492,11 @@ class TestConfigValidation:
             ["model.kind=bce", "model.variant=v1"],
             ["model.kind=nsb", "model.variant=v0"],
             ["model.kind=neural_olr", "model.variant=v1"],
+            ["model.bce_target_level=2"],
+            ["model.bce_raw_cosine=true"],
+            ["model.kind=neural_olr", "model.bce_raw_cosine=yes"],
+            ["model.listnet_use_log=false"],
+            ["model.kind=nsb", "model.bce_target_level=2", "data.bundle=/nonexistent/nsb.gnb"],
             ["model.kind=ranker", "data.bundle=/nonexistent/ranker.gnb"],
             ["model.variant=v9", "data.bundle=/nonexistent/v9.gnb"],
             # Refused before the bundle loads: these bundle paths do not exist.
@@ -791,6 +803,20 @@ class TestConfigDeclarations:
         save(load(original), tmp_path / name)
         assert (tmp_path / name).read_bytes() == original.read_bytes()
 
+    def test_retraining_the_committed_bundle_writes_the_committed_checkpoint(self, tmp_path):
+        """Batching, the seeded draws and the step arithmetic, pinned to bytes
+        written before any of them last changed."""
+        from gnolr.data import load_bundle
+        from gnolr.training import TrainConfig, load_checkpoint, save_checkpoint, train
+
+        fixtures = pathlib.Path(__file__).parent / "fixtures"
+        stored = load_checkpoint(fixtures / "tiny.gnc").train_config
+        tuples = {k: tuple(v) if isinstance(v, list) else v for k, v in stored.items()}
+        config = TrainConfig(**tuples)
+        result = train(load_bundle(fixtures / "tiny.gnb"), config)
+        save_checkpoint(result.checkpoint, tmp_path / "tiny.gnc")
+        assert (tmp_path / "tiny.gnc").read_bytes() == (fixtures / "tiny.gnc").read_bytes()
+
 
 class TestCheckpointBundleBinding:
     @pytest.fixture(scope="class")
@@ -997,7 +1023,7 @@ class TestMalformedArtifacts:
         capsys.readouterr()
         assert main([command, cfg, "--set", f"train.checkpoint={tmp_path}/model.gnc"]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and name in captured.err
+        assert captured.err.startswith(f"error: {tmp_path}/model.gnc: ") and name in captured.err
         assert "\t" not in captured.out
 
     def test_bundle_is_checked_before_parameters(self, tiny_artifacts, workspace, tmp_path):

@@ -15,7 +15,6 @@ from gnolr.data import (
     first_seen,
     fit_bins,
     load_bundle,
-    make_batches,
     read_array,
     read_header,
     save_bundle,
@@ -23,6 +22,7 @@ from gnolr.data import (
     write_artifact,
 )
 from gnolr.errors import ArgumentError, ConfigError, IngestionError
+from gnolr.training import TrainConfig, make_batches
 from tests.helpers import loop_build_bundle, loop_build_lists
 
 
@@ -172,44 +172,45 @@ class TestMakeBatches:
     def test_pointwise_sizes(self, tmp_path):
         bundle = self.make_split(tmp_path, n=2500)
         # train block = floor(2500 * 0.7) = 1750, minus validation.
-        rng = np.random.default_rng(5)
-        sizes = [len(b) for b in make_batches("pointwise", bundle.train, 1024, rng)]
+        cfg = TrainConfig(batch_size=1024, seed=4)
+        sizes = [len(b.labels) for b in make_batches(bundle.train, cfg, 1)]
         n = bundle.train.num_samples
         assert sizes == [1024] * (n // 1024) + ([n % 1024] if n % 1024 else [])
 
     def test_listwise_sizes(self, tmp_path):
         bundle = self.make_split(tmp_path, n=400)
         n_lists = bundle.train.lists.num_lists
-        rng = np.random.default_rng(6)
-        sizes = [len(b) for b in make_batches("listwise", bundle.train, 32, rng)]
+        cfg = TrainConfig(listwise=True, list_batch_size=32, seed=5)
+        sizes = [len(b.list_bounds) for b in make_batches(bundle.train, cfg, 1)]
         expected = [32] * (n_lists // 32) + ([n_lists % 32] if n_lists % 32 else [])
         assert sizes == expected
 
     def test_shuffle_reproducible_and_epoch_dependent(self, tmp_path):
         bundle = self.make_split(tmp_path, n=300)
-        run1 = [b for b in make_batches("pointwise", bundle.train, 64, np.random.default_rng(9))]
-        run2 = [b for b in make_batches("pointwise", bundle.train, 64, np.random.default_rng(9))]
-        other = [b for b in make_batches("pointwise", bundle.train, 64, np.random.default_rng(10))]
+        cfg = TrainConfig(batch_size=64, seed=8)
+        run1, run2, other = (list(make_batches(bundle.train, cfg, e)) for e in (1, 1, 2))
+        fields = lambda b: (b.user_features, b.item_features, b.labels, b.bits)  # noqa: E731
         for a, b in zip(run1, run2):
-            np.testing.assert_array_equal(a, b)
-        assert any(not np.array_equal(a, b) for a, b in zip(run1, other))
-
-    def test_bad_mode(self, tmp_path):
-        bundle = self.make_split(tmp_path, n=50)
-        with pytest.raises(ArgumentError):
-            list(make_batches("pairwise", bundle.train, 8, np.random.default_rng(0)))
+            for x, y in zip(fields(a), fields(b)):
+                np.testing.assert_array_equal(x, y)
+        assert any(
+            not np.array_equal(x, y)
+            for a, b in zip(run1, other)
+            for x, y in zip(fields(a), fields(b))
+        )
 
     def test_pointwise_reference_sizes(self):
         # 2500 samples at batch size 1024 -> 1024, 1024, 452.
         split = _dummy_split(2500, n_users=1)
-        sizes = [len(b) for b in make_batches("pointwise", split, 1024, np.random.default_rng(0))]
+        sizes = [len(b.labels) for b in make_batches(split, TrainConfig(batch_size=1024), 1)]
         assert sizes == [1024, 1024, 452]
 
     def test_listwise_reference_sizes(self):
         # 33 single-user lists at batch size 32 -> 32 + 1.
         split = _dummy_split(33, n_users=33)
         assert split.lists.num_lists == 33
-        sizes = [len(b) for b in make_batches("listwise", split, 32, np.random.default_rng(0))]
+        cfg = TrainConfig(listwise=True, list_batch_size=32)
+        sizes = [len(b.list_bounds) for b in make_batches(split, cfg, 1)]
         assert sizes == [32, 1]
 
 

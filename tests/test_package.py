@@ -12,7 +12,7 @@ PUBLIC_NAMES = {
     "data", "encoders", "errors", "feedback", "losses", "metrics", "models", "tensor", "training",
     # data
     "DataConfig", "DatasetBundle", "apply_bins", "binarize_ratings", "build_bundle",
-    "build_lists", "fit_bins", "load_bundle", "make_batches", "save_bundle",
+    "build_lists", "fit_bins", "load_bundle", "save_bundle",
     # encoders
     "EmbeddingTableSet", "Tower", "TowerSide", "read_embeddings", "write_embeddings",
     # errors, feedback
@@ -25,8 +25,8 @@ PUBLIC_NAMES = {
     "Batch", "ModelConfig", "make_model", "AdamConfig", "Parameter", "adam_step",
     "l2_normalize", "leaky_relu", "stable_sigmoid",
     # training
-    "Checkpoint", "TrainConfig", "evaluate", "load_checkpoint", "multi_run", "save_checkpoint",
-    "train",
+    "Checkpoint", "TrainConfig", "evaluate", "load_checkpoint", "make_batches", "multi_run",
+    "save_checkpoint", "train",
 }
 
 

@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from gnolr import metrics, tensor, training
-from gnolr.data import DataConfig, build_bundle, make_batches
+from gnolr.data import DataConfig, build_bundle
 from gnolr.errors import ArgumentError, ConfigError
 from gnolr.feedback import estimate_thresholds
 from gnolr.losses import bce_batch
 from gnolr.metrics import RetrievalIndex, auc
-from gnolr.encoders import row_numbers
 from gnolr.models import Batch, ModelConfig, ModelSettings, make_model
 from gnolr.tensor import AdamConfig
 from gnolr.training import (
@@ -21,6 +20,7 @@ from gnolr.training import (
     _optimizer_step,
     evaluate,
     load_checkpoint,
+    make_batches,
     multi_run,
     retrieval_recalls,
     save_checkpoint,
@@ -195,8 +195,10 @@ def reference_optimizer_step(model, adam: AdamConfig) -> None:
     Every table is scanned in full for rows with a nonzero gradient, which
     get lazy Adam at the table's own step count (a table with no such row
     keeps its count); every other parameter gets plain Adam on its own.
-    All gradients are then zero-filled.
+    All gradients are then zero-filled.  Adam's own constants are the
+    Kingma & Ba defaults.
     """
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     table_names = {p.name for side in (model.user, model.item) for p in side.tables.params}
     for p in model.params:
         if p.name in table_names:
@@ -207,11 +209,11 @@ def reference_optimizer_step(model, adam: AdamConfig) -> None:
             p.step_count += 1
             t = p.step_count
             g = p.grad[rows]
-            p.adam_m[rows] = adam.beta1 * p.adam_m[rows] + (1.0 - adam.beta1) * g
-            p.adam_v[rows] = adam.beta2 * p.adam_v[rows] + (1.0 - adam.beta2) * g * g
-            m_hat = p.adam_m[rows] / (1.0 - adam.beta1**t)
-            v_hat = p.adam_v[rows] / (1.0 - adam.beta2**t)
-            p.value[rows] -= adam.learning_rate * m_hat / (np.sqrt(v_hat) + adam.epsilon)
+            p.adam_m[rows] = beta1 * p.adam_m[rows] + (1.0 - beta1) * g
+            p.adam_v[rows] = beta2 * p.adam_v[rows] + (1.0 - beta2) * g * g
+            m_hat = p.adam_m[rows] / (1.0 - beta1**t)
+            v_hat = p.adam_v[rows] / (1.0 - beta2**t)
+            p.value[rows] -= adam.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
         p.grad.fill(0.0)
 
 
@@ -424,14 +426,8 @@ class TestDescentSanity:
             dict(zip(bundle.item_feature_names, bundle.item_vocab_sizes)),
             np.random.default_rng(3),
         )
-        rng = np.random.default_rng(4)
-        idx = next(make_batches("pointwise", bundle.train, 128, rng))
-        batch = Batch(
-            user_features=bundle.train.user_features[idx],
-            item_features=bundle.train.item_features[idx],
-            labels=bundle.train.labels[idx],
-            bits=bundle.train.bits[idx],
-        )
+        # Epoch 1 of seed 3 draws from default_rng(4).
+        batch = next(make_batches(bundle.train, dataclasses.replace(config, batch_size=128), 1))
         adam = AdamConfig(learning_rate=1e-3)
         losses = []
         for _ in range(100):
@@ -451,14 +447,9 @@ class TestTrainStep:
             dict(zip(bundle.item_feature_names, bundle.item_vocab_sizes)),
             np.random.default_rng(config.seed),
         )
-        split = bundle.train
-        numbers = (row_numbers(split.user_features), row_numbers(split.item_features))
         adam = AdamConfig(config.learning_rate)
-        mode = "listwise" if listwise else "pointwise"
-        size = config.list_batch_size if listwise else config.batch_size
         loss_sum, count = 0.0, 0
-        for rows in make_batches(mode, split, size, np.random.default_rng(config.seed + 1)):
-            batch = training._make_batch(split, numbers, rows)
+        for batch in make_batches(bundle.train, config, 1):
             assert (batch.list_bounds is not None) == listwise
             loss_sum += train_step(model, batch, adam) * len(batch.labels)
             count += len(batch.labels)
@@ -472,7 +463,7 @@ class TestTrainStep:
         model = untrained_model(bundle)
         before = {p.name: p.value.copy() for p in model.params}
         monkeypatch.setattr(model, "loss_and_grad", lambda batch: math.nan)
-        batch = training._make_batch(bundle.train, (np.zeros(0), np.zeros(0)), np.zeros(0, int))
+        batch = next(make_batches(bundle.train, TrainConfig(), 1))
         assert math.isnan(train_step(model, batch, AdamConfig(0.05)))
         assert model.dense.step_count == 0
         for p in model.params:
