@@ -33,9 +33,9 @@ class EmbeddingTableSet:
     """Per-feature lookup tables, shared across towers and tasks.
 
     Row 0 of every table is the reserved out-of-vocabulary / missing
-    bucket; ids outside [0, vocab) land there.  ``backward`` records the
-    rows it scatters into, so the optimizer visits those rows only and its
-    cost follows the batch, not the vocabulary.
+    bucket; ids outside [0, vocab) land there.  A table's gradient is kept
+    as (distinct rows, summed rows), never at vocabulary size, so the
+    optimizer's cost follows the batch, not the vocabulary.
     """
 
     def __init__(
@@ -50,7 +50,7 @@ class EmbeddingTableSet:
         self.dim = dim
         self.feature_names = list(feature_vocabs)
         self.tables: dict[str, Parameter] = {}
-        self.touched: dict[str, list[np.ndarray]] = {name: [] for name in self.feature_names}
+        self.pending: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for name in self.feature_names:
             vocab = feature_vocabs[name]
             if vocab < 1:
@@ -84,27 +84,27 @@ class EmbeddingTableSet:
         return np.concatenate(cols, axis=1)
 
     def backward(self, upstream: np.ndarray, ids: np.ndarray) -> None:
-        """Scatter-add gradients into the looked-up rows and record those rows."""
+        """Sum each feature's gradient onto its distinct looked-up rows, for ``take_grads``;
+        a sum still kept goes first, so calls add up as one call over all their samples would."""
         ids = np.asarray(ids)
         for j, name in enumerate(self.feature_names):
-            seg = upstream[:, j * self.dim : (j + 1) * self.dim]
             rows = self._safe_ids(name, ids[:, j])
-            np.add.at(self.tables[name].grad, rows, seg)
-            self.touched[name].append(rows)
+            seg = upstream[:, j * self.dim : (j + 1) * self.dim]
+            if name in self.pending:
+                rows, seg = map(np.concatenate, zip(self.pending[name], (rows, seg)))
+            distinct, inverse = np.unique(rows, return_inverse=True)
+            grad = np.zeros((len(distinct), self.dim))
+            np.add.at(grad, inverse, seg)
+            self.pending[name] = (distinct, grad)
 
-    def take_touched(self) -> list[tuple[Parameter, np.ndarray]]:
-        """(table, rows) per feature: the recorded rows whose summed gradient is
-        nonzero, ascending and unique.  Clears the record.
-
-        A recorded row whose contributions cancel to exactly zero is left out,
-        so lazy Adam leaves it untouched, as a full scan for nonzero rows would.
-        """
+    def take_grads(self) -> list[tuple[Parameter, np.ndarray, np.ndarray]]:
+        """(table, rows, grad) per feature given a gradient since the last call: its ascending
+        distinct rows whose sum is not exactly zero, and those sums.  Clears the record."""
         out = []
-        for name in self.feature_names:
-            table, recorded = self.tables[name], self.touched[name]
-            rows = np.unique(np.concatenate(recorded)) if recorded else np.empty(0, np.int64)
-            recorded.clear()
-            out.append((table, rows[np.any(table.grad[rows] != 0.0, axis=1)]))
+        for name, (rows, grad) in self.pending.items():
+            nonzero = np.any(grad != 0.0, axis=1)
+            out.append((self.tables[name], rows[nonzero], grad[nonzero]))
+        self.pending.clear()
         return out
 
 

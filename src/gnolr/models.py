@@ -192,8 +192,14 @@ class _TwinBase:
     def param_map(self) -> dict[str, Parameter]:
         return {p.name: p for p in self.params}
 
+    def zero_grad(self) -> None:
+        """Drop every gradient not yet applied: the tables' kept sums and the dense buffer."""
+        self.user.tables.take_grads()
+        self.item.tables.take_grads()
+        self.dense.zero_grad()
+
     def loss_and_grad(self, batch: Batch) -> float:
-        """Mean batch loss; accumulates every parameter's gradient.
+        """Mean batch loss; adds its gradients to the dense buffer and the tables' kept sums.
 
         The towers run forward and backward once per distinct feature row
         of each side; the loss reads every sample.

@@ -45,8 +45,8 @@ class DegenerateVectorWarning(RuntimeWarning):
 class Parameter:
     """A trainable array with its gradient buffer and Adam moment state.
 
-    The gradient and the moments are zeros allocated on first use, so a
-    model that only scores never holds them.
+    The gradient and the moments are zeros allocated on first use, so a model
+    that only scores holds none; a table hands its gradient to ``adam_step_sparse``.
     """
 
     name: str
@@ -139,25 +139,24 @@ def adam_step(param: Parameter, cfg: AdamConfig) -> Parameter:
     return param
 
 
-def adam_step_sparse(param: Parameter, cfg: AdamConfig, rows: np.ndarray) -> Parameter:
-    """Adam restricted to the given rows (embedding-row sparsity).
+def adam_step_sparse(
+    param: Parameter, cfg: AdamConfig, rows: np.ndarray, grad: np.ndarray
+) -> Parameter:
+    """Lazy Adam on the distinct ``rows``, whose gradient is ``grad``; spends ``grad``.
 
     Rows outside ``rows`` keep value, moments, and bits untouched; bias
     correction uses the parameter's global step count, as in lazy Adam.
-    Only the gradient of ``rows`` is zeroed afterward, so the caller passes
-    every row whose gradient is nonzero; the cost is O(len(rows)).
+    The cost is O(len(rows)), and the parameter holds no gradient.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         return param
-    g = param.grad[rows]
-    if not np.all(np.isfinite(g)):
+    if not np.all(np.isfinite(grad)):
         raise OptimizerError(f"non-finite gradient in parameter '{param.name}'")
     param.step_count += 1
     value, m, v = param.value[rows], param.adam_m[rows], param.adam_v[rows]
-    _adam_update(value, m, v, g, param.step_count, cfg)
+    _adam_update(value, m, v, grad, param.step_count, cfg)
     param.value[rows], param.adam_m[rows], param.adam_v[rows] = value, m, v
-    param.grad[rows] = 0.0
     return param
 
 

@@ -238,21 +238,24 @@ def make_batches(split: Split, cfg: TrainConfig, epoch: int) -> Iterator[Batch]:
 
 
 def _optimizer_step(model, adam: AdamConfig) -> None:
-    """Lazy Adam on the table rows the batch touched, one Adam call for the rest."""
+    """Lazy Adam on the table rows given a gradient, one Adam call for the rest."""
     for side in (model.user, model.item):
-        for table, rows in side.tables.take_touched():
-            adam_step_sparse(table, adam, rows)
+        for table, rows, grad in side.tables.take_grads():
+            adam_step_sparse(table, adam, rows, grad)
     adam_step(model.dense, adam)
 
 
 def train_step(model, batch: Batch, adam: AdamConfig) -> float:
     """One training step: the batch loss and gradients, then Adam if the loss is finite.
 
-    Returns the mean batch loss; a non-finite loss leaves the parameters as they were.
+    Returns the mean batch loss.  A non-finite loss leaves the parameters as
+    they were and drops the step's gradients, so no later step applies them.
     """
     loss = model.loss_and_grad(batch)
     if math.isfinite(loss):
         _optimizer_step(model, adam)
+    else:
+        model.zero_grad()
     return loss
 
 

@@ -90,37 +90,48 @@ def write_synthetic_csv(
     noise=0.0,
     seed=0,
     two_level=True,
+    three_level=False,
+    side_features=False,
 ):
     """Planted progressive-preference interactions.
 
     Users and items carry hidden cluster types; a click happens exactly on
     a cluster match, and a pay happens on a click whose sub-cluster also
     matches (level-2 positives are a subset of level-1 positives).
-    ``noise`` flips each emitted bit with the given probability, and the
-    labels are recoverable from the id embeddings alone.
+    ``three_level`` adds a buy column: a pay whose second sub-cluster (of
+    two) also matches.  ``side_features`` adds each side's cluster as a
+    feature, ``uf_cluster`` and ``if_cluster``.  ``noise`` flips each
+    emitted bit with the given probability, and the labels are recoverable
+    from the id embeddings alone.
     """
     rng = np.random.default_rng(seed)
     user_cluster = rng.integers(0, n_clusters, size=n_users)
     item_cluster = rng.integers(0, n_clusters, size=n_items)
     user_sub = rng.integers(0, pay_subclusters, size=n_users)
     item_sub = rng.integers(0, pay_subclusters, size=n_items)
+    columns = ["click", "pay", "buy"][: 3 if three_level else 2 if two_level else 1]
+    if three_level:
+        user_deep = rng.integers(0, 2, size=n_users)
+        item_deep = rng.integers(0, 2, size=n_items)
 
-    lines = ["user_id,item_id,timestamp,click,pay" if two_level else "user_id,item_id,timestamp,click"]
+    lines = ["user_id,item_id,timestamp," + ",".join(columns)]
+    if side_features:
+        lines[0] += ",uf_cluster,if_cluster"
     timestamps = rng.permutation(n_rows)
     for row in range(n_rows):
         u = int(rng.integers(0, n_users))
         i = int(rng.integers(0, n_items))
         click = int(user_cluster[u] == item_cluster[i])
         pay = int(click and user_sub[u] == item_sub[i])
+        bits = [click, pay]
+        if three_level:
+            bits.append(int(pay and user_deep[u] == item_deep[i]))
         if noise > 0.0:
-            if rng.random() < noise:
-                click = 1 - click
-            if rng.random() < noise:
-                pay = 1 - pay
-        if two_level:
-            lines.append(f"u{u},i{i},{int(timestamps[row])},{click},{pay}")
-        else:
-            lines.append(f"u{u},i{i},{int(timestamps[row])},{click}")
+            bits = [1 - b if rng.random() < noise else b for b in bits]
+        fields = [f"u{u}", f"i{i}", str(timestamps[row])] + [str(b) for b in bits[: len(columns)]]
+        if side_features:
+            fields += [f"c{user_cluster[u]}", f"c{item_cluster[i]}"]
+        lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -141,7 +152,7 @@ def per_sample_forward(model, user_rows, item_rows):
 
 
 def per_sample_backward(model, grad_u, grad_i, states):
-    """The backward of ``per_sample_forward``: one table gradient row per sample."""
+    """The backward of ``per_sample_forward``: the tables get one gradient row per sample."""
     model.user.backward(grad_u, states[0])
     model.item.backward(grad_i, states[1])
 
@@ -173,7 +184,26 @@ def per_sample_loss_and_grad(model, batch):
     return total
 
 
-def checked_gradients(model, batch, num_samples=120, tolerance=1e-4):
+def full_grads(model) -> list[np.ndarray]:
+    """Every parameter's pending gradient at full size, in ``model.params`` order.
+
+    A table keeps its gradient as (rows, summed rows) until ``take_grads``;
+    here the sums are written into zeros of the table's shape and the
+    record stays.  Oracles read tables only through this: a table's
+    ``grad`` attribute would be made up as zeros on first read.
+    """
+    grads = []
+    for tables in (model.user.tables, model.item.tables):
+        for name, table in tables.tables.items():
+            grad = np.zeros_like(table.value)
+            if name in tables.pending:
+                rows, sums = tables.pending[name]
+                grad[rows] = sums
+            grads.append(grad)
+    return grads + [p.grad for p in model.params[len(grads) :]]
+
+
+def checked_gradients(model, batch, num_samples=120, tolerance=1e-4, seed=99):
     """Analytic grads from one ``loss_and_grad`` vs central differences.
 
     Embedding tables are rescaled to a generic parameter point first: at
@@ -184,14 +214,13 @@ def checked_gradients(model, batch, num_samples=120, tolerance=1e-4):
     for p in model.params:
         if p.name.startswith(("emb_u.", "emb_i.")):
             p.value *= 10.0
-        p.zero_grad()
+    model.zero_grad()
     model.loss_and_grad(batch)
+    grads = [g.copy() for g in full_grads(model)]
 
     def pure_loss():
-        saved = [p.grad.copy() for p in model.params]
         value = model.loss_and_grad(batch)
-        for p, g in zip(model.params, saved):
-            p.grad[...] = g
+        model.zero_grad()
         return value
 
     return finite_diff_check(
@@ -200,7 +229,8 @@ def checked_gradients(model, batch, num_samples=120, tolerance=1e-4):
         h=1e-5,
         tolerance=tolerance,
         num_samples=num_samples,
-        rng=np.random.default_rng(99),
+        rng=np.random.default_rng(seed),
+        grads=grads,
     )
 
 
@@ -589,15 +619,18 @@ def finite_diff_check(
     num_samples: int = 100,
     rng: np.random.Generator | None = None,
     denom_floor: float = 1e-6,
+    grads: Sequence[np.ndarray] | None = None,
 ) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     ``loss_fn`` re-evaluates the (deterministic) loss from the parameters'
-    current values; each parameter's ``grad`` must already hold the analytic
-    gradient at the current point.  Coordinates are sampled across all
-    parameters; per coordinate the relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
+    current values; ``grads`` (by default each parameter's ``grad``) hold
+    the analytic gradient at the current point, one array per parameter.
+    Coordinates are sampled across all parameters; per coordinate the
+    relative error is |analytic - numeric| / max(|analytic|, |numeric|, denom_floor).
     """
+    if grads is None:
+        grads = [p.grad for p in params]
     if rng is None:
         rng = np.random.default_rng(0)
     coords: list[tuple[int, int]] = []
@@ -620,7 +653,7 @@ def finite_diff_check(
         loss_minus = loss_fn()
         flat[fi] = original
         numeric = (loss_plus - loss_minus) / (2.0 * h)
-        analytic = p.grad.reshape(-1)[fi]
+        analytic = grads[pi].reshape(-1)[fi]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), denom_floor)
         if rel > worst[0]:
             worst = (rel, p.name, fi, float(analytic), float(numeric))

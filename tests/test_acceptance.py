@@ -21,8 +21,8 @@ from gnolr.tensor import stable_sigmoid
 from gnolr.training import TrainConfig, retrieval_recalls, train, evaluate
 from tests.helpers import (
     bce_loss,
+    checked_gradients,
     find_ml1m_ratings,
-    finite_diff_check,
     gnolr_total_loss,
     imbalanced_single_feedback_csv,
     ml1m_to_csv,
@@ -155,27 +155,9 @@ def test_criterion_5_full_model_gradient_integrity():
         # Check at a generic parameter point: fresh embedding tables start
         # at +-0.05, where the near-zero pre-normalization norms make the
         # h^2 truncation of a central difference dominate the comparison.
-        for p in model.params:
-            if p.name.startswith(("emb_u.", "emb_i.")):
-                p.value *= 10.0
-            p.zero_grad()
-        model.loss_and_grad(batch)
-
-        def pure_loss():
-            saved = [p.grad.copy() for p in model.params]
-            value = model.loss_and_grad(batch)
-            for p, g in zip(model.params, saved):
-                p.grad[...] = g
-            return value
-
-        report = finite_diff_check(
-            pure_loss,
-            model.params,
-            h=1e-5,
-            tolerance=1e-4,
-            num_samples=100,
-            rng=np.random.default_rng(156),
-        )
+        # ``checked_gradients`` scales the tables by 10 and reads their
+        # gradient through ``full_grads``.
+        report = checked_gradients(model, batch, num_samples=100, seed=156)
         assert report.num_checked == 100
         assert report.passed, (
             f"max rel err {report.max_rel_error:.3e} at "

@@ -30,6 +30,7 @@ from gnolr.tensor import DegenerateVectorWarning, l2_normalize
 from gnolr.training import TrainConfig, evaluate, train
 from tests.helpers import (
     checked_gradients,
+    full_grads,
     forward_embeddings,
     forward_task_scores,
     per_sample_loss_and_grad,
@@ -380,12 +381,12 @@ def test_step_matches_the_per_sample_step(name, rows, zero_norm, numbered):
     else:
         # Every other row subset runs as a gemm: the dots, so the loss, are exact.
         assert got == want
-    for p, q in zip(models[0].params, models[1].params):
-        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-10, atol=1e-10, err_msg=p.name)
+    for p, g, h in zip(models[0].params, full_grads(models[0]), full_grads(models[1])):
+        np.testing.assert_allclose(g, h, rtol=1e-10, atol=1e-10, err_msg=p.name)
     for side in ("user", "item"):
-        for (_, got_rows), (_, want_rows) in zip(
-            getattr(models[0], side).tables.take_touched(),
-            getattr(models[1], side).tables.take_touched(),
+        for (_, got_rows, _), (_, want_rows, _) in zip(
+            getattr(models[0], side).tables.take_grads(),
+            getattr(models[1], side).tables.take_grads(),
         ):
             np.testing.assert_array_equal(got_rows, want_rows)
 

@@ -191,27 +191,35 @@ class TestAdam:
         rng = np.random.default_rng(6)
         p = Parameter("emb", rng.normal(size=(10, 4)))
         before = p.value.copy()
-        p.grad[3] = 1.0
-        p.grad[7] = -0.5
-        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([3, 7]))
+        grad = np.array([[1.0] * 4, [-0.5] * 4])
+        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([3, 7]), grad)
         untouched = [r for r in range(10) if r not in (3, 7)]
         assert np.array_equal(p.value[untouched], before[untouched])
         assert not np.array_equal(p.value[3], before[3])
         assert not np.array_equal(p.value[7], before[7])
 
 
-    def test_sparse_zeroes_only_the_given_rows(self):
-        # The caller passes every row with a nonzero gradient; no other row
-        # is written, so the step costs O(rows), not O(table).
+    def test_sparse_writes_only_the_given_rows_and_holds_no_gradient(self):
+        # The gradient comes with its rows; no other row is written, so the
+        # step costs O(rows), not O(table), and the table keeps no gradient.
         p = Parameter("emb", np.ones((6, 2)))
-        p.grad[2] = 0.5
-        p.grad[4] = 7.0  # left out on purpose: must survive as it is
-        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([2]))
-        assert np.all(p.grad[2] == 0.0)
-        assert np.all(p.grad[4] == 7.0)
+        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([2]), np.full((1, 2), 0.5))
+        assert np.all(p.value[2] != 1.0) and np.all(p.adam_m[2] != 0.0)
+        others = [0, 1, 3, 4, 5]
+        assert np.all(p.value[others] == 1.0)
+        assert np.all(p.adam_m[others] == 0.0) and np.all(p.adam_v[others] == 0.0)
+        assert "grad" not in vars(p)
         assert p.step_count == 1
-        adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([], dtype=np.int64))
+        empty = np.array([], dtype=np.int64)
+        adam_step_sparse(p, AdamConfig(learning_rate=0.1), empty, np.zeros((0, 2)))
         assert p.step_count == 1
+
+    def test_sparse_rejects_a_non_finite_gradient(self):
+        p = Parameter("emb", np.ones((6, 2)))
+        with pytest.raises(OptimizerError, match="emb"):
+            grad = np.array([[0.0, 1.0], [np.inf, 0.0]])
+            adam_step_sparse(p, AdamConfig(learning_rate=0.1), np.array([1, 4]), grad)
+        assert p.step_count == 0 and np.all(p.value == 1.0)
 
     def test_sparse_over_every_row_equals_the_dense_step(self):
         rng = np.random.default_rng(7)
@@ -221,12 +229,12 @@ class TestAdam:
         for _ in range(5):
             g = rng.normal(size=values.shape) * rng.choice([1e-6, 1.0, 1e3], size=(9, 1))
             dense.grad[...] = g
-            sparse.grad[...] = g
             adam_step(dense, cfg)
-            adam_step_sparse(sparse, cfg, np.arange(9))
+            adam_step_sparse(sparse, cfg, np.arange(9), g.copy())
         assert sparse.step_count == dense.step_count == 5
-        for attr in ("value", "adam_m", "adam_v", "grad"):
+        for attr in ("value", "adam_m", "adam_v"):
             assert getattr(sparse, attr).tobytes() == getattr(dense, attr).tobytes(), attr
+        assert not np.any(dense.grad) and "grad" not in vars(sparse)
 
 
 class TestParameterBuffers:

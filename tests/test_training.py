@@ -29,6 +29,7 @@ from gnolr.training import (
 )
 from tests.helpers import (
     forward_task_scores,
+    full_grads,
     per_sample_backward,
     per_sample_forward,
     synthetic_bundle,
@@ -192,29 +193,29 @@ class TestOptimizerSparsity:
 def reference_optimizer_step(model, adam: AdamConfig) -> None:
     """The dense-scan rule, written out independently of ``gnolr.tensor``.
 
-    Every table is scanned in full for rows with a nonzero gradient, which
-    get lazy Adam at the table's own step count (a table with no such row
-    keeps its count); every other parameter gets plain Adam on its own.
-    All gradients are then zero-filled.  Adam's own constants are the
-    Kingma & Ba defaults.
+    Every table's gradient, written out at full size by ``full_grads``, is
+    scanned in full for rows with a nonzero gradient, which get lazy Adam at
+    the table's own step count (a table with no such row keeps its count);
+    every other parameter gets plain Adam on its own.  All gradients are
+    then dropped.  Adam's own constants are the Kingma & Ba defaults.
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     table_names = {p.name for side in (model.user, model.item) for p in side.tables.params}
-    for p in model.params:
+    for p, grad in zip(model.params, full_grads(model)):
         if p.name in table_names:
-            rows = np.nonzero(np.any(p.grad != 0.0, axis=1))[0]
+            rows = np.nonzero(np.any(grad != 0.0, axis=1))[0]
         else:
             rows = np.arange(p.value.shape[0])
         if rows.size:
             p.step_count += 1
             t = p.step_count
-            g = p.grad[rows]
+            g = grad[rows]
             p.adam_m[rows] = beta1 * p.adam_m[rows] + (1.0 - beta1) * g
             p.adam_v[rows] = beta2 * p.adam_v[rows] + (1.0 - beta2) * g * g
             m_hat = p.adam_m[rows] / (1.0 - beta1**t)
             v_hat = p.adam_v[rows] / (1.0 - beta2**t)
             p.value[rows] -= adam.learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-        p.grad.fill(0.0)
+    model.zero_grad()
 
 
 def oracle_batch(rng, n, vocab_u, vocab_i, num_levels=2):
@@ -326,13 +327,34 @@ class TestLeanOptimizerStep:
         rng = np.random.default_rng(33)
         for step in range(3):
             self.backprop(model, oracle_batch(rng, 24, self.VOCAB_U, self.VOCAB_I), step)
-            assert any(model.user.tables.touched.values())
+            assert model.user.tables.pending
             _optimizer_step(model, AdamConfig(learning_rate=0.05))
             for tables in (model.user.tables, model.item.tables):
-                assert not any(tables.touched.values())
+                assert not tables.pending
                 for p in tables.params:
-                    assert not np.any(p.grad), p.name
+                    assert "grad" not in vars(p), p.name
             assert not np.any(model.dense.grad)
+
+    def test_backward_calls_accumulate_until_take_grads(self):
+        model = self.build("gnolr")
+        tables = model.user.tables
+        first = np.zeros((3, tables.output_dim))
+        first[:, :4] = [[0.5, 1.0, 0.0, 2.0], [0.25, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+        second = np.zeros((2, tables.output_dim))
+        second[:, :4] = [[0.25, 0.5, 0.5, 0.5], [-1.0, -1.0, -1.0, -1.0]]
+        # Row 4 is looked up in both calls; row 6's two lookups cancel to 0.
+        tables.backward(first, np.array([[4, 1], [2, 1], [6, 1]]))
+        tables.backward(second, np.array([[4, 1], [6, 1]]))
+        dense = full_grads(model)[: len(tables.params)]
+        taken = tables.take_grads()
+        assert [table.name for table, _, _ in taken] == [p.name for p in tables.params]
+        user_id_rows, user_id_grad = taken[0][1:]
+        np.testing.assert_array_equal(user_id_rows, [2, 4])
+        np.testing.assert_array_equal(user_id_grad, [[0.25, 0, 0, 0], [0.75, 1.5, 0.5, 2.5]])
+        for (_, rows, grad), full in zip(taken, dense):
+            np.testing.assert_array_equal(rows, np.flatnonzero(np.any(full != 0.0, axis=1)))
+            assert grad.tobytes() == full[rows].tobytes()
+        assert tables.take_grads() == []
 
     def test_dense_parameters_are_views_into_one_buffer(self):
         model = self.build("nsb")
@@ -468,6 +490,32 @@ class TestTrainStep:
         assert model.dense.step_count == 0
         for p in model.params:
             assert p.value.tobytes() == before[p.name].tobytes(), p.name
+
+
+    def test_non_finite_loss_drops_its_gradients(self, bundle, monkeypatch):
+        batches = make_batches(bundle.train, TrainConfig(batch_size=64), 1)
+        bad, good = next(batches), next(batches)
+        adam = AdamConfig(0.05)
+        model, alone = untrained_model(bundle), untrained_model(bundle)
+        backward = model.loss_and_grad
+        monkeypatch.setattr(model, "loss_and_grad", lambda batch: backward(batch) * math.nan)
+        assert math.isnan(train_step(model, bad, adam))
+        monkeypatch.undo()
+        assert train_step(model, good, adam) == train_step(alone, good, adam)
+        want = alone.param_map()
+        for name, p in model.param_map().items():
+            assert p.value.tobytes() == want[name].value.tobytes(), name
+
+    def test_training_never_allocates_a_table_gradient(self, bundle, monkeypatch):
+        models = []
+        monkeypatch.setattr(
+            training, "make_model", lambda *args: models.append(make_model(*args)) or models[-1]
+        )
+        train(bundle, TrainConfig(kind="gnolr", seed=5, **{**FAST, "epochs": 1}))
+        [model] = models
+        assert model.dense.step_count > 0
+        for p in model.user.tables.params + model.item.tables.params:
+            assert p.step_count > 0 and "grad" not in vars(p), p.name
 
 
 class TestEvaluateAndMultiRun:
