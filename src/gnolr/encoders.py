@@ -56,7 +56,7 @@ class EmbeddingTableSet:
             if vocab < 1:
                 raise ArgumentError(f"feature '{name}' has vocab size {vocab}")
             self.tables[name] = Parameter(
-                f"{name_prefix}.{name}", embedding_init((vocab, dim), rng)
+                f"{name_prefix}.{name}", embedding_init((vocab, dim), rng), table=True
             )
 
     @property
@@ -108,11 +108,35 @@ class EmbeddingTableSet:
         return out
 
 
+class Workspace:
+    """Arrays that a training forward and backward reuse from one step to the next.
+
+    Each array holds rows of one trailing shape.  They are allocated at a
+    batch's row bound, and again, at the new bound, only when a batch has
+    more rows than they hold, so a training loop allocates them about once.
+    """
+
+    def __init__(self, *row_shapes: tuple[int, ...]) -> None:
+        self.row_shapes = row_shapes
+        self.arrays: list[np.ndarray] = []
+
+    def reserve(self, bound: int) -> list[np.ndarray]:
+        """The arrays, reallocated at ``bound`` rows if they hold fewer."""
+        if not self.arrays or len(self.arrays[0]) < bound:
+            self.arrays = [np.empty((bound, *shape)) for shape in self.row_shapes]
+        return self.arrays
+
+
 class Tower:
     """MLP with LeakyReLU between layers, none after the last, then l2-norm.
 
     The settings' ``hidden_sizes`` lay out the layers, the last width being
     the sub-embedding size; ``activation_slope`` is the LeakyReLU slope.
+
+    A training forward writes each layer's pre-activation and activation
+    and the output into the tower's ``workspace``, and returns views of
+    them: they are valid until the tower's next training forward, and
+    ``backward`` uses them up.  Any other forward allocates fresh arrays.
     """
 
     def __init__(
@@ -128,6 +152,10 @@ class Tower:
             self.weights.append(Parameter(f"{name}.W{li}", glorot_uniform((d_in, width), rng)))
             self.biases.append(Parameter(f"{name}.b{li}", np.zeros((1, width))))
             d_in = width
+        # In the order forward fills them: each layer's pre-activation, then
+        # its activation (none after the last layer), then the output.
+        *hidden, last = cfg.hidden_sizes
+        self.workspace = Workspace(*[(w,) for w in hidden for _ in range(2)], (last,), (last,))
 
     @property
     def params(self) -> list[Parameter]:
@@ -136,37 +164,49 @@ class Tower:
             out.extend((w, b))
         return out
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, bound: int = 0) -> tuple[np.ndarray, tuple]:
+        """Unit outputs of the rows of ``x``, and the state ``backward`` needs.
+
+        ``bound`` > 0 makes it a training forward, on at most ``bound`` rows
+        per batch: the arrays are the workspace's.
+        """
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"tower '{self.name}' expects input (B, {self.input_dim}), got {x.shape}"
             )
         slope = self.cfg.activation_slope
+        arrays = iter([a[: len(x)] for a in self.workspace.reserve(bound)] if bound else [])
         h = x
         inputs = []
         pre_acts = []
         last = len(self.weights) - 1
         for li, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            z = h @ w.value
+            z = np.matmul(h, w.value, out=next(arrays, None))
             z += b.value
             pre_acts.append(z)
-            h = z if li == last else leaky_relu(z, slope)
-        out = l2_normalize(h)
-        return out, {"inputs": inputs, "pre_acts": pre_acts, "final": h}
+            h = z if li == last else leaky_relu(z, slope, out=next(arrays, None))
+        return l2_normalize(h, out=next(arrays, None)), (inputs, pre_acts)
 
-    def backward(self, upstream: np.ndarray, cache: dict) -> np.ndarray:
-        """Accumulate parameter grads, return gradient w.r.t. the tower input."""
+    def backward(
+        self, upstream: np.ndarray, state: tuple, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Accumulate parameter grads; return the gradient w.r.t. the tower input.
+
+        Every gradient is written into a ``forward`` array that is no longer
+        needed, and the input gradient into ``out`` when given.
+        """
         slope = self.cfg.activation_slope
-        g = l2_normalize_backward(upstream, cache["final"])
+        inputs, pre_acts = state
         last = len(self.weights) - 1
+        g = l2_normalize_backward(upstream, pre_acts[last], out=pre_acts[last])
         for li in range(last, -1, -1):
             if li != last:
-                g = leaky_relu_backward(g, cache["pre_acts"][li], slope)
-            h = cache["inputs"][li]
+                g = leaky_relu_backward(g, pre_acts[li], slope, out=pre_acts[li])
+            h = inputs[li]
             self.weights[li].grad += h.T @ g
             self.biases[li].grad += g.sum(axis=0, keepdims=True)
-            g = g @ self.weights[li].value.T
+            g = np.matmul(g, self.weights[li].value.T, out=h if li else out)
         return g
 
 
@@ -220,12 +260,15 @@ class _RowGroups:
         """One row of ``per_sample`` per group: its first sample's."""
         return per_sample[self.first] if self.repeats else per_sample
 
-    def samples(self, per_group: np.ndarray) -> np.ndarray:
-        """Each sample's row of ``per_group``."""
-        return per_group[self.of] if self.repeats else per_group
+    def samples(self, per_group: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each sample's row of ``per_group``, gathered into ``out`` when given."""
+        if not self.repeats:
+            return per_group
+        # Every index is in range; "clip" writes into ``out``, where "raise" would buffer.
+        return np.take(per_group, self.of, axis=0, out=out, mode="clip")
 
-    def sum(self, per_sample: np.ndarray) -> np.ndarray:
-        """Each group's sum of ``per_sample`` rows.
+    def sum(self, per_sample: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Each group's sum of ``per_sample`` rows, written into ``out`` when given.
 
         One pass per occurrence rank: pass r adds the (r+1)-th sample of
         every group that has one, so the targets of each fancy-index ``+=``
@@ -233,7 +276,7 @@ class _RowGroups:
         """
         if not self.repeats:
             return per_sample
-        out = per_sample[self.first]
+        out = np.take(per_sample, self.first, axis=0, out=out, mode="clip")
         sizes = np.diff(self.starts, append=len(self.order))
         alive = np.flatnonzero(sizes > 1)
         rank = 1
@@ -252,6 +295,11 @@ class TowerSide:
     its side's feature row, so every pass runs the towers once per
     distinct feature row: training gathers the sub-embeddings back to its
     samples and sums the samples' gradients onto their rows.
+
+    Training reuses one workspace per side, the towers' and the side's
+    own: a ``forward``'s output and state are valid until the side's next
+    ``forward``, and its ``backward`` uses the state up.  Scoring
+    (``embed``) allocates fresh arrays and keeps none.
     """
 
     def __init__(
@@ -265,6 +313,11 @@ class TowerSide:
         self.towers = [
             Tower(f"{name}{c}", tables.output_dim, cfg, rng) for c in range(1, num_towers + 1)
         ]
+        # The samples' sub-embeddings, the distinct rows' (which backward
+        # reuses for their gradient), the input gradient summed over the
+        # towers, and one tower's input gradient before it joins the sum.
+        subs, d_in = (num_towers, cfg.hidden_sizes[-1]), tables.output_dim
+        self.workspace = Workspace(subs, subs, (d_in,), (d_in,))
 
     def forward(self, feature_rows: np.ndarray, numbers: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Sub-embeddings (B, T, dim) of the samples' rows, and the state ``backward`` needs.
@@ -274,17 +327,25 @@ class TowerSide:
         groups = _RowGroups(numbers)
         rows = groups.distinct(feature_rows)
         x = self.tables.lookup(rows)
-        outs, caches = zip(*(tower.forward(x) for tower in self.towers))
-        return groups.samples(np.stack(outs, axis=1)), (groups, rows, caches)
+        bound = len(feature_rows)
+        samples, *per_row = self.workspace.reserve(bound)
+        subs, grad_x, scratch = (a[: len(rows)] for a in per_row)
+        outs, states = zip(*(tower.forward(x, bound) for tower in self.towers))
+        np.stack(outs, axis=1, out=subs)
+        out = groups.samples(subs, out=samples[:bound])
+        return out, (groups, rows, states, subs, grad_x, scratch)
 
     def backward(self, grad: np.ndarray, state: tuple) -> None:
-        """Accumulate the gradients of (B, T, dim) ``grad`` on ``forward``'s output."""
-        groups, rows, caches = state
-        grad = groups.sum(grad)
-        grad_x = None
-        for c, (tower, cache) in enumerate(zip(self.towers, caches)):
-            g = tower.backward(grad[:, c, :], cache)
-            grad_x = g if grad_x is None else grad_x + g
+        """Accumulate the gradients of (B, T, dim) ``grad`` on ``forward``'s output.
+
+        The towers' input gradients are summed in tower order.
+        """
+        groups, rows, states, subs, grad_x, scratch = state
+        grad = groups.sum(grad, out=subs)
+        for c, (tower, tower_state) in enumerate(zip(self.towers, states)):
+            g = tower.backward(grad[:, c, :], tower_state, out=scratch if c else grad_x)
+            if c:
+                grad_x += g
         self.tables.backward(grad_x, rows)
 
     def embed(self, feature_rows: np.ndarray) -> np.ndarray:

@@ -211,8 +211,12 @@ class _TwinBase:
         # (B, num_pairs) per-level similarities of the unit sub-embeddings.
         dots = np.einsum("btd,btd->bt", u, i)
         total, grad_dots = self._objective(batch, dots)
-        self.user.backward(grad_dots[:, :, None] * i, user_state)
-        self.item.backward(grad_dots[:, :, None] * u, item_state)
+        # Each side's output is spent once the dots are taken: it becomes
+        # the other side's gradient in place.
+        grad_u = np.multiply(grad_dots[:, :, None], i, out=i)
+        grad_i = np.multiply(grad_dots[:, :, None], u, out=u)
+        self.user.backward(grad_u, user_state)
+        self.item.backward(grad_i, item_state)
         return total
 
     def task_scores_all(self, user_rows: np.ndarray, item_rows: np.ndarray) -> np.ndarray:

@@ -46,11 +46,14 @@ class Parameter:
     """A trainable array with its gradient buffer and Adam moment state.
 
     The gradient and the moments are zeros allocated on first use, so a model
-    that only scores holds none; a table hands its gradient to ``adam_step_sparse``.
+    that only scores holds none.  A ``table`` holds no gradient: its rows'
+    gradient comes from ``EmbeddingTableSet.take_grads`` and goes to
+    ``adam_step_sparse``, and reading its ``grad`` raises AttributeError.
     """
 
     name: str
     value: np.ndarray
+    table: bool = False
     grad: np.ndarray = field(init=False)
     adam_m: np.ndarray = field(init=False)
     adam_v: np.ndarray = field(init=False)
@@ -63,6 +66,11 @@ class Parameter:
         # Only reached while ``name`` is unset.
         if name not in ("grad", "adam_m", "adam_v"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if name == "grad" and self.table:
+            raise AttributeError(
+                f"table parameter '{self.name}' holds no grad; "
+                "its gradient is taken with EmbeddingTableSet.take_grads()"
+            )
         buffer = np.zeros_like(self.value)
         setattr(self, name, buffer)
         return buffer
@@ -165,16 +173,27 @@ def adam_step_sparse(
 # ---------------------------------------------------------------------------
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """x where x >= 0, else slope * x; with 0 < slope < 1 that is max(x, slope * x)."""
+def leaky_relu(x: np.ndarray, slope: float, out: np.ndarray | None = None) -> np.ndarray:
+    """x where x >= 0, else slope * x; with 0 < slope < 1 that is max(x, slope * x).
+
+    The result is written into ``out`` when given; it must not overlap ``x``.
+    """
     if not 0.0 < slope < 1.0:
         raise DimensionError(f"leaky slope must lie in (0, 1), got {slope}")
-    return np.maximum(x, slope * x)
+    out = np.multiply(x, slope, out=np.empty(np.shape(x)) if out is None else out)
+    return np.maximum(x, out, out=out)
 
 
-def leaky_relu_backward(upstream: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
-    """upstream times 1 where x >= 0, else slope: max of the 0/1 mask and slope."""
-    return upstream * np.maximum(x >= 0.0, slope)
+def leaky_relu_backward(
+    upstream: np.ndarray, x: np.ndarray, slope: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """upstream times 1 where x >= 0, else slope: max of the 0/1 mask and slope.
+
+    The mask and the product are written into ``out`` when given; it may be ``x``.
+    """
+    mask = np.greater_equal(x, 0.0, out=np.empty(np.shape(x)) if out is None else out)
+    np.maximum(mask, slope, out=mask)
+    return np.multiply(upstream, mask, out=mask)
 
 
 def stable_sigmoid(x):
@@ -199,33 +218,48 @@ def stable_softplus(x):
     return out
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
+def _row_norms(v: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1, keepdims=True)``, bit for bit, squaring into ``squares``."""
+    norms = np.add.reduce(np.multiply(v, v, out=squares), axis=-1, keepdims=True)
+    return np.sqrt(norms, out=norms)
+
+
+def l2_normalize(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """v / max(||v||, eps) per row (2-D) or for the whole vector (1-D).
 
     Zero vectors come back as zero vectors with a DegenerateVectorWarning;
-    training treats that as a numerical warning, not an error.
+    training treats that as a numerical warning, not an error.  The result
+    is written into ``out`` when given; it must not overlap ``v``.
     """
     v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    out = np.empty(v.shape) if out is None else out
+    norms = _row_norms(v, out)
     if np.any(norms < NORM_EPS):
         warnings.warn("normalizing a (near-)zero vector", DegenerateVectorWarning)
-    return v / np.maximum(norms, NORM_EPS)
+    return np.divide(v, np.maximum(norms, NORM_EPS, out=norms), out=out)
 
 
-def l2_normalize_backward(upstream: np.ndarray, v: np.ndarray) -> np.ndarray:
+def l2_normalize_backward(
+    upstream: np.ndarray, v: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Backward through row-wise normalization.
 
     For a non-degenerate row, d(v/||v||) pulls the component of the
     upstream gradient orthogonal to the output: (g - y (y.g)) / ||v||.
     Degenerate rows get zero gradient (clamp semantics at the dead point).
+    The gradient is written into ``out`` when given; it may be ``v``.
     """
     v = np.asarray(v, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    scratch = np.empty(v.shape)
+    norms = _row_norms(v, scratch)
     safe = np.maximum(norms, NORM_EPS)
-    y = v / safe
-    proj = np.sum(upstream * y, axis=-1, keepdims=True)
-    grad = (upstream - y * proj) / safe
-    return np.where(norms < NORM_EPS, 0.0, grad)
+    y = np.divide(v, safe, out=out)
+    proj = np.add.reduce(np.multiply(upstream, y, out=scratch), axis=-1, keepdims=True)
+    grad = np.multiply(y, proj, out=y)
+    np.subtract(upstream, grad, out=grad)
+    grad /= safe
+    np.copyto(grad, 0.0, where=norms < NORM_EPS)
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@
 the checkpoint and the epoch log lines of a 2-epoch ``train`` on a planted
 three-level dataset (a cluster feature on each side, so a batch looks a
 table row up many times; two hidden layers, so LeakyReLU runs; ``patience``
-set, so validation selection runs).  The bytes depend on numpy and its BLAS
-kernels, so a mismatch names the environment the file was written in.
+set, so validation selection runs).  For the nested configuration it also
+holds the sha256 of every file the CLI's scoring stages write: ``eval``'s
+report and both embedding exports, ``retrieve``'s lists and ``angles``'
+histogram.  The bytes depend on numpy and its BLAS kernels, so a mismatch
+names the environment the file was written in.
 
 Rewrite the file with ``PYTHONPATH=src python -m tests.test_golden`` from
 the repository root; a change that moves a hash says which and why in
@@ -14,14 +17,19 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from gnolr.cli import main
 from gnolr.data import DataConfig, build_bundle
+from gnolr.models import ModelSettings
 from gnolr.training import TrainConfig, save_checkpoint, train
 from tests.helpers import write_synthetic_csv
 
@@ -47,14 +55,24 @@ CONFIGS = {
     "nsb": {"kind": "nsb"},
 }
 
+FEEDBACK = ("click", "pay", "buy")
+# The files each scoring stage writes, by their [eval] key.
+PIPELINE_OUTPUTS = {
+    "report": "report.json",
+    "embeddings_user": "users.tsv",
+    "embeddings_item": "items.tsv",
+    "retrieve_out": "retrieve.tsv",
+    "angles_out": "angles.csv",
+}
+
 
 def environment() -> str:
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}"
 
 
-def make_bundle(directory: pathlib.Path):
-    csv_path = write_synthetic_csv(
+def write_csv(directory: pathlib.Path) -> pathlib.Path:
+    return write_synthetic_csv(
         directory / "golden.csv",
         n_users=150,
         n_items=200,
@@ -64,7 +82,10 @@ def make_bundle(directory: pathlib.Path):
         three_level=True,
         side_features=True,
     )
-    return build_bundle(DataConfig(csv_path=csv_path, feedback=("click", "pay", "buy")))
+
+
+def make_bundle(directory: pathlib.Path):
+    return build_bundle(DataConfig(csv_path=write_csv(directory), feedback=FEEDBACK))
 
 
 def run(bundle, name: str, directory: pathlib.Path) -> dict:
@@ -75,6 +96,37 @@ def run(bundle, name: str, directory: pathlib.Path) -> dict:
         "checkpoint_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         "log_lines": result.log_lines,
     }
+
+
+def ini_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def run_pipeline(directory: pathlib.Path) -> dict:
+    """prepare -> train -> eval -> retrieve -> angles of the nested configuration through
+    the CLI: the sha256 of each file written, the checkpoint included."""
+    model_keys = {f.name for f in dataclasses.fields(ModelSettings)}
+    sections = {
+        "data": {"csv": write_csv(directory), "bundle": directory / "bundle.gnb",
+                 "feedback": ini_value(FEEDBACK)},
+        "model": {key: v for key, v in BASE.items() if key in model_keys},
+        "train": {key: v for key, v in BASE.items() if key not in model_keys},
+        "eval": {"recall_ks": "1,10"},
+    }
+    sections["train"]["checkpoint"] = directory / "model.gnc"
+    sections["eval"].update({key: directory / name for key, name in PIPELINE_OUTPUTS.items()})
+    ini = directory / "run.ini"
+    ini.write_text(
+        "".join(
+            f"[{name}]\n" + "".join(f"{key} = {ini_value(v)}\n" for key, v in keys.items())
+            for name, keys in sections.items()
+        )
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in ("prepare", "train", "eval", "retrieve", "angles"):
+            assert main([stage, str(ini)]) == 0, stage
+    names = ["model.gnc", *PIPELINE_OUTPUTS.values()]
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest() for name in names}
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +143,18 @@ def test_training_writes_the_golden_bytes(bundle, name, tmp_path):
     )
 
 
+def test_scoring_stages_write_the_golden_bytes(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    expected = {
+        "model.gnc": golden["configs"]["gnolr_nested"]["checkpoint_sha256"],
+        **golden["pipeline"],
+    }
+    assert run_pipeline(tmp_path) == expected, (
+        f"a scoring stage moved; the golden file was written with "
+        f"{golden['environment']}, this run has {environment()}"
+    )
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -98,7 +162,8 @@ if __name__ == "__main__":
         directory = pathlib.Path(tmp)
         data = make_bundle(directory)
         configs = {name: run(data, name, directory) for name in CONFIGS}
-    GOLDEN.write_text(
-        json.dumps({"environment": environment(), "configs": configs}, indent=2) + "\n"
-    )
+        pipeline = run_pipeline(directory)
+    del pipeline["model.gnc"]  # the nested configuration's checkpoint_sha256
+    golden = {"environment": environment(), "configs": configs, "pipeline": pipeline}
+    GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

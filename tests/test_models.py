@@ -168,7 +168,8 @@ class TestNsbIsolation:
         # Structurally, one-task shared-bottom IS the BCE baseline: same
         # init draw order, same loss, so updates coincide step for step.
         # (Production configs require >= 2 tasks; this constructs directly.)
-        from gnolr.tensor import AdamConfig, adam_step
+        from gnolr.tensor import AdamConfig
+        from gnolr.training import train_step
 
         cfg_nsb = tiny_config("nsb", num_levels=1, thresholds=(0.4,))
         cfg_bce = tiny_config("bce", num_levels=1, thresholds=(0.4,))
@@ -176,15 +177,16 @@ class TestNsbIsolation:
         bce = BceModel(cfg_bce, VOCABS_U, VOCABS_I, np.random.default_rng(16))
         rng = np.random.default_rng(17)
         adam = AdamConfig(learning_rate=0.01)
+        tables_before = [p.value.copy() for p in nsb.user.tables.params]
         for step in range(5):
             batch = tiny_batch(rng, n=16, num_levels=1)
-            l_nsb = nsb.loss_and_grad(batch)
-            l_bce = bce.loss_and_grad(batch)
+            l_nsb = train_step(nsb, batch, adam)
+            l_bce = train_step(bce, batch, adam)
             assert l_nsb == pytest.approx(l_bce, abs=1e-12)
-            for p in nsb.params + bce.params:
-                adam_step(p, adam)
         for pa, pb in zip(nsb.params, bce.params):
             assert np.array_equal(pa.value, pb.value)
+        assert not any(np.array_equal(p.value, before)
+                       for p, before in zip(nsb.user.tables.params, tables_before))
 
 
 class TestReweighting:

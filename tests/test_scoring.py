@@ -391,6 +391,46 @@ def test_step_matches_the_per_sample_step(name, rows, zero_norm, numbered):
             np.testing.assert_array_equal(got_rows, want_rows)
 
 
+def workspace_batches():
+    """Batches whose distinct rows shrink, grow past the first batch's rows (as a
+    listwise batch can), drop to one (a BLAS gemv) and end on a short batch."""
+    rng = np.random.default_rng(12)
+    grids = [np.stack(np.unravel_index(rng.permutation(60), shape), axis=1)
+             for shape in ((10, 6), (12, 5))]
+    batches = []
+    for distinct, size in ((40, 48), (6, 48), (58, 90), (1, 20), (7, 7)):
+        users, items = (grid[np.sort(rng.integers(0, distinct, size=size))] for grid in grids)
+        users[:distinct], items[:distinct] = grids[0][:distinct], grids[1][:distinct]
+        bits = rng.integers(0, 2, size=(size, 3))
+        deepest = np.max(np.where(bits > 0, np.arange(1, 4), 0), axis=1)
+        labels = np.where(deepest > 0, deepest + 1, 1).astype(np.int64)
+        batches.append(Batch(users, items, labels, bits.astype(np.int8)))
+    return batches
+
+
+@pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
+@pytest.mark.parametrize("name", ["gnolr", "nsb"])
+def test_the_workspace_carries_nothing_between_steps(name, zero_norm):
+    """Each step's loss and gradients are a fresh model's, bit for bit."""
+    batches = workspace_batches()
+    assert [len(np.unique(b.user_features, axis=0)) for b in batches] == [40, 6, 58, 1, 7]
+    assert [len(np.unique(b.item_features, axis=0)) for b in batches] == [40, 6, 58, 1, 7]
+    model = make(name)
+    if zero_norm:
+        zero_last_layers(model)
+    capacity = []
+    for batch in batches:
+        fresh = make(name)
+        if zero_norm:
+            zero_last_layers(fresh)
+        assert model.loss_and_grad(batch) == fresh.loss_and_grad(batch)
+        for p, got, want in zip(model.params, full_grads(model), full_grads(fresh)):
+            assert got.tobytes() == want.tobytes(), p.name
+        model.zero_grad()
+        capacity.append(len(model.user.towers[0].workspace.arrays[0]))
+    assert capacity == [48, 48, 90, 90, 90]
+
+
 @pytest.mark.parametrize("name", list(KINDS))
 def test_step_gradients_match_finite_differences(name):
     batch = step_batch("duplicates")

@@ -248,6 +248,14 @@ class TestParameterBuffers:
         with pytest.raises(AttributeError, match="no attribute 'gard'"):
             p.gard
 
+    def test_a_table_refuses_grad_and_makes_moments(self):
+        p = Parameter("emb.x", np.ones((4, 2)), table=True)
+        with pytest.raises(AttributeError, match=r"'emb\.x' holds no grad.*take_grads\(\)"):
+            p.grad
+        assert "grad" not in vars(p)
+        for attr in ("adam_m", "adam_v"):
+            assert getattr(p, attr).shape == (4, 2) and not getattr(p, attr).any()
+
 
 class TestPackParameters:
     def make(self):
