@@ -16,7 +16,6 @@ from gnolr import (
     TrainConfig,
     build_bundle,
     read_embeddings,
-    recall_at_k,
     topk_retrieve_batch,
     train,
     write_embeddings,
@@ -56,14 +55,16 @@ print(f"exported {len(ids)} item embeddings, dim {vectors.shape[1]}, levels {lev
 # --- Brute-force retrieval -------------------------------------------------
 index = RetrievalIndex(item_ids=ids, vectors=vectors)
 user_vectors = model.user_embeddings(bundle.user_feature_table)
-for uid, top in enumerate(topk_retrieve_batch(user_vectors[:3], index, 5)):
+# Each ranking holds index rows; ``index.item_ids`` names them.
+for uid, rows in enumerate(topk_retrieve_batch(user_vectors[:3], index, 5)):
+    top = [index.item_ids[j] for j in rows]
     liked = {
         bundle.items[int(it)]
         for row, it in enumerate(bundle.test.item_index)
         if bundle.test.user_index[row] == uid and bundle.test.labels[row] > 1
     }
     hits = [item for item in top if item in liked]
-    recall = recall_at_k(top, 5, liked) if liked else float("nan")
+    recall = len(hits) / len(liked) if liked else float("nan")
     print(f"{bundle.users[uid]}: top-5 {top} | hits {hits} | recall@5 {recall:.3f}")
 
 # --- Angular distribution --------------------------------------------------

@@ -37,7 +37,6 @@ from .metrics import (
     angle_histogram,
     auc,
     gauc,
-    recall_at_k,
     topk_retrieve,
     topk_retrieve_batch,
 )

@@ -248,20 +248,11 @@ def cmd_prepare(cfg: RunConfig) -> int:
     bundle = build_bundle(data_cfg)
     save_bundle(bundle, cfg.require("data", "bundle"))
     names = bundle.schema.ordered_names()
-    for split_name in ("train", "validation", "test"):
-        split = bundle.split(split_name)
-        pos = " ".join(
-            f"pos_{name}={int(split.bits[:, t].sum())}" for t, name in enumerate(names)
-        )
-        print(f"split={split_name} total={split.num_samples} {pos}")
-    total_bits = np.concatenate(
-        [bundle.train.bits, bundle.validation.bits, bundle.test.bits]
-    )
-    pos = " ".join(
-        f"pos_{name}={int(total_bits[:, t].sum())}" for t, name in enumerate(names)
-    )
-    n_total = total_bits.shape[0]
-    print(f"split=all total={n_total} {pos}")
+    split_bits = {name: bundle.split(name).bits for name in ("train", "validation", "test")}
+    split_bits["all"] = np.concatenate(list(split_bits.values()))
+    for split_name, bits in split_bits.items():
+        pos = " ".join(f"pos_{name}={int(bits[:, t].sum())}" for t, name in enumerate(names))
+        print(f"split={split_name} total={len(bits)} {pos}")
     print(f"users={len(bundle.users)} items={len(bundle.items)}")
     return 0
 
@@ -328,10 +319,11 @@ def cmd_retrieve(cfg: RunConfig) -> int:
     check_tsv_ids(index.item_ids)
     user_vectors = model.user_embeddings(bundle.user_feature_table[user_ids])
     ranked = topk_retrieve_batch(user_vectors, index, settings.retrieve_k)
-    lines: list[str] = []
-    for uid, top in zip(user_ids.tolist(), ranked):
-        for rank, item in enumerate(top, start=1):
-            lines.append(f"{bundle.users[uid]}\t{item}\t{rank}")
+    lines = [
+        f"{bundle.users[uid]}\t{index.item_ids[j]}\t{rank}"
+        for uid, top in zip(user_ids.tolist(), ranked.tolist())
+        for rank, j in enumerate(top, start=1)
+    ]
     text = "\n".join(lines) + ("\n" if lines else "")
     if settings.retrieve_out:
         with open(settings.retrieve_out, "w", encoding="utf-8") as fh:

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -599,25 +600,46 @@ def check_end(fh, path) -> None:
         raise IngestionError(f"{path}: bytes after the last declared array")
 
 
-def _check_lengths(bundle: DatasetBundle, path) -> None:
-    """Refuse arrays whose lengths or widths disagree with each other or with the header."""
+def _check_arrays(bundle: DatasetBundle, path) -> None:
+    """Refuse arrays whose lengths, widths or values do not fit each other or the header;
+    each value check (rows, codes, bits, labels, list offsets) is one vectorized pass."""
     widths = {
         "user_features": len(bundle.user_feature_names),
         "item_features": len(bundle.item_feature_names),
         "bits": bundle.num_feedbacks,
     }
-    for side, ids, table in (
-        ("user", bundle.users, bundle.user_feature_table),
-        ("item", bundle.items, bundle.item_feature_table),
+    for side, ids, table, vocab in (
+        ("user", bundle.users, bundle.user_feature_table, bundle.user_vocab_sizes),
+        ("item", bundle.items, bundle.item_feature_table, bundle.item_vocab_sizes),
     ):
-        if len(ids) != len(table) or table.shape[1:] != (widths[f"{side}_features"],):
+        width = widths[f"{side}_features"]
+        if len(ids) != len(table) or table.shape[1:] != (width,) or len(vocab) != width:
             raise IngestionError(f"{path}: {len(ids)} {side}s do not fit a table of {table.shape}")
+        _check_range(path, f"{side}_feature_table", table, vocab)
     for name in ("train", "validation", "test"):
         split = bundle.split(name)
         if len({len(getattr(split, attr)) for attr, _ in _SPLIT_ARRAYS}) > 1:
             raise IngestionError(f"{path}: the {name} arrays differ in length")
         if any(getattr(split, attr).shape[1:] != (width,) for attr, width in widths.items()):
             raise IngestionError(f"{path}: the {name} arrays' widths differ from the header's")
+        bounds = {
+            "user_index": len(bundle.users), "item_index": len(bundle.items), "bits": 2,
+            "user_features": bundle.user_vocab_sizes, "item_features": bundle.item_vocab_sizes,
+            "lists.sample_idx": split.num_samples, "lists.list_user": len(bundle.users),
+        }
+        for attr, high in bounds.items():
+            _check_range(path, f"{name}.{attr}", attrgetter(attr)(split), high)
+        if not np.array_equal(split.labels, map_to_ordinal_array(split.bits)):
+            raise IngestionError(f"{path}: {name}.labels are not the bits' ordinal categories")
+        offsets, end = split.lists.offsets, len(split.lists.sample_idx)
+        rising = len(offsets) == split.lists.num_lists + 1 and np.all(offsets[1:] >= offsets[:-1])
+        if not rising or offsets[0] != 0 or offsets[-1] != end:
+            raise IngestionError(f"{path}: {name}.lists.offsets do not rise from 0 to {end}")
+
+
+def _check_range(path, name: str, values: np.ndarray, high) -> None:
+    if np.any(values < 0) or np.any(values >= np.asarray(high)):
+        raise IngestionError(f"{path}: {name} holds values outside [0, n) for n = {high}")
 
 
 def load_bundle(path) -> DatasetBundle:
@@ -646,7 +668,7 @@ def load_bundle(path) -> DatasetBundle:
                 **{name: list(meta[name]) for name in _HEADER_FIELDS},
                 **splits,
             )
-            _check_lengths(bundle, path)
+            _check_arrays(bundle, path)
             return bundle
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise IngestionError(f"{path}: malformed bundle cache: {exc!r}") from None

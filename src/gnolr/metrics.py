@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -128,19 +127,18 @@ class RetrievalIndex:
         return len(self.item_ids)
 
 
-def topk_retrieve_batch(
-    user_embeddings: np.ndarray, index: RetrievalIndex, k: int
-) -> list[list[str]]:
-    """Exact K nearest item ids for every query row: Euclidean distance, ties by id.
+def topk_retrieve_batch(user_embeddings: np.ndarray, index: RetrievalIndex, k: int) -> np.ndarray:
+    """Exact K nearest index rows for every query row: Euclidean distance, ties by id.
 
-    Returns one ranked list per row.  Each block of users (``block_rows``
-    for a row of scores against every item) is scored with one GEMM,
+    Returns an ``(n_users, min(K, len(index)))`` array of positions in
+    ``index``, each row ranked.  Each block of users (``block_rows`` for a
+    row of scores against every item) is scored with one GEMM,
     ``|v|^2 - 2 u.v + |u|^2``.  That value is within a proven rounding
     margin of the exact distance, so every item within twice the margin of
     the row's approximate K-th distance is a candidate, and every true
     top-K item is among them.  The candidates are re-scored exactly (the sum
     of squared differences) and sorted by (distance, id).  K larger than the
-    index returns the full ranking; K = 0 returns empty lists.
+    index returns the full ranking; K = 0 returns no columns.
     """
     if k < 0:
         raise ArgumentError(f"K must be >= 0, got {k}")
@@ -151,14 +149,14 @@ def topk_retrieve_batch(
     if not np.all(np.isfinite(users)):
         raise ArgumentError("user embeddings must be finite")
     k = min(k, n_items)
+    out = np.empty((users.shape[0], k), dtype=np.intp)
     if k == 0:
-        return [[] for _ in range(users.shape[0])]
+        return out
     # The GEMM form and the exact form each lie within gamma_{D+2} * (|u| + |v|)^2
     # of the true distance (Higham, Accuracy and Stability, ch. 3), so they differ
     # by at most (D + 2) * eps * (|u| + |v|)^2; the margin is more than twice that.
     margin_coef = 2.0 * (dim + 4) * np.finfo(np.float64).eps
     max_item_norm = np.sqrt(index.sq_norms.max())
-    out: list[list[str]] = []
     step = block_rows(8 * n_items)
     for start in range(0, users.shape[0], step):
         block = users[start : start + step]
@@ -173,28 +171,15 @@ def topk_retrieve_batch(
         diff = index.vectors[cols] - block[rows]
         exact = np.einsum("ij,ij->i", diff, diff)
         cols = cols[np.lexsort((index.id_rank[cols], exact, rows))]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(block)))))
-        for lo in bounds[:-1].tolist():
-            out.append([index.item_ids[j] for j in cols[lo : lo + k].tolist()])
+        # Each row has at least K candidates, stored from its first one on.
+        first = np.searchsorted(rows, np.arange(len(block)))
+        out[start : start + len(block)] = cols[first[:, None] + np.arange(k)]
     return out
 
 
-def topk_retrieve(user_embedding: np.ndarray, index: RetrievalIndex, k: int) -> list[str]:
-    """One user's ranking: ``topk_retrieve_batch`` on a single query row."""
+def topk_retrieve(user_embedding: np.ndarray, index: RetrievalIndex, k: int) -> np.ndarray:
+    """One user's ranked index rows: ``topk_retrieve_batch`` on a single query row."""
     return topk_retrieve_batch(np.asarray(user_embedding)[np.newaxis], index, k)[0]
-
-
-def recall_at_k(ranked: Sequence[str], k: int, positives: set[str]) -> float:
-    """|top-K intersect positives| / |positives| for an already ranked id list.
-
-    ``ranked`` must reach depth K or hold the whole catalog, as each
-    ranking of a ``topk_retrieve_batch`` call at any depth >= K does.
-    """
-    if k < 0:
-        raise ArgumentError(f"K must be >= 0, got {k}")
-    if not positives:
-        raise UndefinedMetricError("recall is undefined for an empty positive set")
-    return len(set(ranked[:k]) & positives) / len(positives)
 
 
 def angle_histogram(

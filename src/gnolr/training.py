@@ -20,9 +20,10 @@ import numpy as np
 from .data import DatasetBundle, Split, read_array, read_header, write_artifact
 from .data import check_end
 from .encoders import row_numbers
-from .errors import ArgumentError, ConfigError, IngestionError, OptimizerError, UndefinedMetricError
+from .errors import ArgumentError, ConfigError, DimensionError, IngestionError, OptimizerError
+from .errors import UndefinedMetricError
 from .feedback import ThresholdSet, estimate_thresholds
-from .metrics import RetrievalIndex, auc, gauc, recall_at_k, topk_retrieve_batch
+from .metrics import RetrievalIndex, auc, gauc, topk_retrieve_batch
 from .models import Batch, ModelConfig, ModelSettings, make_model
 from .tensor import AdamConfig, adam_step, adam_step_sparse
 
@@ -374,39 +375,38 @@ def retrieval_recalls(
 ) -> dict[str, float]:
     """Mean Recall@K over split users; positives are samples with k > level.
 
-    The candidate pool is the full item universe; users without positives
-    at the level are skipped.  One ``topk_retrieve_batch`` call ranks every
-    user to depth max(ks), and every level and K reads a prefix of that
-    user's ranking.
+    The candidate pool is the full item universe: row j of ``index`` is
+    bundle item j.  Users without positives at the level are skipped.  One
+    ``topk_retrieve_batch`` call ranks every user to depth max(ks).  A
+    level's distinct (user, item) positive pairs and every K's prefix of
+    the rankings become keys ``user * n_items + item``; a user's recall is
+    its matched keys over its positives, averaged in ascending user order.
     """
     if not ks or min(ks) < 0:
         raise ArgumentError(f"recall needs one or more K >= 0, got {tuple(ks)}")
     split = bundle.split(split_name)
     levels = [level] if level is not None else list(range(1, bundle.num_feedbacks + 1))
+    n_items = len(bundle.items)
     if index is None:
         index = unified_index(model, bundle)
+    elif len(index) != n_items:
+        raise DimensionError(f"index of {len(index)} items does not match the bundle's {n_items}")
     if user_vectors is None:
         user_vectors = model.user_embeddings(bundle.user_feature_table)
-    level_positives: dict[int, dict[int, set[str]]] = {}
-    for lvl in levels:
-        per_user = level_positives[lvl] = {}
-        for row in np.nonzero(split.labels > lvl)[0]:
-            per_user.setdefault(int(split.user_index[row]), set()).add(
-                bundle.items[int(split.item_index[row])]
-            )
-    ranked_users = sorted(set().union(*level_positives.values()))
-    rankings = dict(
-        zip(ranked_users, topk_retrieve_batch(user_vectors[ranked_users], index, max(ks)))
-    )
+    pair_keys = split.user_index * n_items + split.item_index
+    level_keys = {lvl: np.unique(pair_keys[split.labels > lvl]) for lvl in levels}
+    ranked_users = np.unique(np.concatenate([keys // n_items for keys in level_keys.values()]))
+    ranking = topk_retrieve_batch(user_vectors[ranked_users], index, max(ks))
+    ranked_keys = ranked_users[:, None] * n_items + ranking
     out: dict[str, float] = {}
-    for lvl, per_user in level_positives.items():
+    for lvl, keys in level_keys.items():
+        if len(keys) == 0:
+            continue
+        _, user_of, positives = np.unique(keys // n_items, return_inverse=True, return_counts=True)
         for k in ks:
-            recalls = [
-                recall_at_k(rankings[uid], k, positives)
-                for uid, positives in sorted(per_user.items())
-            ]
-            if recalls:
-                out[f"recall_t{lvl}@{k}"] = float(np.mean(recalls))
+            hit = np.isin(keys, ranked_keys[:, :k])
+            hits = np.bincount(user_of, weights=hit, minlength=len(positives))
+            out[f"recall_t{lvl}@{k}"] = float(np.mean(hits / positives))
     return out
 
 

@@ -241,6 +241,65 @@ def forward_embeddings(model, side, feature_rows):
     return np.concatenate([tower.forward(x)[0] for tower in tower_side.towers], axis=1)
 
 
+# Unit vectors in 4-D with dyadic coordinates (+-e_i and (+-1/2, ...)): every
+# distance between concatenations of them is exact in any summation order, so
+# equal distances are true ties for the oracle and for the ranking rule alike.
+DYADIC_UNITS = np.concatenate(
+    [np.eye(4), -np.eye(4), 0.5 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T]
+)
+
+
+def unit_blocks(rng, n, t, zero_share):
+    """Rows of T concatenated unit sub-embeddings; some sub-embeddings are zero,
+    as ``l2_normalize`` returns for a degenerate tower output."""
+    blocks = [DYADIC_UNITS[rng.integers(0, len(DYADIC_UNITS), size=n)] for _ in range(t)]
+    for block in blocks:
+        block[rng.random(n) < zero_share] = 0.0
+    return np.concatenate(blocks, axis=1)
+
+
+def ranked_ids(index, rows) -> list:
+    """The item ids of ``topk_retrieve``'s index rows, or of each of ``topk_retrieve_batch``'s."""
+    return np.asarray(index.item_ids, dtype=object)[np.asarray(rows, dtype=np.intp)].tolist()
+
+
+def brute_force_topk(user, index, k) -> list[str]:
+    """Oracle for the ranking rule: the difference-form distance to every item,
+    then a sort of (distance, id string) pairs; the first K ids."""
+    diff = index.vectors - user[None, :]
+    dist = np.einsum("ij,ij->i", diff, diff).tolist()
+    return [item for _, item in sorted(zip(dist, index.item_ids))[:k]]
+
+
+def set_recalls(bundle, ks, split_name, level, user_vectors, index) -> dict[str, float]:
+    """Oracle for ``retrieval_recalls``: the sets of id strings it replaced.
+
+    Each level's positives are a set of item ids per user; each user is
+    ranked by ``brute_force_topk``, and recall@K is |top-K & positives| /
+    |positives|, averaged with ``np.mean`` in ascending user order.  Users
+    without positives at a level are skipped, and a level without any has
+    no key.
+    """
+    split = bundle.split(split_name)
+    levels = [level] if level is not None else range(1, bundle.num_feedbacks + 1)
+    out = {}
+    for lvl in levels:
+        per_user: dict[int, set[str]] = {}
+        for row in np.nonzero(split.labels > lvl)[0]:
+            per_user.setdefault(int(split.user_index[row]), set()).add(
+                bundle.items[int(split.item_index[row])]
+            )
+        for k in ks:
+            recalls = [
+                len(set(brute_force_topk(user_vectors[uid], index, k)) & positives)
+                / len(positives)
+                for uid, positives in sorted(per_user.items())
+            ]
+            if recalls:
+                out[f"recall_t{lvl}@{k}"] = float(np.mean(recalls))
+    return out
+
+
 def loop_write_embeddings(path, entity_ids, matrix, num_levels):
     """Oracle for ``write_embeddings``: every value formatted on its own with "{:.9g}"."""
     matrix = np.asarray(matrix, dtype=np.float32)

@@ -5,6 +5,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -986,6 +987,35 @@ def resaved_checkpoint(src, dst, edit):
     save_checkpoint(checkpoint, dst)
 
 
+def poked(name, at, value):
+    """A whole bundle with the value at ``at`` of array ``name`` (as the GNB1
+    header names it) set to ``value``."""
+
+    def write(src, dst):
+        from gnolr.data import load_bundle, save_bundle
+
+        bundle = load_bundle(src)
+        attrgetter(name)(bundle)[at] = value
+        save_bundle(bundle, dst)
+
+    return write
+
+
+# Payload values out of range: (array, position, value).
+OUT_OF_RANGE = {
+    "item-index-negative": ("test.item_index", 0, -1),
+    "user-index-past-the-users": ("test.user_index", 0, 10**6),
+    "label-not-the-bits-category": ("test.labels", 0, 99),
+    "user-feature-code-past-its-vocabulary": ("test.user_features", (0, 0), 10**6),
+    "list-offset-past-the-samples": ("test.lists.offsets", 1, 10**6),
+    "item-table-code-negative": ("item_feature_table", (0, 0), -1),
+    "bit-not-binary": ("train.bits", (0, 0), 2),
+    "list-sample-past-the-split": ("validation.lists.sample_idx", 0, 10**6),
+    "list-user-past-the-users": ("train.lists.list_user", 0, 10**6),
+    "offsets-not-from-zero": ("train.lists.offsets", 0, 1),
+}
+
+
 BAD_BUNDLES = {
     "trailing-bytes": lambda src, dst: rewrite_artifact(src, dst, tail=bytes(8)),
     "train-labels-declared-short": lambda src, dst: rewrite_artifact(src, dst, shorten_train_labels),
@@ -1000,6 +1030,7 @@ BAD_BUNDLES = {
     "split-bits-narrower-than-schema": resaved_bundle(
         test=lambda b: dataclasses.replace(b.test, bits=b.test.bits[:, :1]),
     ),
+    **{case: poked(*spec) for case, spec in OUT_OF_RANGE.items()},
 }
 
 
@@ -1052,6 +1083,10 @@ class TestMalformedArtifacts:
         assert main([command, cfg, *overrides]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {tmp_path}/bundle.gnb: ")
+        assert "Traceback" not in captured.err
+        if case in OUT_OF_RANGE:  # the error names the array
+            array = OUT_OF_RANGE[case][0]
+            assert captured.err.startswith(f"error: {tmp_path}/bundle.gnb: {array} ")
         if command == "train":
             assert not (tmp_path / "model.gnc").exists()
 

@@ -4,11 +4,11 @@
 the checkpoint and the epoch log lines of a 2-epoch ``train`` on a planted
 three-level dataset (a cluster feature on each side, so a batch looks a
 table row up many times; two hidden layers, so LeakyReLU runs; ``patience``
-set, so validation selection runs).  For the nested configuration it also
-holds the sha256 of every file the CLI's scoring stages write: ``eval``'s
-report and both embedding exports, ``retrieve``'s lists and ``angles``'
-histogram.  The bytes depend on numpy and its BLAS kernels, so a mismatch
-names the environment the file was written in.
+set, so validation selection runs).  For each configuration it also holds
+the sha256 of every file the CLI's scoring stages write: ``eval``'s report
+(AUC, GAUC and recall) and both embedding exports, ``retrieve``'s lists and
+``angles``' histogram.  The bytes depend on numpy and its BLAS kernels, so a
+mismatch names the environment the file was written in.
 
 Rewrite the file with ``PYTHONPATH=src python -m tests.test_golden`` from
 the repository root; a change that moves a hash says which and why in
@@ -102,15 +102,16 @@ def ini_value(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def run_pipeline(directory: pathlib.Path) -> dict:
-    """prepare -> train -> eval -> retrieve -> angles of the nested configuration through
-    the CLI: the sha256 of each file written, the checkpoint included."""
+def run_pipeline(name: str, directory: pathlib.Path) -> dict:
+    """prepare -> train -> eval -> retrieve -> angles of one configuration through the
+    CLI: the sha256 of each file written, the checkpoint included."""
     model_keys = {f.name for f in dataclasses.fields(ModelSettings)}
+    settings = {**BASE, **CONFIGS[name]}
     sections = {
         "data": {"csv": write_csv(directory), "bundle": directory / "bundle.gnb",
                  "feedback": ini_value(FEEDBACK)},
-        "model": {key: v for key, v in BASE.items() if key in model_keys},
-        "train": {key: v for key, v in BASE.items() if key not in model_keys},
+        "model": {key: v for key, v in settings.items() if key in model_keys},
+        "train": {key: v for key, v in settings.items() if key not in model_keys},
         "eval": {"recall_ks": "1,10"},
     }
     sections["train"]["checkpoint"] = directory / "model.gnc"
@@ -143,14 +144,15 @@ def test_training_writes_the_golden_bytes(bundle, name, tmp_path):
     )
 
 
-def test_scoring_stages_write_the_golden_bytes(tmp_path):
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_scoring_stages_write_the_golden_bytes(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     expected = {
-        "model.gnc": golden["configs"]["gnolr_nested"]["checkpoint_sha256"],
-        **golden["pipeline"],
+        "model.gnc": golden["configs"][name]["checkpoint_sha256"],
+        **golden["pipeline"][name],
     }
-    assert run_pipeline(tmp_path) == expected, (
-        f"a scoring stage moved; the golden file was written with "
+    assert run_pipeline(name, tmp_path) == expected, (
+        f"a scoring stage of {name} moved; the golden file was written with "
         f"{golden['environment']}, this run has {environment()}"
     )
 
@@ -162,8 +164,12 @@ if __name__ == "__main__":
         directory = pathlib.Path(tmp)
         data = make_bundle(directory)
         configs = {name: run(data, name, directory) for name in CONFIGS}
-        pipeline = run_pipeline(directory)
-    del pipeline["model.gnc"]  # the nested configuration's checkpoint_sha256
+        pipeline = {}
+        for name in CONFIGS:
+            (directory / name).mkdir()
+            pipeline[name] = run_pipeline(name, directory / name)
+            # The CLI's checkpoint is the one ``train`` wrote from the same settings.
+            assert pipeline[name].pop("model.gnc") == configs[name]["checkpoint_sha256"], name
     golden = {"environment": environment(), "configs": configs, "pipeline": pipeline}
     GOLDEN.write_text(json.dumps(golden, indent=2) + "\n")
     print(f"wrote {GOLDEN}")

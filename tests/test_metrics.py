@@ -14,13 +14,13 @@ from gnolr.metrics import (
     auc,
     format_report,
     gauc,
-    recall_at_k,
     topk_retrieve,
     topk_retrieve_batch,
     write_angle_csv,
     write_report,
 )
 from gnolr.tensor import l2_normalize
+from tests.helpers import ranked_ids, unit_blocks
 
 
 def pairwise_auc(scores, labels):
@@ -224,12 +224,12 @@ class TestTopkRetrieve:
         rng = np.random.default_rng(2)
         index = RetrievalIndex([f"i{j}" for j in range(20)], rng.normal(size=(20, 4)))
         out = topk_retrieve(rng.normal(size=4), index, 20)
-        assert sorted(out) == sorted(index.item_ids)
+        assert sorted(out.tolist()) == list(range(20))
 
     def test_duplicate_nearest_ties_break_by_id(self):
         vec = np.array([1.0, 0.0])
         index = RetrievalIndex(["b", "a", "c"], np.array([vec, vec, [-1.0, 0.0]]))
-        assert topk_retrieve(vec, index, 2) == ["a", "b"]
+        assert ranked_ids(index, topk_retrieve(vec, index, 2)) == ["a", "b"]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
@@ -239,13 +239,14 @@ class TestTopkRetrieve:
             index = RetrievalIndex([f"i{j:03d}" for j in range(n)], rng.normal(size=(n, dim)))
             user = rng.normal(size=dim)
             k = int(rng.integers(1, 12))
-            assert topk_retrieve(user, index, k) == exhaustive_topk(user, index, min(k, n))
+            got = ranked_ids(index, topk_retrieve(user, index, k))
+            assert got == exhaustive_topk(user, index, min(k, n))
 
     def test_k_zero_and_oversize(self):
         rng = np.random.default_rng(4)
         index = RetrievalIndex(["a", "b"], rng.normal(size=(2, 3)))
-        assert topk_retrieve(np.zeros(3), index, 0) == []
-        assert len(topk_retrieve(np.zeros(3), index, 10)) == 2
+        assert topk_retrieve(np.zeros(3), index, 0).shape == (0,)
+        assert topk_retrieve(np.zeros(3), index, 10).shape == (2,)
 
     def test_euclidean_equals_descending_dot_for_unit_concat_rows(self):
         # Rows with norm sqrt(T) satisfy ||u - v||^2 = 2T - 2 u.v, so the
@@ -257,7 +258,7 @@ class TestTopkRetrieve:
         )
         user = np.concatenate([l2_normalize(rng.normal(size=dim)) for _ in range(t)])
         index = RetrievalIndex([f"i{j:02d}" for j in range(30)], rows)
-        by_distance = topk_retrieve(user, index, 30)
+        by_distance = ranked_ids(index, topk_retrieve(user, index, 30))
         dots = rows @ user
         by_dot = [index.item_ids[j] for j in np.lexsort((np.array(index.item_ids), -dots))]
         assert by_distance == by_dot
@@ -265,25 +266,8 @@ class TestTopkRetrieve:
 
 def assert_matches_oracle(users, index, ks):
     for k in ks:
-        got = topk_retrieve_batch(users, index, k)
+        got = ranked_ids(index, topk_retrieve_batch(users, index, k))
         assert got == [exhaustive_topk(u, index, min(k, len(index))) for u in users], k
-
-
-# Unit vectors in 4-D with dyadic coordinates (+-e_i and (+-1/2, ...)): every
-# distance between concatenations of them is exact in any summation order, so
-# equal distances are true ties for the oracle and for the ranking rule alike.
-DYADIC_UNITS = np.concatenate(
-    [np.eye(4), -np.eye(4), 0.5 * np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T]
-)
-
-
-def unit_blocks(rng, n, t, zero_share):
-    """Rows of T concatenated unit sub-embeddings; some sub-embeddings are zero,
-    as ``l2_normalize`` returns for a degenerate tower output."""
-    blocks = [DYADIC_UNITS[rng.integers(0, len(DYADIC_UNITS), size=n)] for _ in range(t)]
-    for block in blocks:
-        block[rng.random(n) < zero_share] = 0.0
-    return np.concatenate(blocks, axis=1)
 
 
 class TestBlockedTopk:
@@ -319,18 +303,18 @@ class TestBlockedTopk:
         rng = np.random.default_rng(13)
         index = RetrievalIndex(["c", "a", "b"], rng.normal(size=(3, 2)))
         users = rng.normal(size=(4, 2))
-        assert topk_retrieve_batch(users, index, 0) == [[], [], [], []]
+        assert ranked_ids(index, topk_retrieve_batch(users, index, 0)) == [[], [], [], []]
         full = topk_retrieve_batch(users, index, 3)
-        assert all(sorted(ranked) == ["a", "b", "c"] for ranked in full)
-        assert topk_retrieve_batch(users, index, 50) == full
+        assert all(sorted(ranked) == ["a", "b", "c"] for ranked in ranked_ids(index, full))
+        np.testing.assert_array_equal(topk_retrieve_batch(users, index, 50), full)
         assert_matches_oracle(users, index, (0, 3, 50))
 
     def test_empty_index_and_no_users(self):
         empty = RetrievalIndex([], np.zeros((0, 3)))
-        assert topk_retrieve_batch(np.ones((2, 3)), empty, 5) == [[], []]
-        assert topk_retrieve(np.ones(3), empty, 5) == []
+        assert topk_retrieve_batch(np.ones((2, 3)), empty, 5).shape == (2, 0)
+        assert topk_retrieve(np.ones(3), empty, 5).shape == (0,)
         index = RetrievalIndex(["a"], np.ones((1, 3)))
-        assert topk_retrieve_batch(np.zeros((0, 3)), index, 5) == []
+        assert topk_retrieve_batch(np.zeros((0, 3)), index, 5).shape == (0, 1)
 
     def test_more_users_than_one_block(self, monkeypatch):
         monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 64)
@@ -345,14 +329,15 @@ class TestBlockedTopk:
         expected = sorted(ids)
         assert expected != ids
         for k in range(0, 10):
-            assert topk_retrieve_batch(np.zeros((2, 2)), index, k) == [expected[:k]] * 2
+            got = ranked_ids(index, topk_retrieve_batch(np.zeros((2, 2)), index, k))
+            assert got == [expected[:k]] * 2
 
     def test_single_vector_wrapper_is_one_row_of_the_batch(self):
         rng = np.random.default_rng(15)
         index = RetrievalIndex([f"i{j}" for j in range(30)], rng.normal(size=(30, 5)))
         users = rng.normal(size=(6, 5))
         batch = topk_retrieve_batch(users, index, 7)
-        assert [topk_retrieve(u, index, 7) for u in users] == batch
+        np.testing.assert_array_equal([topk_retrieve(u, index, 7) for u in users], batch)
 
     def test_matches_the_full_pass_rule_on_tie_heavy_fixtures(self):
         # The full-pass rule: a difference-form distance to every item, then a
@@ -374,7 +359,33 @@ class TestBlockedTopk:
             users = np.concatenate([rows[rng.integers(0, n, size=2)], rng.normal(size=(2, dim))])
             index = RetrievalIndex([f"x{j}" for j in rng.permutation(n)], rows)
             k = int(rng.integers(0, n + 3))
-            assert topk_retrieve_batch(users, index, k) == [full_pass(u, index, k) for u in users]
+            got = ranked_ids(index, topk_retrieve_batch(users, index, k))
+            assert got == [full_pass(u, index, k) for u in users]
+
+    def test_returns_index_rows_of_shape_users_by_k(self):
+        rng = np.random.default_rng(17)
+        index = RetrievalIndex([f"i{j}" for j in range(9)], rng.normal(size=(9, 3)))
+        users = rng.normal(size=(4, 3))
+        for k in (0, 1, 9, 12):
+            got = topk_retrieve_batch(users, index, k)
+            assert got.dtype == np.intp and got.shape == (4, min(k, 9))
+
+    def test_every_prefix_of_the_deepest_ranking_is_a_fresh_ranking(self):
+        # So the hits on a fixed positive set, and its recall, never fall as K grows.
+        rng = np.random.default_rng(7)
+        vectors = rng.normal(size=(50, 4))
+        vectors[::5] = vectors[3]  # tied distances, broken by id
+        index = RetrievalIndex([f"i{j:02d}" for j in rng.permutation(50)], vectors)
+        users = np.concatenate([rng.normal(size=(3, 4)), vectors[3:4]])
+        positives = rng.choice(50, size=9, replace=False)
+        deepest = topk_retrieve_batch(users, index, 50)
+        hits = []
+        for k in range(0, 52):
+            fresh = topk_retrieve_batch(users, index, k)
+            np.testing.assert_array_equal(deepest[:, :k], fresh)
+            hits.append(np.isin(fresh, positives).sum(axis=1))
+        assert np.all(np.diff(hits, axis=0) >= 0)
+        assert hits[-1].tolist() == [9] * 4
 
     def test_shape_and_value_errors(self):
         index = RetrievalIndex(["a", "b"], np.ones((2, 3)))
@@ -390,50 +401,6 @@ class TestBlockedTopk:
             topk_retrieve_batch(np.full((1, 3), np.nan), index, 1)
         with pytest.raises(ArgumentError):
             RetrievalIndex(["a"], np.array([[np.inf, 0.0, 0.0]]))
-
-
-class TestRecallAtK:
-    def test_all_retrieved(self):
-        rng = np.random.default_rng(6)
-        vecs = rng.normal(size=(10, 3))
-        index = RetrievalIndex([f"i{j}" for j in range(10)], vecs)
-        ranked = topk_retrieve(vecs[0], index, 3)
-        assert recall_at_k(ranked, 3, set(ranked)) == 1.0
-
-    def test_k_smaller_than_positive_set(self):
-        vecs = np.eye(4)
-        index = RetrievalIndex(["a", "b", "c", "d"], vecs)
-        user = vecs[0]
-        positives = {"a", "b", "c", "d"}
-        assert recall_at_k(topk_retrieve(user, index, 2), 2, positives) == 0.5
-
-    def test_disjoint(self):
-        vecs = np.eye(3)
-        index = RetrievalIndex(["a", "b", "c"], vecs)
-        assert recall_at_k(topk_retrieve(vecs[0], index, 1), 1, {"nope"}) == 0.0
-
-    def test_empty_positives_error(self):
-        index = RetrievalIndex(["a"], np.ones((1, 2)))
-        with pytest.raises(UndefinedMetricError):
-            recall_at_k(topk_retrieve(np.ones(2), index, 1), 1, set())
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(7)
-        vecs = rng.normal(size=(50, 4))
-        index = RetrievalIndex([f"i{j:02d}" for j in range(50)], vecs)
-        user = rng.normal(size=4)
-        positives = {f"i{j:02d}" for j in rng.choice(50, size=9, replace=False)}
-        ranked = topk_retrieve(user, index, 50)
-        values = [recall_at_k(ranked, k, positives) for k in range(1, 51)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        # Every prefix of the deepest ranking equals a fresh ranking at that K.
-        for k in range(0, 51):
-            fresh = topk_retrieve(user, index, k)
-            assert recall_at_k(ranked, k, positives) == recall_at_k(fresh, k, positives)
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ArgumentError):
-            recall_at_k(["a", "b"], -1, {"a"})
 
 
 class TestAngleHistogram:

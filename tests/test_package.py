@@ -19,8 +19,7 @@ PUBLIC_NAMES = {
     "GnolrError", "FeedbackSchema", "ThresholdSet", "estimate_thresholds", "order_feedback",
     "thresholds_from_fractions",
     # metrics
-    "RetrievalIndex", "angle_histogram", "auc", "gauc", "recall_at_k", "topk_retrieve",
-    "topk_retrieve_batch",
+    "RetrievalIndex", "angle_histogram", "auc", "gauc", "topk_retrieve", "topk_retrieve_batch",
     # models, tensor
     "Batch", "ModelConfig", "make_model", "AdamConfig", "Parameter", "adam_step",
     "l2_normalize", "leaky_relu", "stable_sigmoid",

@@ -290,7 +290,7 @@ def test_topk_equals_one_unblocked_pass(monkeypatch, n):
     unblocked(monkeypatch)
     want = topk_retrieve_batch(users, index, 9)
     blocked(monkeypatch, 8 * len(index))
-    assert topk_retrieve_batch(users, index, 9) == want
+    np.testing.assert_array_equal(topk_retrieve_batch(users, index, 9), want)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from gnolr import metrics, tensor, training
 from gnolr.data import DataConfig, build_bundle
-from gnolr.errors import ArgumentError, ConfigError
+from gnolr.errors import ArgumentError, ConfigError, DimensionError
 from gnolr.feedback import estimate_thresholds
 from gnolr.losses import bce_batch
 from gnolr.metrics import RetrievalIndex, auc
@@ -33,7 +33,9 @@ from tests.helpers import (
     full_grads,
     per_sample_backward,
     per_sample_forward,
+    set_recalls,
     synthetic_bundle,
+    unit_blocks,
 )
 
 FAST = dict(
@@ -769,3 +771,143 @@ class TestOnePassScoringAndRanking:
         with pytest.raises(ArgumentError):
             retrieval_recalls(model, bundle, ks)
         assert calls == []
+
+
+def with_test_split(bundle, items, user_index, item_index, labels):
+    """``bundle`` with these items and a test split of these rows; the
+    recall reads nothing else of the split."""
+    test = dataclasses.replace(
+        bundle.test,
+        user_index=np.asarray(user_index),
+        item_index=np.asarray(item_index),
+        labels=np.asarray(labels),
+    )
+    return dataclasses.replace(bundle, items=list(items), test=test)
+
+
+def recall_fixture(bundle, seed, n_users=14, n_items=30, n_rows=60, t=3):
+    """A test split, user vectors and an item index on which ranks tie.
+
+    The rows draw their items from the first third of the catalog, so one
+    (user, item) pair can be positive in several rows.  Labels skew low, so
+    some users lack a positive at level 2, and the last user has a row but
+    no positive.  The vectors are dyadic unit blocks (exact distances) with
+    zero-norm sub-embeddings; the last user is all zero, and the index
+    repeats a few distinct vectors, so distances tie at most K boundaries.
+    Item ids are not in index order.
+    """
+    rng = np.random.default_rng(seed)
+    users = np.r_[rng.integers(0, n_users - 1, size=n_rows), n_users - 1]
+    items = rng.integers(0, n_items // 3, size=n_rows + 1)
+    labels = np.r_[rng.choice([1, 1, 1, 2, 2, 2, 2, 3], size=n_rows), 1]
+    ids = [f"i{j}" for j in rng.permutation(n_items)]
+    fixture = with_test_split(bundle, ids, users, items, labels)
+    user_vectors = unit_blocks(rng, n_users, t, zero_share=0.3)
+    user_vectors[-1] = 0.0
+    distinct = unit_blocks(rng, 6, t, zero_share=0.3)
+    index = RetrievalIndex(ids, distinct[rng.integers(0, len(distinct), size=n_items)])
+    return fixture, user_vectors, index
+
+
+class TestRecallAsArrayOps:
+    KS = (0, 1, 2, 5, 9, 30, 37)  # K = 0, and K at and beyond the 30-item catalog
+
+    def test_equals_the_set_oracle_bit_for_bit(self, bundle):
+        boundary_ties = repeated_pairs = 0
+        for seed in range(12):
+            fixture, users, index = recall_fixture(bundle, seed)
+            for level in (None, 1, 2):
+                got = retrieval_recalls(None, fixture, self.KS, "test", level, users, index)
+                assert got == set_recalls(fixture, self.KS, "test", level, users, index)
+            split = fixture.test
+            assert users_with_positives(split, 2) < users_with_positives(split, 1)
+            assert len(users_with_positives(split, 0)) > len(users_with_positives(split, 1))
+            keys = split.user_index[split.labels > 1] * 30 + split.item_index[split.labels > 1]
+            repeated_pairs += len(np.unique(keys)) < len(keys)
+            for user in users:
+                dist = np.sort(((index.vectors - user) ** 2).sum(axis=1))
+                boundary_ties += sum(dist[k - 1] == dist[k] for k in self.KS if 0 < k < 30)
+        assert repeated_pairs > 0 and boundary_ties > 0
+
+    @pytest.mark.parametrize("kind", ["gnolr", "nsb"])
+    def test_each_level_space_equals_the_set_oracle(self, bundle, tied_bundle, kind):
+        # nsb retrieves each level in its own column block of the unified vectors.
+        ks = (0, 1, 4, 15, 40)
+        for data in (bundle, tied_bundle):
+            model = untrained_model(data, kind=kind)
+            index = training.unified_index(model, data)
+            user_vectors = model.user_embeddings(data.user_feature_table)
+            expected = {}
+            for level, users, space in model.retrieval_spaces(user_vectors, index):
+                got = retrieval_recalls(model, data, ks, "test", level, users, space)
+                assert got == set_recalls(data, ks, "test", level, users, space)
+                expected.update(got)
+            out = evaluate(model, data, recall_ks=ks, gauc_weighting="off")
+            assert {key: out[key] for key in out if key.startswith("recall_")} == expected
+
+    def test_hand_example(self, bundle):
+        # Items i0..i3 are the unit axes.  u0 sits on i0, ranking i0, i1, i2, i3
+        # (ties by id), and likes all four; u1 sits on i3 and likes it; u2 sits
+        # on i0 and likes only i3.  Only u1's pair reaches level 2.
+        fixture = with_test_split(
+            bundle, ["i0", "i1", "i2", "i3"],
+            user_index=[0, 0, 0, 0, 1, 2], item_index=[0, 1, 2, 3, 3, 3], labels=[2] * 4 + [3, 2],
+        )
+        users, index = np.eye(4)[[0, 3, 0]], RetrievalIndex(["i0", "i1", "i2", "i3"], np.eye(4))
+        got = retrieval_recalls(None, fixture, (1, 2, 4), "test", None, users, index)
+        assert got == {
+            "recall_t1@1": float(np.mean([1 / 4, 1.0, 0.0])),
+            "recall_t1@2": float(np.mean([2 / 4, 1.0, 0.0])),
+            "recall_t1@4": 1.0,
+            "recall_t2@1": 1.0, "recall_t2@2": 1.0, "recall_t2@4": 1.0,
+        }
+
+    def test_a_user_without_positives_is_skipped(self, bundle):
+        fixture, users, index = recall_fixture(bundle, 3)
+        want = retrieval_recalls(None, fixture, self.KS, "test", None, users, index)
+        # One more user, with a single negative row.
+        split = fixture.test
+        extra = with_test_split(
+            fixture, fixture.items,
+            np.r_[split.user_index, len(users)], np.r_[split.item_index, 0], np.r_[split.labels, 1],
+        )
+        more_users = np.r_[users, users[:1]]
+        assert retrieval_recalls(None, extra, self.KS, "test", None, more_users, index) == want
+        # A level without any positive has no key.
+        shallow = with_test_split(
+            fixture, fixture.items, split.user_index, split.item_index, np.minimum(split.labels, 2)
+        )
+        got = retrieval_recalls(None, shallow, self.KS, "test", None, users, index)
+        assert {key.partition("@")[0] for key in got} == {"recall_t1"}
+
+    def test_an_index_of_another_length_is_refused(self, bundle):
+        fixture, users, index = recall_fixture(bundle, 4)
+        short = RetrievalIndex(index.item_ids[:-1], index.vectors[:-1])
+        with pytest.raises(DimensionError, match="29 items"):
+            retrieval_recalls(None, fixture, (1,), "test", None, users, short)
+
+    def test_no_array_of_pairs_by_k_is_built(self, bundle):
+        # 40 users with 600 positive items each, ranked 2,000 deep: a pairs x K
+        # array of one byte per entry would take 48 MB.
+        n_users, n_items, per_user, k = 40, 3000, 600, 2000
+        rng = np.random.default_rng(8)
+        items = np.concatenate([rng.permutation(n_items)[:per_user] for _ in range(n_users)])
+        fixture = with_test_split(
+            bundle, [f"i{j}" for j in range(n_items)],
+            np.repeat(np.arange(n_users), per_user), items, np.full(len(items), 3),
+        )
+        users = rng.normal(size=(n_users, 4))
+        index = RetrievalIndex(fixture.items, rng.normal(size=(n_items, 4)))
+
+        def peak(call) -> int:
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ranking = peak(lambda: metrics.topk_retrieve_batch(users, index, k))
+        recall = peak(lambda: retrieval_recalls(None, fixture, (1, k), "test", None, users, index))
+        # Beyond the ranking's own peak: O(users * K + pairs) words.
+        assert recall - ranking < 64 * (n_users * k + len(items)) < len(items) * k, recall
