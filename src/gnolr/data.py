@@ -161,11 +161,9 @@ def first_seen(values) -> tuple[np.ndarray, np.ndarray]:
     lists the distinct values in first-seen order), and ``number[row]`` is
     the k of that row's value.
     """
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    number = np.empty_like(by_first)
-    number[by_first] = np.arange(by_first.size)
-    return first[by_first], number[inverse]
+    seen: dict = {}
+    number = np.array([seen.setdefault(v, len(seen)) for v in values.tolist()], np.intp)
+    return np.unique(number, return_index=True)[1], number
 
 
 def build_lists(user_index: np.ndarray, max_len: int = 500, rng=None) -> ListIndex:
@@ -389,6 +387,14 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
     over the chronologically sorted rows.
     """
     raw = _parse_csv(config)
+    user_feature_names = (["__user_id"] if config.embed_user_id else []) + raw["uf_cols"]
+    item_feature_names = (["__item_id"] if config.embed_item_id else []) + raw["if_cols"]
+    for side, names in (("user", user_feature_names), ("item", item_feature_names)):
+        if not names:
+            raise ConfigError(
+                f"the {side} side has no feature: set [data] embed_{side}_id = true "
+                f"or add {side[0]}f_ columns to the CSV"
+            )
     n = raw["timestamps"].shape[0]
     if n == 0:
         raise IngestionError(f"{config.csv_path}: no data rows")
@@ -440,8 +446,6 @@ def build_bundle(config: DataConfig) -> DatasetBundle:
             sizes.append(n_vocab + 1)
         return codes, sizes
 
-    user_feature_names = (["__user_id"] if config.embed_user_id else []) + raw["uf_cols"]
-    item_feature_names = (["__item_id"] if config.embed_item_id else []) + raw["if_cols"]
     user_features_all, user_vocab_sizes = encode(user_feature_names)
     item_features_all, item_vocab_sizes = encode(item_feature_names)
 

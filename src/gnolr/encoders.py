@@ -47,6 +47,8 @@ class EmbeddingTableSet:
     ) -> None:
         if dim < 1:
             raise ArgumentError(f"embedding dim must be >= 1, got {dim}")
+        if not feature_vocabs:
+            raise ArgumentError(f"embedding tables '{name_prefix}' need at least one feature")
         self.dim = dim
         self.feature_names = list(feature_vocabs)
         self.tables: dict[str, Parameter] = {}
@@ -210,44 +212,22 @@ class Tower:
         return g
 
 
-def row_numbers(feature_rows: np.ndarray) -> np.ndarray:
-    """Each row's index into its distinct feature rows in ascending order.
+class _RowGroups:
+    """A batch's samples grouped by feature row: one group per distinct row.
 
     Rows are told apart by their feature values, not by entity id:
-    sample-level features may differ from the entity table's.  The result
-    equals the inverse of ``np.unique(feature_rows, axis=0)``, but it is
-    refined one column at a time with 1-D sorts, several times faster
-    than sorting whole rows.
-    """
-    number = np.zeros(len(feature_rows), dtype=np.intp)
-    for column in feature_rows.T:
-        values, code = np.unique(column, return_inverse=True)
-        # Both factors are below the row count, so the key cannot overflow.
-        _, number = np.unique(number * len(values) + code, return_inverse=True)
-    return number
-
-
-def distinct_rows(feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct feature rows, ascending, and each row's ``row_numbers`` index into them."""
-    number = row_numbers(feature_rows)
-    _, first = np.unique(number, return_index=True)
-    return feature_rows[first], number
-
-
-class _RowGroups:
-    """A batch's samples grouped by row number: one group per distinct row.
-
-    Grouping is one stable sort of the numbers; groups are ordered by
-    number and each starts at its earliest sample.  When no row repeats,
-    every sample is its own group in batch order and nothing is gathered.
+    sample-level features may differ from the entity table's.  Grouping is
+    one stable lexicographic sort of the rows, so groups ascend as rows and
+    each keeps its samples in batch order.  When no row repeats, every
+    sample is its own group in batch order and nothing is gathered.
     """
 
-    def __init__(self, numbers: np.ndarray) -> None:
-        order = numbers.argsort(kind="stable")
-        ranked = numbers[order]
+    def __init__(self, feature_rows: np.ndarray) -> None:
+        order = np.lexsort(feature_rows.T[::-1])
+        ranked = feature_rows[order]
         head = np.empty(len(order), dtype=bool)
         head[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        np.any(ranked[1:] != ranked[:-1], axis=1, out=head[1:])
         self.repeats = not head.all()
         if self.repeats:
             self.order = order
@@ -319,12 +299,9 @@ class TowerSide:
         subs, d_in = (num_towers, cfg.hidden_sizes[-1]), tables.output_dim
         self.workspace = Workspace(subs, subs, (d_in,), (d_in,))
 
-    def forward(self, feature_rows: np.ndarray, numbers: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Sub-embeddings (B, T, dim) of the samples' rows, and the state ``backward`` needs.
-
-        ``numbers`` number the rows, equal exactly where the rows are equal.
-        """
-        groups = _RowGroups(numbers)
+    def forward(self, feature_rows: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Sub-embeddings (B, T, dim) of the samples' rows, and the state ``backward`` needs."""
+        groups = _RowGroups(feature_rows)
         rows = groups.distinct(feature_rows)
         x = self.tables.lookup(rows)
         bound = len(feature_rows)
@@ -369,9 +346,10 @@ class TowerSide:
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def embed_distinct(self, feature_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Unified embeddings of the ``distinct_rows``, and each row's index into them."""
-        distinct, inverse = distinct_rows(feature_rows)
-        return self.embed(distinct), inverse
+        """Unified embeddings of the distinct rows, and each row's index into them."""
+        groups = _RowGroups(feature_rows)
+        of = groups.of if groups.repeats else np.arange(len(feature_rows))
+        return self.embed(groups.distinct(feature_rows)), of
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,10 @@ def map_to_ordinal_array(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ArgumentError("bits must be a 2-D (n, T) array")
-    n, t = bits.shape
-    positions = np.arange(1, t + 1)
-    deepest = np.max(np.where(bits > 0, positions, 0), axis=1) if t else np.zeros(n, dtype=int)
-    return np.where(deepest > 0, deepest + 1, 1).astype(np.int64)
+    labels = np.ones(len(bits), dtype=np.int64)
+    for t in range(bits.shape[1]):
+        labels[bits[:, t] > 0] = t + 2
+    return labels
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EmbeddingTableSet, TowerSide, row_numbers
+from .encoders import EmbeddingTableSet, TowerSide
 from .errors import ArgumentError, DimensionError
 from .feedback import ThresholdSet
 from .losses import bce_batch, cumulative_from_dots, gnolr_batch, listnet_list_batch
@@ -130,26 +130,13 @@ class ModelConfig(ModelSettings):
 
 @dataclass
 class Batch:
-    """One training batch; ``list_bounds`` marks list segments when listwise.
-
-    ``user_numbers`` and ``item_numbers`` number each sample's feature row,
-    equal exactly where the rows are equal (training numbers its split once
-    with ``row_numbers``).  A batch built without them numbers its own rows.
-    """
+    """One training batch; ``list_bounds`` marks list segments when listwise."""
 
     user_features: np.ndarray
     item_features: np.ndarray
     labels: np.ndarray
     bits: np.ndarray
     list_bounds: list[tuple[int, int]] | None = None
-    user_numbers: np.ndarray | None = None
-    item_numbers: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.user_numbers is None:
-            self.user_numbers = row_numbers(self.user_features)
-        if self.item_numbers is None:
-            self.item_numbers = row_numbers(self.item_features)
 
 
 class _TwinBase:
@@ -206,8 +193,8 @@ class _TwinBase:
         """
         # Item side first: with the user side first, glibc trimmed and regrew
         # the heap every step on serve_catalog (60k more faults, 20 % slower).
-        i, item_state = self.item.forward(batch.item_features, batch.item_numbers)
-        u, user_state = self.user.forward(batch.user_features, batch.user_numbers)
+        i, item_state = self.item.forward(batch.item_features)
+        u, user_state = self.user.forward(batch.user_features)
         # (B, num_pairs) per-level similarities of the unit sub-embeddings.
         dots = np.einsum("btd,btd->bt", u, i)
         total, grad_dots = self._objective(batch, dots)

@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import DatasetBundle, Split, read_array, read_header, write_artifact
 from .data import check_end
-from .encoders import row_numbers
 from .errors import ArgumentError, ConfigError, DimensionError, IngestionError, OptimizerError
 from .errors import UndefinedMetricError
 from .feedback import ThresholdSet, estimate_thresholds
@@ -211,11 +210,9 @@ def make_batches(split: Split, cfg: TrainConfig, epoch: int) -> Iterator[Batch]:
 
     Pointwise, a batch is ``batch_size`` samples.  Listwise, it is
     ``list_batch_size`` user lists joined in order, and ``list_bounds``
-    marks each list's segment.  The split's rows are numbered once per
-    call, so every step runs the towers once per distinct feature row.
+    marks each list's segment.
     """
     rng = np.random.default_rng(cfg.seed + epoch)
-    numbers = (row_numbers(split.user_features), row_numbers(split.item_features))
     if cfg.listwise:
         perm, size = rng.permutation(split.lists.num_lists), cfg.list_batch_size
     else:
@@ -233,8 +230,6 @@ def make_batches(split: Split, cfg: TrainConfig, epoch: int) -> Iterator[Batch]:
             labels=split.labels[rows],
             bits=split.bits[rows],
             list_bounds=bounds,
-            user_numbers=numbers[0][rows],
-            item_numbers=numbers[1][rows],
         )
 
 

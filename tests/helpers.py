@@ -144,17 +144,26 @@ def synthetic_bundle(tmp_path, name="synth.csv", **kwargs):
 
 
 def per_sample_forward(model, user_rows, item_rows):
-    """Both sides' training forward with every sample numbered apart, so the
-    towers run once per sample row; returns (u, i, states)."""
-    u, user_state = model.user.forward(user_rows, np.arange(len(user_rows)))
-    i, item_state = model.item.forward(item_rows, np.arange(len(item_rows)))
-    return u, i, (user_state, item_state)
+    """Both sides' forward with no rows grouped: every sample row is looked up
+    and run through each tower; returns (u, i, states)."""
+    outs, states = [], []
+    for side, rows in ((model.user, user_rows), (model.item, item_rows)):
+        x = side.tables.lookup(rows)
+        subs, tower_states = zip(*(tower.forward(x) for tower in side.towers))
+        outs.append(np.stack(subs, axis=1))
+        states.append((rows, tower_states))
+    return outs[0], outs[1], states
 
 
 def per_sample_backward(model, grad_u, grad_i, states):
-    """The backward of ``per_sample_forward``: the tables get one gradient row per sample."""
-    model.user.backward(grad_u, states[0])
-    model.item.backward(grad_i, states[1])
+    """The backward of ``per_sample_forward``: the towers' input gradients summed in
+    tower order, and the tables get one gradient row per sample."""
+    for side, grad, (rows, tower_states) in zip((model.user, model.item), (grad_u, grad_i), states):
+        grads = [
+            tower.backward(grad[:, c, :], state)
+            for c, (tower, state) in enumerate(zip(side.towers, tower_states))
+        ]
+        side.tables.backward(sum(grads[1:], grads[0]), rows)
 
 
 def forward_task_scores(model, user_rows, item_rows, chunk=8192):

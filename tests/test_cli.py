@@ -109,6 +109,16 @@ class TestPrepare:
         assert capsys.readouterr().err == "error: [data] feedback repeats columns ['pay']\n"
         assert not (tmp_path / "bundle.gnb").exists()
 
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_side_with_no_feature_exits_two(self, tmp_path, capsys, side):
+        csv_path = write_synthetic_csv(tmp_path / "d.csv", n_rows=200, seed=6)
+        cfg = write_config(tmp_path, csv_path)
+        assert main(["prepare", cfg, "--set", f"data.embed_{side}_id=false"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the {side} side has no feature: ")
+        assert f"embed_{side}_id = true" in err and f"{side[0]}f_ columns" in err
+        assert not (tmp_path / "bundle.gnb").exists()
+
     def test_malformed_row_exits_one_with_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,item_id,timestamp,click,pay\nu1,i1,1,0,0\nu2,i2,oops,0,0\n")
@@ -1016,6 +1026,26 @@ OUT_OF_RANGE = {
 }
 
 
+def featureless(side):
+    """A whole bundle whose ``side`` ("user" or "item") has no feature column."""
+
+    def strip(split):
+        key = f"{side}_features"
+        return dataclasses.replace(split, **{key: getattr(split, key)[:, :0]})
+
+    return resaved_bundle(
+        **{
+            f"{side}_feature_names": lambda b: [],
+            f"{side}_vocab_sizes": lambda b: [],
+            f"{side}_feature_table": lambda b: getattr(b, f"{side}_feature_table")[:, :0],
+        },
+        **{
+            name: lambda b, name=name: strip(getattr(b, name))
+            for name in ("train", "validation", "test")
+        },
+    )
+
+
 BAD_BUNDLES = {
     "trailing-bytes": lambda src, dst: rewrite_artifact(src, dst, tail=bytes(8)),
     "train-labels-declared-short": lambda src, dst: rewrite_artifact(src, dst, shorten_train_labels),
@@ -1089,6 +1119,21 @@ class TestMalformedArtifacts:
             assert captured.err.startswith(f"error: {tmp_path}/bundle.gnb: {array} ")
         if command == "train":
             assert not (tmp_path / "model.gnc").exists()
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_bundle_side_with_no_feature_exits_one(self, tiny_artifacts, tmp_path, capsys, side):
+        src, cfg = tiny_artifacts
+        featureless(side)(src / "bundle.gnb", tmp_path / "bundle.gnb")
+        overrides = [
+            "--set", f"data.bundle={tmp_path}/bundle.gnb",
+            "--set", f"train.checkpoint={tmp_path}/model.gnc",
+        ]
+        capsys.readouterr()
+        assert main(["train", cfg, *overrides]) == 1
+        captured = capsys.readouterr()
+        tables = f"emb_{side[0]}"
+        assert captured.err == f"error: embedding tables '{tables}' need at least one feature\n"
+        assert not (tmp_path / "model.gnc").exists()
 
     @pytest.mark.parametrize("seed", ["x", -1, 123])
     def test_stored_training_seed_is_not_read(self, tiny_artifacts, tmp_path, capsys, seed):

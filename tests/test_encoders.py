@@ -13,7 +13,6 @@ from gnolr.encoders import (
     Tower,
     TowerSide,
     read_embeddings,
-    row_numbers,
     write_embeddings,
 )
 from gnolr.errors import ArgumentError, DimensionError
@@ -58,6 +57,10 @@ class TestEmbeddingTables:
         rng = np.random.default_rng(3)
         with pytest.raises(DimensionError):
             tables_fixture(rng).lookup(np.array([[1, 2, 3]]))
+
+    def test_no_feature_rejected(self):
+        with pytest.raises(ArgumentError, match="'emb_i' need at least one feature"):
+            EmbeddingTableSet({}, 4, np.random.default_rng(5), "emb_i")
 
     def test_backward_sums_onto_distinct_rows(self):
         rng = np.random.default_rng(4)
@@ -234,7 +237,7 @@ class TestTowerSide:
     def test_single_level_shapes(self):
         rng = np.random.default_rng(15)
         side = side_fixture(rng, 1, (4,))
-        subs, _ = side.forward(np.ones((3, 2), dtype=np.int64), np.zeros(3, dtype=np.intp))
+        subs, _ = side.forward(np.ones((3, 2), dtype=np.int64))
         assert subs.shape == (3, 1, 4)
 
     def test_two_level_unified_length(self):
@@ -247,21 +250,21 @@ class TestTowerSide:
         rng = np.random.default_rng(17)
         side = side_fixture(rng, 2, (4,))
         ids = np.random.default_rng(18).integers(0, 5, size=(4, 2))
-        numbers = row_numbers(ids)
         # A training forward's output is valid until the side's next forward.
-        a = side.forward(ids, numbers)[0].copy()
-        b, _ = side.forward(ids, numbers)
+        a = side.forward(ids)[0].copy()
+        b, _ = side.forward(ids)
         assert np.array_equal(a, b)
 
     def test_repeated_rows_run_once_with_the_bits_of_every_row(self):
         rng = np.random.default_rng(21)
         side = side_fixture(rng, 2, (8, 4))
         ids = np.random.default_rng(22).integers(0, 3, size=(40, 2))
-        per_sample = side.forward(ids, np.arange(len(ids)))[0].copy()
+        x = side.tables.lookup(ids)
+        per_sample = np.stack([tower.forward(x)[0] for tower in side.towers], axis=1)
         looked_up = []
         lookup = side.tables.lookup
         side.tables.lookup = lambda rows: looked_up.append(len(rows)) or lookup(rows)
-        grouped, _ = side.forward(ids, row_numbers(ids))
+        grouped, _ = side.forward(ids)
         assert looked_up == [len(np.unique(ids, axis=0))]
         np.testing.assert_array_equal(grouped, per_sample)
 
@@ -271,7 +274,7 @@ class TestTowerSide:
         rng = np.random.default_rng(19)
         side = side_fixture(rng, 2, (4,))
         ids = np.random.default_rng(20).integers(0, 5, size=(3, 2))
-        subs, state = side.forward(ids, row_numbers(ids))
+        subs, state = side.forward(ids)
         grad = np.zeros_like(subs)
         grad[:, 0, :] = 1.0
         side.backward(grad, state)

@@ -76,10 +76,14 @@ class TestMapToOrdinal:
                 raised[j] = 1
                 assert map_to_ordinal(raised) >= base
 
-    def test_array_version_matches_scalar(self):
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize("rows", [0, 200])
+    @pytest.mark.parametrize("levels", [0, 1, 3, 4, 5])
+    def test_array_version_matches_scalar(self, levels, rows, dtype):
         rng = np.random.default_rng(11)
-        bits = rng.integers(0, 2, size=(200, 4))
+        bits = rng.integers(0, 2, size=(rows, levels)).astype(dtype)
         vec = map_to_ordinal_array(bits)
+        assert vec.dtype == np.int64 and vec.shape == (rows,)
         for row, k in zip(bits, vec):
             assert map_to_ordinal(row) == k
 

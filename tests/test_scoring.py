@@ -22,7 +22,7 @@ import pytest
 
 from gnolr import tensor, training
 from gnolr.data import DataConfig, build_bundle
-from gnolr.encoders import _RowGroups, distinct_rows, row_numbers
+from gnolr.encoders import _RowGroups
 from gnolr.errors import DimensionError
 from gnolr.models import Batch, ModelConfig, _TwinBase, make_model
 from gnolr.metrics import RetrievalIndex, topk_retrieve_batch
@@ -95,7 +95,16 @@ def many_rows(rng):
     return rng.integers(0, 10, size=(n, 2)), rng.integers(0, 12, size=(n, 2)) % (12, 5)
 
 
+def all_distinct_rows(rng):
+    # No row repeats on either side, so no row is gathered.
+    n = 40
+    users = np.stack(np.unravel_index(rng.permutation(60)[:n], (10, 6)), axis=1)
+    items = np.stack(np.unravel_index(rng.permutation(60)[:n], (12, 5)), axis=1)
+    return users, items
+
+
 ROWS = {
+    "distinct": all_distinct_rows,
     "duplicates": duplicate_rows,
     "oov": oov_rows,
     "one-user-row": one_user_row,
@@ -298,13 +307,6 @@ def test_topk_equals_one_unblocked_pass(monkeypatch, n):
 # ---------------------------------------------------------------------------
 
 
-def all_distinct_rows(rng):
-    n = 40
-    users = np.stack(np.unravel_index(rng.permutation(60)[:n], (10, 6)), axis=1)
-    items = np.stack(np.unravel_index(rng.permutation(60)[:n], (12, 5)), axis=1)
-    return users, items
-
-
 def one_row_each(rng):
     return np.tile([[3, 2]], (30, 1)), np.tile([[7, 1]], (30, 1))
 
@@ -317,31 +319,30 @@ STEP_ROWS = {
 }
 
 
-def step_batch(rows, numbered=False):
+def step_batch(rows, shuffled=False):
     """A batch over ``STEP_ROWS[rows]`` with one list per user id, as listwise batches hold.
 
-    ``numbered`` passes row numbers that are not 0..D-1, as a split's are.
+    ``shuffled`` puts the lists in a random order and each list's samples in reverse,
+    so neither side's rows come in the order that grouping sorts them into.
     """
     rng = np.random.default_rng(11)
     users, items = STEP_ROWS[rows](rng)
     order = np.argsort(users[:, 0], kind="stable")
-    users, items = users[order], items[order]
-    heads = np.flatnonzero(np.diff(users[:, 0], prepend=users[0, 0] - 1))
-    bounds = list(zip(heads.tolist(), np.append(heads[1:], len(users)).tolist()))
+    heads = np.flatnonzero(np.diff(users[order, 0], prepend=users[order[0], 0] - 1))
+    lists = np.split(order, heads[1:])
+    if shuffled:
+        lists = [lists[k][::-1] for k in np.random.default_rng(13).permutation(len(lists))]
+    users, items = users[np.concatenate(lists)], items[np.concatenate(lists)]
+    ends = np.cumsum([len(samples) for samples in lists])
+    bounds = list(zip(np.append(0, ends[:-1]).tolist(), ends.tolist()))
     bits = rng.integers(0, 2, size=(len(users), 3))
     deepest = np.max(np.where(bits > 0, np.arange(1, 4), 0), axis=1)
-    numbers = {}
-    if numbered:
-        for side, feature_rows in (("user_numbers", users), ("item_numbers", items)):
-            _, inverse = np.unique(feature_rows, axis=0, return_inverse=True)
-            numbers[side] = 1000 - 7 * inverse.reshape(-1)
     return Batch(
         user_features=users,
         item_features=items,
         labels=np.where(deepest > 0, deepest + 1, 1).astype(np.int64),
         bits=bits.astype(np.int8),
         list_bounds=bounds,
-        **numbers,
     )
 
 
@@ -361,14 +362,23 @@ def test_step_fixtures_cover_the_edge_cases():
     assert (batch.user_features < 0).any() and (batch.item_features >= 12).any()
     # Mostly distinct rows, a few repeated.
     assert 60 < distinct(batch.user_features) < 120 and 60 < distinct(batch.item_features) < 120
+    for rows in ("distinct", "duplicates", "oov"):
+        batch, shuffled = step_batch(rows), step_batch(rows, shuffled=True)
+        np.testing.assert_array_equal(np.sort(shuffled.user_features, axis=0),
+                                      np.sort(batch.user_features, axis=0))
+        list_users = [np.unique(shuffled.user_features[a:b, 0]) for a, b in shuffled.list_bounds]
+        assert len(list_users) == len(batch.list_bounds)
+        assert all(len(ids) == 1 for ids in list_users)
+        for side in (shuffled.user_features, shuffled.item_features):
+            assert not (np.lexsort(side.T[::-1]) == np.arange(len(side))).all()
 
 
-@pytest.mark.parametrize("numbered", [False, True], ids=["self-numbered", "numbered"])
+@pytest.mark.parametrize("shuffled", [False, True], ids=["sorted-lists", "shuffled-lists"])
 @pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
 @pytest.mark.parametrize("rows", list(STEP_ROWS))
 @pytest.mark.parametrize("name", list(KINDS))
-def test_step_matches_the_per_sample_step(name, rows, zero_norm, numbered):
-    batch = step_batch(rows, numbered)
+def test_step_matches_the_per_sample_step(name, rows, zero_norm, shuffled):
+    batch = step_batch(rows, shuffled)
     models = [make(name), make(name)]
     if zero_norm:
         for model in models:
@@ -464,38 +474,53 @@ def test_towers_run_once_per_distinct_row(monkeypatch, rows):
     ]
 
 
-def test_row_numbers_equal_the_row_wise_unique():
+def test_row_groups_equal_the_row_wise_unique():
     rng = np.random.default_rng(4)
+    extremes = np.array([-(2**62), -1, 0, 2**62])
     for rows in (
         rng.integers(-3, 3, size=(500, 4)),
-        rng.integers(-(2**62), 2**62, size=(50, 3)),
+        rng.integers(-(2**62), 2**62, size=(50, 3))[rng.integers(0, 50, size=80)],
+        extremes[rng.integers(0, 4, size=(60, 2))],
         np.repeat(rng.integers(0, 9, size=(20, 2)), 3, axis=0),
         rng.integers(0, 2, size=(9, 1)),
+        rng.permutation(30)[:, None] - 15,
         np.zeros((0, 3), dtype=np.int64),
     ):
-        want_rows, want = np.unique(rows, axis=0, return_inverse=True)
-        got_rows, got = distinct_rows(rows)
-        np.testing.assert_array_equal(got, want.reshape(-1))
-        np.testing.assert_array_equal(row_numbers(rows), want.reshape(-1))
-        np.testing.assert_array_equal(got_rows, want_rows)
+        want_rows, want_first, want_of = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        groups = _RowGroups(rows)
+        distinct = groups.distinct(rows)
+        if not groups.repeats:
+            # Every row is its own group, in batch order.
+            assert len(want_rows) == len(rows)
+            np.testing.assert_array_equal(distinct, rows)
+            continue
+        np.testing.assert_array_equal(distinct[groups.of], rows)
+        np.testing.assert_array_equal(distinct, want_rows)
+        np.testing.assert_array_equal(groups.first, want_first)
+        np.testing.assert_array_equal(groups.of, want_of.reshape(-1))
+        # Each group holds its samples in batch order.
+        ends = np.append(groups.starts[1:], len(rows))
+        for k, (start, end) in enumerate(zip(groups.starts, ends)):
+            np.testing.assert_array_equal(groups.order[start:end], np.flatnonzero(groups.of == k))
 
 
 def test_row_groups_sum_each_rows_samples():
     rng = np.random.default_rng(3)
-    for numbers in (
-        rng.integers(0, 5, size=200),
-        rng.permutation(50) * 3 - 60,
-        np.full(9, 4),
-        np.zeros(0, dtype=np.int64),
+    for rows in (
+        rng.integers(0, 3, size=(200, 2)),
+        (rng.permutation(50) * 3 - 60)[:, None],
+        np.tile([[4, -1]], (9, 1)),
+        np.zeros((0, 2), dtype=np.int64),
     ):
-        groups = _RowGroups(numbers)
-        rows = groups.distinct(numbers)
-        np.testing.assert_array_equal(np.sort(rows), np.unique(numbers))
-        np.testing.assert_array_equal(groups.samples(rows), numbers)
-        values = rng.normal(size=(len(numbers), 2, 3))
-        want = np.zeros((len(rows), 2, 3))
-        for k, row in enumerate(rows):
-            want[k] = values[numbers == row].sum(axis=0)
+        groups = _RowGroups(rows)
+        distinct = groups.distinct(rows)
+        np.testing.assert_array_equal(groups.samples(distinct), rows)
+        values = rng.normal(size=(len(rows), 2, 3))
+        want = np.zeros((len(distinct), 2, 3))
+        for k, row in enumerate(distinct):
+            want[k] = values[(rows == row).all(axis=1)].sum(axis=0)
         np.testing.assert_allclose(groups.sum(values), want, rtol=1e-12, atol=1e-12)
 
 
@@ -513,29 +538,13 @@ def sample_feature_bundle(tmp_path):
 
 @pytest.mark.parametrize("listwise", [False, True], ids=["pointwise", "listwise"])
 def test_train_numbers_rows_by_features(tmp_path, monkeypatch, listwise):
-    """``train`` numbers feature rows, not entities, and its epochs match the per-sample step."""
+    """``train`` groups feature rows, not entities: its epochs match the per-sample step."""
     bundle = sample_feature_bundle(tmp_path)
     config = TrainConfig(
         kind="gnolr", listwise=listwise, epochs=2, batch_size=64, list_batch_size=4,
         embedding_dim=4, hidden_sizes=(8, 4), learning_rate=0.01, seed=2,
     )
-    seen = []
-    step = _TwinBase.loss_and_grad
-
-    def recording_step(model, batch):
-        seen.append(batch)
-        return step(model, batch)
-
-    monkeypatch.setattr(_TwinBase, "loss_and_grad", recording_step)
     result = train(bundle, config)
-    for batch in seen:
-        for features, numbers in (
-            (batch.user_features, batch.user_numbers),
-            (batch.item_features, batch.item_numbers),
-        ):
-            same_number = numbers[:, None] == numbers[None, :]
-            same_row = (features[:, None, :] == features[None, :, :]).all(axis=2)
-            np.testing.assert_array_equal(same_number, same_row)
     moods = bundle.train.user_features
     assert len(np.unique(moods, axis=0)) > len(np.unique(moods[:, 0]))
 
