@@ -617,6 +617,8 @@ def _check_arrays(bundle: DatasetBundle, path) -> None:
         ("item", bundle.items, bundle.item_feature_table, bundle.item_vocab_sizes),
     ):
         width = widths[f"{side}_features"]
+        if not width:
+            raise IngestionError(f"{path}: the {side} side has no feature")
         if len(ids) != len(table) or table.shape[1:] != (width,) or len(vocab) != width:
             raise IngestionError(f"{path}: {len(ids)} {side}s do not fit a table of {table.shape}")
         _check_range(path, f"{side}_feature_table", table, vocab)

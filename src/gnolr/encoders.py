@@ -299,6 +299,11 @@ class TowerSide:
         subs, d_in = (num_towers, cfg.hidden_sizes[-1]), tables.output_dim
         self.workspace = Workspace(subs, subs, (d_in,), (d_in,))
 
+    def reserve(self, bound: int) -> None:
+        """Allocate the side's and its towers' workspaces for batches of up to ``bound`` rows."""
+        for workspace in (self.workspace, *(tower.workspace for tower in self.towers)):
+            workspace.reserve(bound)
+
     def forward(self, feature_rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Sub-embeddings (B, T, dim) of the samples' rows, and the state ``backward`` needs."""
         groups = _RowGroups(feature_rows)

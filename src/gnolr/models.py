@@ -21,9 +21,12 @@ once per distinct feature row in training, scoring and embedding alike.
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -36,6 +39,38 @@ from .tensor import Parameter, block_rows, pack_parameters, stable_sigmoid
 
 MODEL_KINDS = ("gnolr", "neural_olr", "bce", "nsb")
 GNOLR_VARIANTS = ("nested", "v0", "v1")
+
+
+def lane_count(cpus: int, environ: Mapping[str, str]) -> int:
+    """Lanes for a training step's two sides: 2 when ``cpus`` usable CPUs hold both
+    sides' BLAS threads, else 1.  BLAS runs the first positive count these variables
+    set, or with none, as OpenBLAS does, one thread per usable CPU."""
+    names = "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+    counts = (environ.get(name, "").strip() for name in names)
+    blas = next((int(n) for n in counts if n.isdigit() and int(n) > 0), cpus)
+    return 2 if cpus >= 2 * blas else 1
+
+
+_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+LANES = lane_count(_cpus, os.environ)
+_lane = None  # the lane thread's pool, started by the first two-lane step
+
+
+def _side_by_side(worker: Callable, caller: Callable) -> tuple:
+    """``worker()`` on the lane thread, in a copy of this context (``np.errstate``
+    holds there), while ``caller()`` runs here: both results.  It returns or raises
+    only once the worker is done; when both raise, the worker's error is raised."""
+    global _lane
+    if _lane is None:  # imported here: at the top it cost every CLI start 7-9 ms
+        from concurrent.futures import ThreadPoolExecutor
+        _lane = ThreadPoolExecutor(1, thread_name_prefix="gnolr-lane")
+    future = _lane.submit(contextvars.copy_context().run, worker)
+    try:
+        mine = caller()
+    except BaseException:
+        future.result()
+        raise
+    return future.result(), mine
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -189,12 +224,23 @@ class _TwinBase:
         """Mean batch loss; adds its gradients to the dense buffer and the tables' kept sums.
 
         The towers run forward and backward once per distinct feature row
-        of each side; the loss reads every sample.
+        of each side; the loss reads every sample.  With two ``LANES`` the
+        item side's forward and backward run on the lane thread, beside the
+        user side's; the sides share no array, so the bits are the same.
         """
-        # Item side first: with the user side first, glibc trimmed and regrew
-        # the heap every step on serve_catalog (60k more faults, 20 % slower).
-        i, item_state = self.item.forward(batch.item_features)
-        u, user_state = self.user.forward(batch.user_features)
+        item, user = self.item, self.user
+        if LANES > 1:
+            # Allocated on the lane, the workspace grew a glibc arena of its own (+7 MB).
+            item.reserve(len(batch.item_features))
+            (i, item_state), (u, user_state) = _side_by_side(
+                lambda: item.forward(batch.item_features),
+                lambda: user.forward(batch.user_features),
+            )
+        else:
+            # Item side first: with the user side first, glibc trimmed and regrew
+            # the heap every step on serve_catalog (60k more faults, 20 % slower).
+            i, item_state = item.forward(batch.item_features)
+            u, user_state = user.forward(batch.user_features)
         # (B, num_pairs) per-level similarities of the unit sub-embeddings.
         dots = np.einsum("btd,btd->bt", u, i)
         total, grad_dots = self._objective(batch, dots)
@@ -202,8 +248,14 @@ class _TwinBase:
         # the other side's gradient in place.
         grad_u = np.multiply(grad_dots[:, :, None], i, out=i)
         grad_i = np.multiply(grad_dots[:, :, None], u, out=u)
-        self.user.backward(grad_u, user_state)
-        self.item.backward(grad_i, item_state)
+        if LANES > 1:
+            _side_by_side(
+                lambda: item.backward(grad_i, item_state),
+                lambda: user.backward(grad_u, user_state),
+            )
+        else:
+            user.backward(grad_u, user_state)
+            item.backward(grad_i, item_state)
         return total
 
     def task_scores_all(self, user_rows: np.ndarray, item_rows: np.ndarray) -> np.ndarray:

@@ -45,7 +45,8 @@ class DegenerateVectorWarning(RuntimeWarning):
 class Parameter:
     """A trainable array with its gradient buffer and Adam moment state.
 
-    The gradient and the moments are zeros allocated on first use, so a model
+    The gradient, the moments and the dense Adam step's scratch (a float
+    array and a finiteness mask) are zeros allocated on first use, so a model
     that only scores holds none.  A ``table`` holds no gradient: its rows'
     gradient comes from ``EmbeddingTableSet.take_grads`` and goes to
     ``adam_step_sparse``, and reading its ``grad`` raises AttributeError.
@@ -57,6 +58,8 @@ class Parameter:
     grad: np.ndarray = field(init=False)
     adam_m: np.ndarray = field(init=False)
     adam_v: np.ndarray = field(init=False)
+    adam_scratch: np.ndarray = field(init=False)
+    finite: np.ndarray = field(init=False)
     step_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
@@ -64,14 +67,14 @@ class Parameter:
 
     def __getattr__(self, name: str) -> np.ndarray:
         # Only reached while ``name`` is unset.
-        if name not in ("grad", "adam_m", "adam_v"):
+        if name not in ("grad", "adam_m", "adam_v", "adam_scratch", "finite"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         if name == "grad" and self.table:
             raise AttributeError(
                 f"table parameter '{self.name}' holds no grad; "
                 "its gradient is taken with EmbeddingTableSet.take_grads()"
             )
-        buffer = np.zeros_like(self.value)
+        buffer = np.zeros_like(self.value, dtype=bool if name == "finite" else None)
         setattr(self, name, buffer)
         return buffer
 
@@ -112,16 +115,17 @@ class AdamConfig:
 
 
 def _adam_update(
-    value: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: AdamConfig
+    value: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, cfg: AdamConfig,
+    scratch: np.ndarray | None = None,
 ) -> None:
     """Bias-corrected Adam step ``t``, in place on arrays of one shape; spends ``g``.
 
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
     value -= lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
     Each product and quotient is rounded in that order, but written into one
-    scratch array and ``g`` instead of fresh temporaries.
+    scratch array (``scratch`` when given) and ``g`` instead of fresh temporaries.
     """
-    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1, out=scratch)
     m *= ADAM_BETA1
     m += scratch
     np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
@@ -138,11 +142,12 @@ def _adam_update(
 
 
 def adam_step(param: Parameter, cfg: AdamConfig) -> Parameter:
-    """Adam over the whole parameter, in place; zeroes the gradient afterward."""
-    if not np.all(np.isfinite(param.grad)):
+    """Adam over the whole parameter, in place and in its own scratch; zeroes the gradient."""
+    if not np.isfinite(param.grad, out=param.finite).all():
         raise OptimizerError(f"non-finite gradient in parameter '{param.name}'")
     param.step_count += 1
-    _adam_update(param.value, param.adam_m, param.adam_v, param.grad, param.step_count, cfg)
+    moments = param.adam_m, param.adam_v
+    _adam_update(param.value, *moments, param.grad, param.step_count, cfg, param.adam_scratch)
     param.zero_grad()
     return param
 

@@ -1120,20 +1120,24 @@ class TestMalformedArtifacts:
         if command == "train":
             assert not (tmp_path / "model.gnc").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("side", ["user", "item"])
-    def test_bundle_side_with_no_feature_exits_one(self, tiny_artifacts, tmp_path, capsys, side):
+    def test_bundle_side_with_no_feature_exits_one(
+        self, tiny_artifacts, tmp_path, capsys, side, command
+    ):
         src, cfg = tiny_artifacts
         featureless(side)(src / "bundle.gnb", tmp_path / "bundle.gnb")
         overrides = [
             "--set", f"data.bundle={tmp_path}/bundle.gnb",
             "--set", f"train.checkpoint={tmp_path}/model.gnc",
         ]
+        if command == "eval":
+            (tmp_path / "model.gnc").write_bytes((src / "model.gnc").read_bytes())
         capsys.readouterr()
-        assert main(["train", cfg, *overrides]) == 1
+        assert main([command, cfg, *overrides]) == 1
         captured = capsys.readouterr()
-        tables = f"emb_{side[0]}"
-        assert captured.err == f"error: embedding tables '{tables}' need at least one feature\n"
-        assert not (tmp_path / "model.gnc").exists()
+        assert captured.err == f"error: {tmp_path}/bundle.gnb: the {side} side has no feature\n"
+        assert (tmp_path / "model.gnc").exists() == (command == "eval")
 
     @pytest.mark.parametrize("seed", ["x", -1, 123])
     def test_stored_training_seed_is_not_read(self, tiny_artifacts, tmp_path, capsys, seed):

@@ -27,6 +27,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from gnolr import models
 from gnolr.cli import main
 from gnolr.data import DataConfig, build_bundle
 from gnolr.models import ModelSettings
@@ -142,6 +143,27 @@ def test_training_writes_the_golden_bytes(bundle, name, tmp_path):
         f"configuration {name} moved; the golden file was written with "
         f"{golden['environment']}, this run has {environment()}"
     )
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_either_lane_count_writes_the_golden_bytes(bundle, name, lanes, tmp_path, monkeypatch):
+    """Forced to one lane or to two (the item side on a thread of its own), whatever
+    this machine's CPUs and BLAS threads would choose."""
+    monkeypatch.setattr(models, "LANES", lanes)
+    golden = json.loads(GOLDEN.read_text())
+    assert run(bundle, name, tmp_path) == golden["configs"][name]
+
+
+def test_a_single_row_embeds_as_inside_a_block(bundle):
+    """No stage embeds a block of one row, so the stored bytes cannot show how one row
+    comes out; it must come out as it does among other rows, where BLAS runs gemm."""
+    model = train(bundle, TrainConfig(**BASE)).checkpoint.build_model()
+    for side, table in ((model.user, bundle.user_feature_table),
+                        (model.item, bundle.item_feature_table)):
+        block = side.embed(table)
+        for row in (0, 1, len(table) // 2, len(table) - 1):
+            assert side.embed(table[row : row + 1]).tobytes() == block[row].tobytes()
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

@@ -1,11 +1,19 @@
-"""Model-level behavior: full-model gradients, isolation, reweighting."""
+"""Model-level behavior: full-model gradients, isolation, reweighting, lanes."""
+
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from gnolr import models
 from gnolr.encoders import EmbeddingTableSet, Tower
+from gnolr.errors import DimensionError
 from gnolr.losses import bce_batch
-from gnolr.models import Batch, BceModel, ModelConfig, make_model
+from gnolr.models import Batch, BceModel, ModelConfig, _side_by_side, lane_count, make_model
+from gnolr.tensor import DegenerateVectorWarning
 from tests.helpers import (
     checked_gradients,
     full_grads,
@@ -244,3 +252,108 @@ class TestBceModes:
         assert "head.w" in names and "head.b" in names
         assert model.heads[0].w.value[0, 0] == 1.0
         assert model.heads[0].b.value[0, 0] == 0.0
+
+
+class TestLanes:
+    """The item side runs on a lane thread beside the user side only when the usable
+    CPUs hold both sides' BLAS threads; either way the caller sees what it saw serially."""
+
+    @pytest.mark.parametrize(
+        "cpus, environ, lanes",
+        [
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+            (2, {}, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "2"}, 1),
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            (1, {}, 1),
+            (8, {"OPENBLAS_NUM_THREADS": "4"}, 2),
+            (8, {"OPENBLAS_NUM_THREADS": "5"}, 1),
+            (2, {"OMP_NUM_THREADS": "1"}, 2),
+            (2, {"MKL_NUM_THREADS": "1"}, 2),
+            # The first variable set to a positive count wins.
+            (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+            (2, {"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 1),
+            (2, {"OPENBLAS_NUM_THREADS": " 1 "}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": ""}, 1),
+        ],
+    )
+    def test_lane_rule(self, cpus, environ, lanes):
+        assert lane_count(cpus, environ) == lanes
+
+    def test_lanes_follow_this_process(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert models.LANES == lane_count(cpus, os.environ)
+
+    @staticmethod
+    def two_lane_model(monkeypatch):
+        monkeypatch.setattr(models, "LANES", 2)
+        return make_model(tiny_config("gnolr"), VOCABS_U, VOCABS_I, np.random.default_rng(2))
+
+    def test_item_side_dimension_error_reaches_the_caller(self, monkeypatch):
+        model = self.two_lane_model(monkeypatch)
+        batch = tiny_batch(np.random.default_rng(3))
+        batch.item_features = batch.item_features[:, :1]
+        with pytest.raises(DimensionError, match=r"expected ids of shape \(B, 2\)"):
+            model.loss_and_grad(batch)
+
+    @pytest.mark.parametrize("user_raises", [False, True])
+    def test_the_caller_waits_for_the_item_side_and_raises_its_error(
+        self, monkeypatch, user_raises
+    ):
+        model = self.two_lane_model(monkeypatch)
+        finished = []
+
+        def slow_item_forward(rows):
+            time.sleep(0.2)
+            finished.append(threading.current_thread() is not threading.main_thread())
+            raise DimensionError("item side")
+
+        def user_forward(rows):
+            if user_raises:
+                raise DimensionError("user side")
+            return forward(rows)
+
+        forward = model.user.forward
+        monkeypatch.setattr(model.item, "forward", slow_item_forward)
+        monkeypatch.setattr(model.user, "forward", user_forward)
+        with pytest.raises(DimensionError, match="item side"):
+            model.loss_and_grad(tiny_batch(np.random.default_rng(3)))
+        assert finished == [True]
+
+    def test_the_caller_waits_for_the_worker_before_raising_its_own_error(self):
+        finished = []
+
+        def slow():
+            time.sleep(0.2)
+            finished.append(True)
+
+        def failing():
+            raise DimensionError("caller")
+
+        with pytest.raises(DimensionError, match="caller"):
+            _side_by_side(slow, failing)
+        assert finished == [True]
+
+    def test_the_worker_runs_under_the_callers_errstate(self):
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _side_by_side(lambda: np.ones(1) / 0.0, lambda: None)
+        with np.errstate(divide="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _side_by_side(lambda: np.ones(1) / 0.0, lambda: 1)[1] == 1
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_degenerate_item_vector_warns_or_raises_as_on_one_lane(self, monkeypatch, lanes):
+        monkeypatch.setattr(models, "LANES", lanes)
+        model = make_model(tiny_config("gnolr"), VOCABS_U, VOCABS_I, np.random.default_rng(2))
+        model.item.towers[0].weights[-1].value[...] = 0.0
+        model.item.towers[0].biases[-1].value[...] = 0.0
+        batch = tiny_batch(np.random.default_rng(3))
+        with pytest.warns(DegenerateVectorWarning):
+            model.loss_and_grad(batch)
+        model.zero_grad()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegenerateVectorWarning)
+            with pytest.raises(DegenerateVectorWarning):
+                model.loss_and_grad(batch)

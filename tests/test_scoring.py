@@ -14,12 +14,14 @@ finite-difference checker.
 
 import dataclasses
 import pathlib
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from gnolr import models as model_module
 from gnolr import tensor, training
 from gnolr.data import DataConfig, build_bundle
 from gnolr.encoders import _RowGroups
@@ -451,10 +453,8 @@ def test_step_gradients_match_finite_differences(name):
     )
 
 
-@pytest.mark.parametrize("rows", list(STEP_ROWS))
-def test_towers_run_once_per_distinct_row(monkeypatch, rows):
-    model = make("gnolr-listwise")
-    batch = step_batch(rows)
+def count_lookups(monkeypatch, model):
+    """The (side, rows) of every table lookup the model makes from now on."""
     looked_up = []
 
     def counting(side, lookup):
@@ -467,11 +467,63 @@ def test_towers_run_once_per_distinct_row(monkeypatch, rows):
     for side in ("user", "item"):
         tables = getattr(model, side).tables
         monkeypatch.setattr(tables, "lookup", counting(side, tables.lookup))
+    return looked_up
+
+
+@pytest.mark.parametrize("rows", list(STEP_ROWS))
+def test_towers_run_once_per_distinct_row(monkeypatch, rows):
+    monkeypatch.setattr(model_module, "LANES", 1)
+    model = make("gnolr-listwise")
+    batch = step_batch(rows)
+    looked_up = count_lookups(monkeypatch, model)
     model.loss_and_grad(batch)
     assert looked_up == [
         ("item", len(np.unique(batch.item_features, axis=0))),
         ("user", len(np.unique(batch.user_features, axis=0))),
     ]
+
+
+@pytest.mark.parametrize("rows", list(STEP_ROWS))
+def test_towers_run_once_per_distinct_row_on_two_lanes(monkeypatch, rows):
+    """The two sides look up at the same time, so only the set of lookups is fixed."""
+    monkeypatch.setattr(model_module, "LANES", 2)
+    model = make("gnolr-listwise")
+    batch = step_batch(rows)
+    looked_up = count_lookups(monkeypatch, model)
+    model.loss_and_grad(batch)
+    assert sorted(looked_up) == [
+        ("item", len(np.unique(batch.item_features, axis=0))),
+        ("user", len(np.unique(batch.user_features, axis=0))),
+    ]
+
+
+@pytest.mark.parametrize("zero_norm", [False, True], ids=["unit", "zero-norm"])
+@pytest.mark.parametrize("name", list(KINDS))
+def test_two_lanes_step_as_one_lane_bit_for_bit(monkeypatch, name, zero_norm):
+    """The item side on the lane thread gives the same loss and gradients, step after
+    step, over batches whose row counts grow the workspaces and shrink again.  The
+    threads switch as often as the interpreter lets them, so a write one side made
+    into the other's arrays would show."""
+    batches = [step_batch(rows, shuffled) for shuffled in (False, True) for rows in STEP_ROWS]
+    assert len({len(b.labels) for b in batches}) > 2
+    one, two = make(name), make(name)
+    if zero_norm:
+        zero_last_layers(one)
+        zero_last_layers(two)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for batch in batches:
+            monkeypatch.setattr(model_module, "LANES", 1)
+            want = one.loss_and_grad(batch)
+            monkeypatch.setattr(model_module, "LANES", 2)
+            assert two.loss_and_grad(batch) == want
+            for p, got, want in zip(two.params, full_grads(two), full_grads(one)):
+                assert got.tobytes() == want.tobytes(), p.name
+            one.zero_grad()
+            two.zero_grad()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_row_groups_equal_the_row_wise_unique():

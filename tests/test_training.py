@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gnolr import metrics, tensor, training
+from gnolr import models as model_module
 from gnolr.data import DataConfig, build_bundle
 from gnolr.errors import ArgumentError, ConfigError, DimensionError
 from gnolr.feedback import estimate_thresholds
@@ -528,12 +529,17 @@ class TestTrainStep:
             with pytest.raises(AttributeError, match="take_grads"):
                 p.grad
 
-    def test_a_step_allocates_little_beyond_its_workspace(self):
+    def test_a_step_allocates_little_beyond_its_workspace(self, monkeypatch):
         """A train_dense-shaped step: 512 rows, towers 128,64,32, T = 3.
 
-        Each tower layer writes into buffers kept from the warm-up step, so
-        the step's own allocations are the table lookups, the gradient sums
-        and Adam's scratch; fresh per-layer arrays took about 10.8 MB.
+        Each tower layer writes into buffers kept from the warm-up step, and
+        dense Adam into the parameter's own scratch, so the step's own
+        allocations are the table lookups, the gradient sums and the sparse
+        Adam rows.  Their peak was 0.61-0.65 MB on one lane, bounded here at
+        0.75 MB, and 0.73-0.75 MB on two, where both sides' temporaries live
+        at once, bounded at 0.9 MB.  Fresh per-layer arrays took about
+        10.8 MB, and Adam's 0.8 MB scratch per step set the one-lane peak at
+        0.81 MB.
         """
         features = {"__user_id": 1000, "uf_segment": 5, "uf_age": 51}
         cfg = ModelConfig(
@@ -552,15 +558,17 @@ class TestTrainStep:
             return Batch(rows[0], rows[1], labels, bits)
 
         adam = AdamConfig(0.005)
-        train_step(model, batch(), adam)
-        step = batch()
-        tracemalloc.start()
-        try:
-            train_step(model, step, adam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3_000_000, peak
+        for lanes, bound in ((1, 750_000), (2, 900_000)):
+            monkeypatch.setattr(model_module, "LANES", lanes)
+            train_step(model, batch(), adam)
+            step = batch()
+            tracemalloc.start()
+            try:
+                train_step(model, step, adam)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (lanes, peak)
 
 
 class TestEvaluateAndMultiRun:
